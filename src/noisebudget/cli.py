@@ -22,15 +22,15 @@ from .calibration import (
     n_th_from_sidebands,
     read_spectrum_csv,
 )
-from .core import Detection
+from .core import Detection, chi_m_dimensionless
 from .errors import DomainError, ParameterError
 from .figures import FIGURE_IDS, reproduce_figure
 from .limits import ql_added_noise, sql_psd
 from .sweep import (
     NORMALIZATION_STATEMENT,
-    Row,
     SpectrumTable,
     emit_table,
+    limit_columns,
     parse_config,
     read_key_values,
     run_sweep,
@@ -94,35 +94,21 @@ def _cmd_sweep(args, readout_override=None) -> dict:
 def _cmd_limits(args) -> dict:
     spec = parse_config(_read_config(args), strict=args.strict)
     grid = spec.rho_grid()
-    det = Detection(spec.epsilon)
-    zpm = np.abs(1.0 / (1.0 - 1j * grid)) ** 2
     meta = {
         "artifact_version": __version__,
         "normalization": NORMALIZATION_STATEMENT,
         "spec": spec.metadata()["spec"],
     }
-
-    def curve_rows(added, thermal):
-        rows = []
-        for rho, a, t in zip(grid, added, thermal):
-            rows.append(
-                Row(
-                    rho=float(rho), phi_used=0.0, p=0.0,
-                    s_m=float(t), s_ii=float(a), s_ff=0.0, s_corr=0.0,
-                    s_ln=0.0, total=float(a + t),
-                    total_over_sql=float((a + t) / sql_psd(rho)),
-                )
-            )
-        return rows
-
-    sql_tbl = SpectrumTable(
-        dict(meta, curve="sql"), curve_rows(sql_psd(grid), np.zeros_like(grid))
-    )
-    ql_thermal = 2.0 * (spec.n_th + 0.5) * zpm
-    ql_tbl = SpectrumTable(
-        dict(meta, curve="ql"), curve_rows(ql_added_noise(grid, det), ql_thermal)
-    )
-    return {"sql": sql_tbl, "ql": ql_tbl}
+    ql_thermal = 2.0 * (spec.n_th + 0.5) * np.abs(chi_m_dimensionless(grid)) ** 2
+    ql_added = ql_added_noise(grid, Detection(spec.epsilon))
+    return {
+        "sql": SpectrumTable(
+            dict(meta, curve="sql"), limit_columns(grid, sql_psd(grid), 0.0, 0.0, 0.0)
+        ),
+        "ql": SpectrumTable(
+            dict(meta, curve="ql"), limit_columns(grid, ql_added, ql_thermal, 0.0, 0.0)
+        ),
+    }
 
 
 _CALIBRATE_KEYS = {"sideband_csv", "red_csv", "blue_csv"}

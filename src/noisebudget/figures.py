@@ -19,18 +19,19 @@ from typing import Dict
 
 import numpy as np
 
-from .core import Detection, MechanicalMode
+from .core import Detection, chi_m_dimensionless
 from .errors import ParameterError
-from .limits import (
-    fixed_angle_spectrum,
-    phi_opt,
-    ql_added_noise,
-    sql_psd,
-    stitch_quadratures,
+from .limits import phi_opt, ql_added_noise, sql_psd
+from .spectra import homodyne_terms, light_terms
+from .sweep import (
+    NORMALIZATION_STATEMENT,
+    SpectrumTable,
+    SweepSpec,
+    limit_columns,
+    run_sweep,
+    spectrum_columns,
 )
-from .spectra import displacement_psd, light_psd_components
-from .sweep import NORMALIZATION_STATEMENT, Row, SpectrumTable, _row
-from .synodyne import SynodyneLO, synodyne_components, synodyne_variational
+from .synodyne import SynodyneLO, synodyne_added_noise, synodyne_terms
 from . import __version__
 
 FIGURE_IDS = (
@@ -72,262 +73,189 @@ def _meta(fig_id: str, curve: str, **params) -> dict:
     }
 
 
-def _limit_rows(grid, added, thermal, phi_deg: float, p: float):
-    rows = []
-    for rho, a, t in zip(grid, added, thermal):
-        total = a + t
-        rows.append(
-            Row(
-                rho=float(rho),
-                phi_used=phi_deg,
-                p=p,
-                s_m=float(t),
-                s_ii=float(a),
-                s_ff=0.0,
-                s_corr=0.0,
-                s_ln=0.0,
-                total=float(total),
-                total_over_sql=float(total / sql_psd(rho)),
-            )
-        )
-    return rows
+def _fixed_phi(rho, p, phi_deg: float, epsilon: float, n_th: float) -> dict:
+    """Fixed-angle homodyne columns; rho or p may be a grid."""
+    comps = homodyne_terms(rho, p, math.radians(phi_deg), epsilon, n_th)
+    return spectrum_columns(rho, phi_deg, p, comps)
 
 
-def _sweep_rows_fixed_phi(grid, p, phi_deg, det, mode):
-    phi = math.radians(phi_deg)
-    return [
-        _row(float(r), phi_deg, p, displacement_psd(float(r), p, phi, det, mode))
-        for r in grid
-    ]
+def _variational(rho, p, epsilon: float, n_th: float) -> dict:
+    """Columns at the correlation-optimal angle; rho or p may be a grid."""
+    phi = phi_opt(rho, p, Detection(epsilon))
+    comps = homodyne_terms(rho, p, phi, epsilon, n_th)
+    return spectrum_columns(rho, np.degrees(phi), p, comps)
 
 
-def _sweep_rows_variational(grid, p, det, mode):
-    rows = []
-    for r in grid:
-        phi = phi_opt(float(r), p, det)
-        comps = displacement_psd(float(r), p, phi, det, mode)
-        rows.append(_row(float(r), math.degrees(phi), p, comps))
-    return rows
+def _zpm(rho):
+    return np.abs(chi_m_dimensionless(rho)) ** 2
 
 
-def _power_rows_fixed_phi(rho, powers, phi_deg, det, mode):
-    phi = math.radians(phi_deg)
-    return [
-        _row(rho, phi_deg, float(p), displacement_psd(rho, float(p), phi, det, mode))
-        for p in powers
-    ]
-
-
-def _mode(n_th: float) -> MechanicalMode:
-    # dimensionless figures: only n_th enters, frequencies are placeholders
-    return MechanicalMode(omega_m=1.0, gamma=1e-6, n_th=n_th)
+def _broadband_limits(fig_id: str) -> Dict[str, SpectrumTable]:
+    """SQL (power-optimized, plus zero point) and ideal-detector QL curves."""
+    grid, zpm = _RHO_GRID, _zpm(_RHO_GRID)
+    return {
+        "sql": SpectrumTable(
+            _meta(fig_id, "sql", power_optimized=True, include_zpm=True),
+            limit_columns(grid, sql_psd(grid), zpm, 90.0, 0.0),
+        ),
+        "ql": SpectrumTable(
+            _meta(fig_id, "ql", power_optimized=True, epsilon=1.0, n_th=0.0),
+            limit_columns(grid, ql_added_noise(grid, Detection(1.0)), zpm, 0.0, 0.0),
+        ),
+    }
 
 
 def _fig_1a() -> Dict[str, SpectrumTable]:
-    det, mode = Detection(1.0), _mode(0.0)
     grid = _RHO_GRID
-    zpm = np.abs(1.0 / (1.0 - 1j * grid)) ** 2
     out = {}
     for phi_deg in (90.0, 25.0):
         out[f"phi{phi_deg:g}"] = SpectrumTable(
             _meta("1a", f"phi{phi_deg:g}", p=_P_FIG1, epsilon=1.0, n_th=0.0),
-            _sweep_rows_fixed_phi(grid, _P_FIG1, phi_deg, det, mode),
+            _fixed_phi(grid, _P_FIG1, phi_deg, 1.0, 0.0),
         )
     out["variational"] = SpectrumTable(
         _meta("1a", "variational", p=_P_FIG1, epsilon=1.0, n_th=0.0),
-        _sweep_rows_variational(grid, _P_FIG1, det, mode),
+        _variational(grid, _P_FIG1, 1.0, 0.0),
     )
-    out["sql"] = SpectrumTable(
-        _meta("1a", "sql", power_optimized=True, include_zpm=True),
-        _limit_rows(grid, sql_psd(grid), zpm, 90.0, 0.0),
-    )
-    out["ql"] = SpectrumTable(
-        _meta("1a", "ql", power_optimized=True, epsilon=1.0, n_th=0.0),
-        _limit_rows(grid, ql_added_noise(grid, det), zpm, 0.0, 0.0),
-    )
+    out.update(_broadband_limits("1a"))
     return out
 
 
 def _fig_1b() -> Dict[str, SpectrumTable]:
-    det, mode = Detection(1.0), _mode(0.0)
     rho = _RHO_SLICE
-    zpm = abs(1.0 / (1.0 - 1j * rho)) ** 2
+    zpm = _zpm(rho)
     out = {}
     for phi_deg in (90.0, 25.0):
         out[f"phi{phi_deg:g}"] = SpectrumTable(
             _meta("1b", f"phi{phi_deg:g}", rho=rho, epsilon=1.0, n_th=0.0),
-            _power_rows_fixed_phi(rho, _P_GRID, phi_deg, det, mode),
+            _fixed_phi(rho, _P_GRID, phi_deg, 1.0, 0.0),
         )
-    rows = []
-    for p in _P_GRID:
-        phi = phi_opt(rho, float(p), det)
-        rows.append(_row(rho, math.degrees(phi), float(p),
-                         displacement_psd(rho, float(p), phi, det, mode)))
     out["variational"] = SpectrumTable(
-        _meta("1b", "variational", rho=rho, epsilon=1.0, n_th=0.0), rows
+        _meta("1b", "variational", rho=rho, epsilon=1.0, n_th=0.0),
+        _variational(rho, _P_GRID, 1.0, 0.0),
     )
     out["ql"] = SpectrumTable(
         _meta("1b", "ql", rho=rho, epsilon=1.0, n_th=0.0),
-        _limit_rows([rho], [float(ql_added_noise(rho, det))], [zpm],
-                    0.0, 0.0),
+        limit_columns(rho, ql_added_noise(rho, Detection(1.0)), zpm, 0.0, 0.0),
     )
     out["sql"] = SpectrumTable(
         _meta("1b", "sql", rho=rho, include_zpm=True),
-        _limit_rows([rho], [float(sql_psd(rho))], [zpm], 90.0, 0.0),
+        limit_columns(rho, sql_psd(rho), zpm, 90.0, 0.0),
     )
     return out
 
 
 def _fig_1d() -> Dict[str, SpectrumTable]:
-    det, mode = Detection(1.0), _mode(0.0)
-    rows = []
-    for phi_deg in _PHI_GRID_DEG:
-        comps = light_psd_components(
-            _RHO_SLICE, math.radians(phi_deg), _P_FIG1D, det, mode
-        )
-        rows.append(_row(_RHO_SLICE, float(phi_deg), _P_FIG1D, comps))
+    comps = light_terms(_RHO_SLICE, np.radians(_PHI_GRID_DEG), _P_FIG1D, 1.0, 0.0)
     return {
         "light_psd": SpectrumTable(
             _meta("1d", "light_psd", rho=_RHO_SLICE, p=_P_FIG1D,
                   epsilon=1.0, n_th=0.0, units="shot-noise"),
-            rows,
+            spectrum_columns(_RHO_SLICE, _PHI_GRID_DEG, _P_FIG1D, comps),
         )
     }
 
 
-def _fig_2a() -> Dict[str, SpectrumTable]:
-    det, mode = Detection(_EPS_EXP), _mode(_NTH_EXP)
+def _power_sweeps(fig_id: str, rhos, angles, key="rho{rho:g}_phi{phi:g}"):
+    """Fixed-angle power sweeps at the experiment's efficiency and occupation."""
     out = {}
-    for rho in (0.0, 2.5, 5.0, 10.0):
-        out[f"rho{rho:g}"] = SpectrumTable(
-            _meta("2a-model", f"rho{rho:g}", rho=rho, phi_deg=90.0,
-                  epsilon=_EPS_EXP, n_th=_NTH_EXP),
-            _power_rows_fixed_phi(rho, _P_GRID, 90.0, det, mode),
+    for rho in rhos:
+        for phi_deg in angles:
+            name = key.format(rho=rho, phi=phi_deg)
+            out[name] = SpectrumTable(
+                _meta(fig_id, name, rho=rho, phi_deg=phi_deg,
+                      epsilon=_EPS_EXP, n_th=_NTH_EXP),
+                _fixed_phi(rho, _P_GRID, phi_deg, _EPS_EXP, _NTH_EXP),
+            )
+    return out
+
+
+def _insets(fig_id: str, p: float, angles, **extra) -> Dict[str, SpectrumTable]:
+    """Fixed-angle spectra over the figure grid at power p."""
+    out = {}
+    for phi_deg in angles:
+        name = f"inset_phi{phi_deg:g}"
+        out[name] = SpectrumTable(
+            _meta(fig_id, name, p=p, phi_deg=phi_deg, epsilon=_EPS_EXP,
+                  n_th=_NTH_EXP, **extra),
+            _fixed_phi(_RHO_GRID, p, phi_deg, _EPS_EXP, _NTH_EXP),
         )
     return out
 
 
+def _fig_2a() -> Dict[str, SpectrumTable]:
+    return _power_sweeps("2a-model", (0.0, 2.5, 5.0, 10.0), (90.0,), key="rho{rho:g}")
+
+
 def _fig_2b() -> Dict[str, SpectrumTable]:
-    det, mode = Detection(_EPS_EXP), _mode(_NTH_EXP)
-    out = {}
-    for rho in (_RHO_SLICE, -_RHO_SLICE):
-        for phi_deg in (90.0, 45.0):
-            key = f"rho{rho:g}_phi{phi_deg:g}"
-            out[key] = SpectrumTable(
-                _meta("2b-model", key, rho=rho, phi_deg=phi_deg,
-                      epsilon=_EPS_EXP, n_th=_NTH_EXP),
-                _power_rows_fixed_phi(rho, _P_GRID, phi_deg, det, mode),
-            )
-    for phi_deg in (90.0, 45.0):
-        key = f"inset_phi{phi_deg:g}"
-        out[key] = SpectrumTable(
-            _meta("2b-model", key, p=_P_FIG3B, phi_deg=phi_deg,
-                  epsilon=_EPS_EXP, n_th=_NTH_EXP),
-            _sweep_rows_fixed_phi(_RHO_GRID, _P_FIG3B, phi_deg, det, mode),
-        )
+    out = _power_sweeps("2b-model", (_RHO_SLICE, -_RHO_SLICE), (90.0, 45.0))
+    out.update(_insets("2b-model", _P_FIG3B, (90.0, 45.0)))
     return out
 
 
 def _fig_3a() -> Dict[str, SpectrumTable]:
-    det, mode = Detection(_EPS_EXP), _mode(_NTH_EXP)
-    out = {}
-    for rho in (_RHO_SLICE, -_RHO_SLICE):
-        for phi_deg in (45.0, 60.0, 75.0, 90.0):
-            key = f"rho{rho:g}_phi{phi_deg:g}"
-            out[key] = SpectrumTable(
-                _meta("3a-model", key, rho=rho, phi_deg=phi_deg,
-                      epsilon=_EPS_EXP, n_th=_NTH_EXP),
-                _power_rows_fixed_phi(rho, _P_GRID, phi_deg, det, mode),
-            )
-    return out
+    return _power_sweeps("3a-model", (_RHO_SLICE, -_RHO_SLICE), (45.0, 60.0, 75.0, 90.0))
 
 
 def _fig_3b() -> Dict[str, SpectrumTable]:
-    det, mode = Detection(_EPS_EXP), _mode(_NTH_EXP)
     angles = (45.0, 60.0, 75.0, 90.0)
-    curves = [
-        fixed_angle_spectrum(_RHO_GRID, _P_FIG3B, math.radians(a), det, mode)
-        for a in angles
-    ]
-    stitched = stitch_quadratures(curves)
-    rows = []
-    for i, rho in enumerate(_RHO_GRID):
-        phi = float(stitched.chosen_phi[i])
-        comps = displacement_psd(float(rho), _P_FIG3B, phi, det, mode)
-        rows.append(_row(float(rho), math.degrees(phi), _P_FIG3B, comps))
+    stitched = SweepSpec(
+        rho_min=float(_RHO_GRID[0]), rho_max=float(_RHO_GRID[-1]),
+        rho_count=_RHO_GRID.size, powers=(_P_FIG3B,), epsilon=_EPS_EXP,
+        n_th=_NTH_EXP, readout="stitched", stitch_angles_deg=angles,
+    )
     out = {
         "stitched": SpectrumTable(
             _meta("3b-model", "stitched", p=_P_FIG3B, epsilon=_EPS_EXP,
                   n_th=_NTH_EXP, angles_deg=list(angles)),
-            rows,
+            run_sweep(stitched).columns,
         ),
         "phi90": SpectrumTable(
             _meta("3b-model", "phi90", p=_P_FIG3B, epsilon=_EPS_EXP,
                   n_th=_NTH_EXP),
-            _sweep_rows_fixed_phi(_RHO_GRID, _P_FIG3B, 90.0, det, mode),
+            _fixed_phi(_RHO_GRID, _P_FIG3B, 90.0, _EPS_EXP, _NTH_EXP),
         ),
     }
-    for phi_deg in angles:
-        key = f"inset_phi{phi_deg:g}"
-        out[key] = SpectrumTable(
-            _meta("3b-model", key, p=_P_FIG3B_INSET, phi_deg=phi_deg,
-                  epsilon=_EPS_EXP, n_th=_NTH_EXP,
-                  note="total_over_sql column is the inset normalization"),
-            _sweep_rows_fixed_phi(_RHO_GRID, _P_FIG3B_INSET, phi_deg, det, mode),
-        )
+    out.update(_insets("3b-model", _P_FIG3B_INSET, angles,
+                       note="total_over_sql column is the inset normalization"))
     return out
 
 
 def _fig_s2a() -> Dict[str, SpectrumTable]:
-    det, mode = Detection(1.0), _mode(0.0)
     lo = SynodyneLO(_BETA_S2, 0.0)
-    syn_rows = [
-        _row(float(r), 0.0, _P_S2, synodyne_components(float(r), _P_S2, lo, det, mode))
-        for r in _RHO_GRID
-    ]
+    syn = synodyne_terms(_RHO_GRID, _P_S2, lo, 1.0, 0.0)
     return {
         "synodyne_beta1.02": SpectrumTable(
             _meta("S2a", "synodyne_beta1.02", p=_P_S2, beta=_BETA_S2,
                   phi_deg=0.0, epsilon=1.0, n_th=0.0),
-            syn_rows,
+            spectrum_columns(_RHO_GRID, 0.0, _P_S2, syn),
         ),
         "homodyne_phi5.8": SpectrumTable(
             _meta("S2a", "homodyne_phi5.8", p=_P_S2, phi_deg=_PHI_S2_DEG,
                   epsilon=1.0, n_th=0.0),
-            _sweep_rows_fixed_phi(_RHO_GRID, _P_S2, _PHI_S2_DEG, det, mode),
+            _fixed_phi(_RHO_GRID, _P_S2, _PHI_S2_DEG, 1.0, 0.0),
         ),
         "homodyne_phi90": SpectrumTable(
             _meta("S2a", "homodyne_phi90", p=_P_S2, phi_deg=90.0,
                   epsilon=1.0, n_th=0.0),
-            _sweep_rows_fixed_phi(_RHO_GRID, _P_S2, 90.0, det, mode),
+            _fixed_phi(_RHO_GRID, _P_S2, 90.0, 1.0, 0.0),
         ),
     }
 
 
 def _fig_s2b() -> Dict[str, SpectrumTable]:
-    det, mode = Detection(1.0), _mode(0.0)
     grid = _RHO_GRID
-    zpm = np.abs(1.0 / (1.0 - 1j * grid)) ** 2
-    syn_added = np.array(
-        [synodyne_variational(float(r), _P_S2, det, mode) for r in grid]
-    ) - zpm  # mode has n_th = 0, so subtracting zpm isolates the added noise
     return {
         "homodyne_variational": SpectrumTable(
             _meta("S2b", "homodyne_variational", p=_P_S2, epsilon=1.0, n_th=0.0),
-            _sweep_rows_variational(grid, _P_S2, det, mode),
+            _variational(grid, _P_S2, 1.0, 0.0),
         ),
         "synodyne_variational": SpectrumTable(
             _meta("S2b", "synodyne_variational", p=_P_S2, epsilon=1.0, n_th=0.0),
-            _limit_rows(grid, syn_added, zpm, 0.0, _P_S2),
+            limit_columns(grid, synodyne_added_noise(grid, _P_S2, Detection(1.0)),
+                          _zpm(grid), 0.0, _P_S2),
         ),
-        "sql": SpectrumTable(
-            _meta("S2b", "sql", power_optimized=True, include_zpm=True),
-            _limit_rows(grid, sql_psd(grid), zpm, 90.0, 0.0),
-        ),
-        "ql": SpectrumTable(
-            _meta("S2b", "ql", power_optimized=True, epsilon=1.0, n_th=0.0),
-            _limit_rows(grid, ql_added_noise(grid, det), zpm, 0.0, 0.0),
-        ),
+        **_broadband_limits("S2b"),
     }
 
 

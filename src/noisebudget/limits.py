@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Detection, MechanicalMode, chi_m_dimensionless, cot
 from .errors import ParameterError
-from .spectra import displacement_psd
+from .spectra import displacement_psd, homodyne_terms
 
 P_CAP = 1e9
 
@@ -57,15 +57,16 @@ def sql_psd(rho):
     return 1.0 / np.sqrt(1.0 + np.asarray(rho) ** 2)
 
 
-def phi_opt(rho: float, p: float, det: Detection) -> float:
+def phi_opt(rho, p, det: Detection):
     """Correlation-optimal homodyne angle, cot(phi_opt) = eps p rho |chi_m|^2.
 
-    Lies in (0, pi); greater than 90 degrees for rho < 0.
+    Lies in (0, pi); greater than 90 degrees for rho < 0.  Broadcasts over
+    rho and p.
     """
-    if not p > 0:
+    if not np.all(np.asarray(p) > 0):
         raise ParameterError(f"p must be positive, got {p}")
-    c = det.epsilon * p * rho * abs(chi_m_dimensionless(rho)) ** 2
-    return math.atan2(1.0, c)
+    c = det.epsilon * p * rho * np.abs(chi_m_dimensionless(rho)) ** 2
+    return np.arctan2(1.0, c)
 
 
 def psd_at_phi_opt(
@@ -152,7 +153,7 @@ def variational_spectrum(
 ) -> LimitCurve:
     """Pointwise psd_at_phi_opt over the grid at fixed power."""
     grid = np.asarray(grid, dtype=float)
-    values = np.array([psd_at_phi_opt(r, p, det, mode) for r in grid])
+    values = psd_at_phi_opt(grid, p, det, mode)
     return LimitCurve(
         grid,
         values,
@@ -166,9 +167,7 @@ def fixed_angle_spectrum(
 ) -> LimitCurve:
     """Fixed-quadrature displacement PSD totals over the grid."""
     grid = np.asarray(grid, dtype=float)
-    values = np.array(
-        [displacement_psd(r, p, phi, det, mode).total for r in grid]
-    )
+    values = homodyne_terms(grid, p, phi, det.epsilon, mode.n_th).total
     return LimitCurve(
         grid,
         values,

@@ -39,13 +39,18 @@ _SIN_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class SpectrumComponents:
-    """Additive terms of the dimensionless displacement PSD at one frequency."""
+    """Additive terms of the dimensionless displacement PSD: floats at one
+    frequency, or equally shaped arrays from the broadcasting kernels."""
 
     s_m: float
     s_ii: float
     s_ff: float
     s_corr: float
     s_ln: float = 0.0
+
+    @property
+    def terms(self) -> tuple:
+        return (self.s_m, self.s_ii, self.s_ff, self.s_corr, self.s_ln)
 
     @property
     def total(self) -> float:
@@ -93,19 +98,61 @@ class ExternalForce:
             raise ParameterError("force amplitude must be >= 0")
 
 
-def _check_phi(phi: float):
-    if not 0.0 < phi < math.pi or abs(math.sin(phi)) < _SIN_FLOOR:
-        raise DivergenceError(
-            "displacement measurement diverges at phi = 0 or pi; "
-            f"got phi = {phi} rad"
-        )
+def _values(x):
+    """The distinct values of a scalar or array argument, each checked once."""
+    return np.unique(x).tolist() if isinstance(x, np.ndarray) else (x,)
 
 
-def _check_p(p: float):
-    if not p > 0.0:
-        raise DivergenceError(
-            f"imprecision diverges for p <= 0; got p = {p}"
+def _check_phi(phi):
+    for value in _values(phi):
+        if not 0.0 < value < math.pi or abs(math.sin(value)) < _SIN_FLOOR:
+            raise DivergenceError(
+                "displacement measurement diverges at phi = 0 or pi; "
+                f"got phi = {value} rad"
+            )
+
+
+def _check_p(p):
+    for value in _values(p):
+        if not value > 0.0:
+            raise DivergenceError(
+                f"imprecision diverges for p <= 0; got p = {value}"
+            )
+
+
+def budget_terms(rho, p, epsilon, n_th, imprecision, correlation, s_ln=0.0):
+    """Broadcasting displacement-PSD budget of a linear readout.
+
+    s_m    = 2 (n_th + 1/2) |chi_m|^2
+    s_ii   = imprecision / (2 eps p)
+    s_ff   = (p/2) |chi_m|^2
+    s_corr = -correlation * |chi_m|^2
+
+    Every argument broadcasts; the five terms come back as arrays of the
+    common shape.  Callers check p and their angles first.
+    """
+    chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
+    return SpectrumComponents(
+        *np.broadcast_arrays(
+            2.0 * (n_th + 0.5) * chim2,
+            imprecision / (2.0 * epsilon * p),
+            0.5 * p * chim2,
+            -correlation * chim2,
+            s_ln,
         )
+    )
+
+
+def homodyne_terms(rho, p, phi, epsilon: float, n_th: float, s_ln=0.0):
+    """Broadcasting form of displacement_psd over arrays rho, p and phi.
+
+    Each distinct input value is checked once; s_ln, when given, is a
+    pre-computed classical-noise term broadcastable to the same shape.
+    """
+    _check_phi(phi)
+    _check_p(p)
+    c = np.cos(phi) / np.sin(phi)
+    return budget_terms(rho, p, epsilon, n_th, 1.0 + c * c, c * rho, s_ln)
 
 
 def displacement_psd(
@@ -183,16 +230,21 @@ def light_psd_components(
     remains).  Components map to the displacement decomposition scaled by
     2 eps p sin^2(phi), with the imprecision term collapsing to exactly 1.
     """
+    return light_terms(rho, phi, p, det.epsilon, mode.n_th)
+
+
+def light_terms(rho, phi, p: float, epsilon: float, n_th: float):
+    """Broadcasting form of light_psd_components over rho and phi."""
     if p < 0.0:
         raise ParameterError(f"p must be >= 0, got {p}")
-    chim2 = abs(chi_m_dimensionless(rho)) ** 2
-    s2 = math.sin(phi) ** 2
-    scale = 2.0 * det.epsilon * p * s2
+    chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
+    s2 = np.sin(phi) ** 2
+    scale = 2.0 * epsilon * p * s2
     return SpectrumComponents(
-        s_m=scale * 2.0 * (mode.n_th + 0.5) * chim2,
+        s_m=scale * 2.0 * (n_th + 0.5) * chim2,
         s_ii=1.0,
         s_ff=scale * 0.5 * p * chim2,
-        s_corr=-2.0 * det.epsilon * p * math.sin(phi) * math.cos(phi) * rho * chim2,
+        s_corr=-2.0 * epsilon * p * np.sin(phi) * np.cos(phi) * rho * chim2,
     )
 
 
@@ -213,17 +265,17 @@ def classical_noise_psd(
     Three terms: a quadrature-independent part proportional to
     c_aa + c_pp, a quadrature-exchange part proportional to c_aa - c_pp,
     and the amplitude-phase cross term.  For a resonant probe at phi = 90 deg
-    this reduces to 8 eps (kappa/2)^2 |chi_c(omega)|^2 c_pp.
+    this reduces to 8 eps (kappa/2)^2 |chi_c(omega)|^2 c_pp.  Broadcasts
+    over omega and phi.
     """
     eps = det.epsilon
     k2 = (cav.kappa / 2.0) ** 2
     cm = chi_c(-omega, cav)
     cp = chi_c(omega, cav)
     cross = cm * cp * np.exp(-2j * phi)
-    out = 2.0 * eps * (noise.c_aa + noise.c_pp) * k2 * (abs(cm) ** 2 + abs(cp) ** 2)
-    out += 4.0 * eps * (noise.c_aa - noise.c_pp) * k2 * cross.real
-    out -= 8.0 * eps * noise.c_ap * k2 * cross.imag
-    return float(out)
+    out = 2.0 * eps * (noise.c_aa + noise.c_pp) * k2 * (np.abs(cm) ** 2 + np.abs(cp) ** 2)
+    out = out + 4.0 * eps * (noise.c_aa - noise.c_pp) * k2 * cross.real
+    return out - 8.0 * eps * noise.c_ap * k2 * cross.imag
 
 
 def classical_noise_displacement(
@@ -234,11 +286,14 @@ def classical_noise_displacement(
     cav: OpticalCavity,
     noise: ClassicalNoise,
 ) -> float:
-    """Classical-noise term converted to dimensionless displacement units."""
+    """Classical-noise term converted to dimensionless displacement units.
+
+    Broadcasts over omega, phi and p.
+    """
     _check_phi(phi)
     _check_p(p)
     s_ln = classical_noise_psd(omega, phi, det, cav, noise)
-    return s_ln / (2.0 * det.epsilon * p * math.sin(phi) ** 2)
+    return s_ln / (2.0 * det.epsilon * p * np.sin(phi) ** 2)
 
 
 def squashing_ratio(
@@ -275,6 +330,7 @@ def mechanical_psd(
     Displacement in zero-point units, PSD in s/rad; contains the thermal +
     zero-point term, the backaction drive, and (optionally) the classical
     intensity/phase noise drive.  No external force (see mechanical_psd_full).
+    Broadcasts over omega.
     """
     if n_photons < 0:
         raise ParameterError("photon number must be >= 0")
@@ -296,7 +352,7 @@ def mechanical_psd(
                 - 4.0 * cross * noise.c_ap
             )
         )
-    return float(out)
+    return out
 
 
 def _bin_widths(grid: np.ndarray) -> np.ndarray:
@@ -337,9 +393,7 @@ def mechanical_psd_full(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ParameterError("grid must be a sorted 1-D array of >= 2 points")
-    out = np.array(
-        [mechanical_psd(w, g, n_photons, mode, cav, noise) for w in grid]
-    )
+    out = mechanical_psd(grid, g, n_photons, mode, cav, noise)
     if force is not None:
         if p_zp is None or not p_zp > 0:
             raise ParameterError("p_zp must be given (> 0) with an external force")

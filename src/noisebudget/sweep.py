@@ -26,22 +26,22 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from .core import Detection, MechanicalMode, OpticalCavity, omega_from_rho
-from .errors import ParameterError
-from .limits import fixed_angle_spectrum, phi_opt, sql_psd, stitch_quadratures
+from .errors import DivergenceError, ParameterError
+from .limits import phi_opt, sql_psd
 from .spectra import (
     ClassicalNoise,
     SpectrumComponents,
     classical_noise_displacement,
-    displacement_psd,
+    homodyne_terms,
 )
-from .synodyne import SynodyneLO, synodyne_components
+from .synodyne import SynodyneLO, synodyne_terms
 
 NORMALIZATION_STATEMENT = (
     "dimensionless displacement PSD: zero-point motion contributes 1 on "
@@ -90,6 +90,10 @@ class SweepSpec:
     gamma_hz: Optional[float] = None
 
     def validate(self):
+        for key, value in self.__dict__.items():
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ParameterError(f"{key} must be finite, got {value}")
         if self.rho_count < 2:
             raise ParameterError(f"rho_count must be >= 2, got {self.rho_count}")
         if self.rho_spacing not in SPACINGS:
@@ -125,6 +129,11 @@ class SweepSpec:
         if (self.c_aa > 0 or self.c_pp > 0) and not self._has_cavity():
             raise ParameterError(
                 "classical noise needs kappa_hz, omega_m_hz and gamma_hz"
+            )
+        if (self.c_aa > 0 or self.c_pp > 0) and self.readout == "synodyne":
+            raise ParameterError(
+                "synodyne readout does not model classical noise; "
+                "set c_aa and c_pp to 0"
             )
         return self
 
@@ -263,8 +272,7 @@ def parse_config(text: str, strict: bool = False) -> SweepSpec:
     return SweepSpec(**fields).validate()
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     rho: float
     phi_used: float  # degrees, matching the config boundary convention
     p: float
@@ -277,103 +285,102 @@ class Row:
     total_over_sql: float
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectrumTable:
+    """Evaluated spectrum, stored by column.
+
+    columns maps each name in COLUMNS to a 1-D float64 array, all of one
+    length; rows is a read-only view that materialises one Row per index.
+    """
+
     metadata: dict
-    rows: List[Row] = field(default_factory=list)
+    columns: Dict[str, np.ndarray]
+
+    def __post_init__(self):
+        self.columns = {c: np.asarray(self.columns[c], dtype=float) for c in COLUMNS}
+        if {col.shape for col in self.columns.values()} != {self.columns["rho"].shape[:1]}:
+            raise ParameterError("table columns must be 1-D arrays of one length")
+
+    @property
+    def rows(self) -> List[Row]:
+        values = zip(*(col.tolist() for col in self.columns.values()))
+        return list(map(Row._make, values))
 
 
-def _row(rho: float, phi_deg: float, p: float, comps: SpectrumComponents) -> Row:
-    return Row(
-        rho=rho,
-        phi_used=phi_deg,
-        p=p,
-        s_m=comps.s_m,
-        s_ii=comps.s_ii,
-        s_ff=comps.s_ff,
-        s_corr=comps.s_corr,
-        s_ln=comps.s_ln,
-        total=comps.total,
-        total_over_sql=comps.total / float(sql_psd(rho)),
-    )
+def spectrum_columns(rho, phi_used, p, comps: SpectrumComponents) -> dict:
+    """Table columns from arrays that broadcast together, flattened in C
+    order; total and total_over_sql are derived from the five terms."""
+    parts = np.broadcast_arrays(rho, phi_used, p, *comps.terms)
+    columns = dict(zip(COLUMNS, (np.array(a, dtype=float).ravel() for a in parts)))
+    total = SpectrumComponents(*(columns[c] for c in COLUMNS[3:8])).total
+    columns["total"] = total
+    columns["total_over_sql"] = total / sql_psd(columns["rho"])
+    return columns
+
+
+def limit_columns(rho, added, thermal, phi_deg: float, p: float) -> dict:
+    """Columns of a reference curve: probe-added noise in s_ii, thermal +
+    zero-point motion in s_m, the other terms zero."""
+    comps = SpectrumComponents(thermal, added, 0.0, 0.0)
+    return spectrum_columns(rho, phi_deg, p, comps)
 
 
 def run_sweep(spec: SweepSpec) -> SpectrumTable:
     """Evaluate the sweep, rho-major then power then angle, deterministically.
 
-    Every grid point is an independent pure evaluation, so any parallel
-    execution of points yields bit-identical tables; this implementation is
-    sequential.
+    Each readout is one vectorized pass over the broadcast (rho, power,
+    angle) grid.  Stitched readout keeps, per (rho, power), the candidate
+    angle with the lowest total, classical noise included; candidates are
+    ordered by distance from 90 degrees, so ties go to the angle nearest
+    phase quadrature.
     """
     spec.validate()
-    det = Detection(spec.epsilon)
-    # omega_m is only needed when cavity-referenced classical noise is on;
-    # otherwise a placeholder high-Q mode carries (n_th, gamma-free) context.
-    if spec._has_cavity():
+    eps, n_th = spec.epsilon, spec.n_th
+    rho = spec.rho_grid()[:, None, None]
+    p = np.array(spec.powers)[None, :, None]
+    noise = ClassicalNoise(spec.c_aa, spec.c_pp)
+
+    def s_ln(phi):
+        if noise.is_zero:
+            return 0.0
         mode = MechanicalMode(
             omega_m=2 * math.pi * spec.omega_m_hz,
             gamma=2 * math.pi * spec.gamma_hz,
-            n_th=spec.n_th,
+            n_th=n_th,
         )
         cav = OpticalCavity(kappa=2 * math.pi * spec.kappa_hz)
-    else:
-        mode = MechanicalMode(omega_m=1.0, gamma=1e-6, n_th=spec.n_th)
-        cav = None
-    noise = ClassicalNoise(spec.c_aa, spec.c_pp)
+        omega = omega_from_rho(rho, mode)
+        return classical_noise_displacement(omega, phi, p, Detection(eps), cav, noise)
 
-    grid = spec.rho_grid()
-    rows: List[Row] = []
-
-    def s_ln_at(rho: float, phi: float, p: float) -> float:
-        if noise.is_zero or cav is None:
-            return 0.0
-        omega = float(omega_from_rho(rho, mode))
-        return classical_noise_displacement(omega, phi, p, det, cav, noise)
-
-    if spec.readout == "homodyne":
-        for rho in grid:
-            for p in spec.powers:
-                for phi_deg in spec.angles_deg:
-                    phi = math.radians(phi_deg)
-                    comps = displacement_psd(
-                        rho, p, phi, det, mode, s_ln=s_ln_at(rho, phi, p)
-                    )
-                    rows.append(_row(float(rho), phi_deg, p, comps))
-    elif spec.readout == "variational":
-        for rho in grid:
-            for p in spec.powers:
-                phi = phi_opt(float(rho), p, det)
-                comps = displacement_psd(
-                    rho, p, phi, det, mode, s_ln=s_ln_at(rho, phi, p)
-                )
-                rows.append(_row(float(rho), math.degrees(phi), p, comps))
-    elif spec.readout == "synodyne":
+    if spec.readout == "synodyne":
         lo = SynodyneLO(spec.beta, math.radians(spec.synodyne_phi_deg))
-        for rho in grid:
-            for p in spec.powers:
-                comps = synodyne_components(float(rho), p, lo, det, mode)
-                rows.append(_row(float(rho), spec.synodyne_phi_deg, p, comps))
+        phi_deg = spec.synodyne_phi_deg
+        comps = synodyne_terms(rho, p, lo, eps, n_th)
+    elif spec.readout == "variational":
+        phi = phi_opt(rho, p, Detection(eps))
+        phi_deg = np.degrees(phi)
+        comps = homodyne_terms(rho, p, phi, eps, n_th, s_ln(phi))
+    elif spec.readout == "homodyne":
+        phi_deg = np.array(spec.angles_deg)
+        phi = np.radians(phi_deg)
+        comps = homodyne_terms(rho, p, phi, eps, n_th, s_ln(phi))
     else:  # stitched
-        for p in spec.powers:
-            curves = [
-                fixed_angle_spectrum(grid, p, math.radians(a), det, mode)
-                for a in spec.stitch_angles_deg
-            ]
-            stitched = stitch_quadratures(curves)
-            for i, rho in enumerate(grid):
-                phi = float(stitched.chosen_phi[i])
-                comps = displacement_psd(
-                    float(rho), p, phi, det, mode, s_ln=s_ln_at(rho, phi, p)
-                )
-                rows.append(_row(float(rho), math.degrees(phi), p, comps))
-        # restore rho-major ordering across powers
-        rows.sort(key=lambda r: (r.rho, r.p))
+        angles = np.array(
+            sorted(spec.stitch_angles_deg, key=lambda a: abs(math.radians(a) - math.pi / 2))
+        )
+        phi = np.radians(angles)
+        comps = homodyne_terms(rho, p, phi, eps, n_th, s_ln(phi))
+        pick = np.argmin(comps.total, axis=2)[..., None]
+        comps = SpectrumComponents(
+            *(np.take_along_axis(t, pick, axis=2) for t in comps.terms)
+        )
+        phi_deg = angles[pick]
 
-    return SpectrumTable(metadata=spec.metadata(), rows=rows)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    columns = spectrum_columns(rho, phi_deg, p, comps)
+    for name, values in columns.items():
+        if not np.isfinite(values).all():
+            raise DivergenceError(f"column {name} overflows float64 for this config")
+    return SpectrumTable(spec.metadata(), columns)
 
 
 def emit_table(table: SpectrumTable, fmt: str, destination):
@@ -387,18 +394,18 @@ def emit_table(table: SpectrumTable, fmt: str, destination):
         raise ParameterError(f"format must be csv or jsonl, got {fmt!r}")
     own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
     fh = open(destination, "w", newline="") if own else destination
+    columns = [table.columns[c].tolist() for c in COLUMNS]
     try:
         if fmt == "csv":
             for key, value in table.metadata.items():
                 fh.write(f"# {key}: {json.dumps(value, sort_keys=True)}\n")
             fh.write(",".join(COLUMNS) + "\n")
-            for r in table.rows:
-                fh.write(",".join(_fmt(getattr(r, c)) for c in COLUMNS) + "\n")
+            line = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
+            fh.writelines(line % row for row in zip(*columns))
         else:
             fh.write(json.dumps({"metadata": table.metadata}, sort_keys=True) + "\n")
-            for r in table.rows:
-                obj = {c: getattr(r, c) for c in COLUMNS}
-                fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            for row in zip(*columns):
+                fh.write(json.dumps(dict(zip(COLUMNS, row)), sort_keys=True) + "\n")
     finally:
         if own:
             fh.close()
@@ -416,7 +423,7 @@ def load_table_csv(path) -> SpectrumTable:
     rows = []
     header_seen = False
     with open(path, newline="") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:
                 continue
@@ -429,8 +436,10 @@ def load_table_csv(path) -> SpectrumTable:
                     raise ParameterError(f"{path}: unexpected header {line!r}")
                 header_seen = True
                 continue
-            values = [float(v) for v in line.split(",")]
-            rows.append(Row(*values))
+            rows.append([float(v) for v in line.split(",")])
+            if len(rows[-1]) != len(COLUMNS):
+                raise ParameterError(f"{path}: line {lineno}: expected {len(COLUMNS)} values")
     if not header_seen:
         raise ParameterError(f"{path}: missing header row")
-    return SpectrumTable(metadata=metadata, rows=rows)
+    data = np.array(rows, dtype=float).reshape(-1, len(COLUMNS))
+    return SpectrumTable(metadata, dict(zip(COLUMNS, data.T.copy())))

@@ -21,7 +21,14 @@ import numpy as np
 from .core import Detection, MechanicalMode, OpticalCavity, chi_c, chi_m_dimensionless
 from .errors import BranchPoleError, DivergenceError, ParameterError
 from .limits import OptimalPower, P_CAP
-from .spectra import ExternalForce, SpectrumComponents, _bin_widths, bin_index
+from .spectra import (
+    ExternalForce,
+    SpectrumComponents,
+    _bin_widths,
+    _check_p,
+    bin_index,
+    budget_terms,
+)
 
 _ALPHA_P_FLOOR = 1e-300
 
@@ -80,6 +87,18 @@ def check_cavity_symmetry(
         )
 
 
+def _lo_factors(lo: SynodyneLO):
+    """(shot, correlation) factors of the LO, each relative to |alpha_p|^2."""
+    alpha_a, alpha_p = lo_coefficients(lo)
+    ap2 = abs(alpha_p) ** 2
+    if ap2 < _ALPHA_P_FLOOR:
+        raise DivergenceError(
+            "alpha_p = 0: the LO carries no mechanical information "
+            f"(beta = {lo.beta}, phi = {lo.phi})"
+        )
+    return (abs(alpha_a) ** 2 + ap2) / ap2, (alpha_a.conjugate() * alpha_p).imag / ap2
+
+
 def synodyne_components(
     rho: float,
     p: float,
@@ -88,24 +107,22 @@ def synodyne_components(
     mode: MechanicalMode,
 ) -> SpectrumComponents:
     """Synodyne displacement PSD components at demodulated detuning rho."""
-    if not p > 0:
-        raise DivergenceError(f"imprecision diverges for p <= 0; got p = {p}")
-    alpha_a, alpha_p = lo_coefficients(lo)
-    ap2 = abs(alpha_p) ** 2
-    if ap2 < _ALPHA_P_FLOOR:
-        raise DivergenceError(
-            "alpha_p = 0: the LO carries no mechanical information "
-            f"(beta = {lo.beta}, phi = {lo.phi})"
-        )
+    _check_p(p)
+    shot_factor, corr_factor = _lo_factors(lo)
     chim2 = abs(chi_m_dimensionless(rho)) ** 2
-    shot_factor = (abs(alpha_a) ** 2 + ap2) / ap2
-    corr_factor = (alpha_a.conjugate() * alpha_p).imag / ap2
     return SpectrumComponents(
         s_m=2.0 * (mode.n_th + 0.5) * chim2,
         s_ii=shot_factor / (2.0 * det.epsilon * p),
         s_ff=0.5 * p * chim2,
         s_corr=-chim2 * corr_factor,
     )
+
+
+def synodyne_terms(rho, p, lo: SynodyneLO, epsilon: float, n_th: float):
+    """Broadcasting form of synodyne_components over arrays rho and p."""
+    _check_p(p)
+    shot_factor, corr_factor = _lo_factors(lo)
+    return budget_terms(rho, p, epsilon, n_th, shot_factor, corr_factor)
 
 
 def synodyne_psd(
@@ -164,18 +181,22 @@ def synodyne_variational(
 ) -> float:
     """Synodyne PSD at the per-frequency optimal ratio, fixed power.
 
-    2 (n_th + 1/2) |chi_m|^2 + 1/(2 eps p)
-      + (p/2) ((1 - eps) + rho^2) |chi_m|^4
+    2 (n_th + 1/2) |chi_m|^2 + synodyne_added_noise(rho, p, det)
+    """
+    chim2 = abs(chi_m_dimensionless(rho)) ** 2
+    return 2.0 * (mode.n_th + 0.5) * chim2 + synodyne_added_noise(rho, p, det)
+
+
+def synodyne_added_noise(rho, p: float, det: Detection):
+    """Probe-added noise at the optimal ratio, fixed power (broadcasts in rho).
+
+    1/(2 eps p) + (p/2) ((1 - eps) + rho^2) |chi_m|^4
     """
     if not p > 0:
         raise ParameterError(f"p must be positive, got {p}")
     eps = det.epsilon
-    chim2 = abs(chi_m_dimensionless(rho)) ** 2
-    return (
-        2.0 * (mode.n_th + 0.5) * chim2
-        + 1.0 / (2.0 * eps * p)
-        + 0.5 * p * ((1.0 - eps) + rho**2) * chim2**2
-    )
+    chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
+    return 1.0 / (2.0 * eps * p) + 0.5 * p * ((1.0 - eps) + rho**2) * chim2**2
 
 
 def synodyne_p_opt(rho: float, det: Detection) -> OptimalPower:
@@ -202,7 +223,6 @@ def synodyne_ql(rho, det: Detection, mode: MechanicalMode):
     one zero-point motion on resonance for an ideal detector.
     """
     eps = det.epsilon
-    rho = np.asarray(rho)
     chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
     return 2.0 * (mode.n_th + 0.5) * chim2 + np.sqrt(
         (1.0 - eps) / eps + rho**2 / eps

@@ -1,0 +1,289 @@
+"""The broadcasting evaluation kernels against the scalar point evaluators.
+
+displacement_psd, synodyne_components and classical_noise_displacement at
+one point are the oracles; run_sweep and the *_terms kernels evaluate whole
+grids at once.  The tolerance is fixed from float64: each term within ULPS
+ulp of the summed magnitudes of every additive part at that point.  The
+classical-noise term s_ln is itself a sum of three parts that can cancel,
+so it counts by the magnitudes of those parts.  Stitched angles must match
+unless two candidates' totals tie within that same tolerance.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from noisebudget import (
+    ClassicalNoise,
+    Detection,
+    DivergenceError,
+    MechanicalMode,
+    OpticalCavity,
+    ParameterError,
+    SweepSpec,
+    chi_c,
+    chi_m_dimensionless,
+    displacement_psd,
+    omega_from_rho,
+    parse_config,
+    run_sweep,
+)
+from noisebudget.cli import main as cli_main
+from noisebudget.limits import phi_opt
+from noisebudget.spectra import classical_noise_displacement, homodyne_terms
+from noisebudget.sweep import COLUMNS
+from noisebudget.synodyne import SynodyneLO, synodyne_components, synodyne_terms
+
+ULPS = 8
+EPS64 = np.finfo(float).eps
+TERMS = ("s_m", "s_ii", "s_ff", "s_corr", "s_ln")
+
+CAVITY = "kappa_hz = 2.5e6\nomega_m_hz = 1.596e6\ngamma_hz = 340\n"
+GRIDS = (
+    "rho_min = -10\nrho_max = 10\nrho_count = 41\n",
+    "rho_min = 0.01\nrho_max = 100\nrho_count = 33\nrho_spacing = log-symmetric\n",
+)
+NOISE = ("", CAVITY + "c_aa = 0.5\nc_pp = 2\n")
+BASE = "powers = 0.7,14,28\nepsilon = 0.35\nn_th = 1.29\n"
+
+
+def _assert_row_matches(row, comps, scale: float):
+    tol = ULPS * EPS64 * scale
+    for name in TERMS:
+        assert abs(getattr(row, name) - getattr(comps, name)) <= tol, (name, row)
+    assert abs(row.total - comps.total) <= tol, row
+
+
+def _oracle(spec: SweepSpec):
+    """Scalar homodyne evaluation of one point of the spec: (rho, phi, p) ->
+    (components, summed magnitudes of every additive part)."""
+    det = Detection(spec.epsilon)
+    mode = MechanicalMode(1.0, 1e-6, n_th=spec.n_th)
+    noisy = bool(spec.c_aa or spec.c_pp)
+    if noisy:
+        cav_mode = MechanicalMode(
+            2 * math.pi * spec.omega_m_hz, 2 * math.pi * spec.gamma_hz, n_th=spec.n_th
+        )
+        cav = OpticalCavity(2 * math.pi * spec.kappa_hz)
+        noise = ClassicalNoise(spec.c_aa, spec.c_pp)
+
+    def point(rho, phi, p):
+        s_ln = s_ln_scale = 0.0
+        if noisy:
+            omega = float(omega_from_rho(rho, cav_mode))
+            s_ln = float(classical_noise_displacement(omega, phi, p, det, cav, noise))
+            cm, cp = chi_c(-omega, cav), chi_c(omega, cav)
+            cross = cm * cp * cmath.exp(-2j * phi)
+            parts = (
+                2 * (noise.c_aa + noise.c_pp) * (abs(cm) ** 2 + abs(cp) ** 2),
+                4 * abs((noise.c_aa - noise.c_pp) * cross.real),
+                8 * noise.c_ap * abs(cross.imag),
+            )
+            s_ln_scale = (cav.kappa / 2) ** 2 * sum(parts) / (2 * p * math.sin(phi) ** 2)
+        comps = displacement_psd(rho, p, phi, det, mode, s_ln=s_ln)
+        quantum = (comps.s_m, comps.s_ii, comps.s_ff, comps.s_corr)
+        return comps, sum(abs(t) for t in quantum) + s_ln_scale
+
+    return point
+
+
+def check_stitched(spec: SweepSpec, table) -> int:
+    """Every row is the pointwise minimum over the candidates; returns the
+    number of rows whose angle was decided by a tie within tolerance."""
+    point = _oracle(spec)
+    angles = sorted(spec.stitch_angles_deg, key=lambda a: abs(math.radians(a) - math.pi / 2))
+    ties = 0
+    for row in table.rows:
+        candidates = {a: point(row.rho, math.radians(a), row.p) for a in angles}
+        best_deg = min(angles, key=lambda a: candidates[a][0].total)
+        best = candidates[best_deg][0].total
+        tol = ULPS * EPS64 * max(scale for _, scale in candidates.values())
+        near = [a for a in angles if candidates[a][0].total - best <= tol]
+        assert row.phi_used in near, (row, best_deg)
+        ties += row.phi_used != best_deg
+        _assert_row_matches(row, *candidates[row.phi_used])
+    return ties
+
+
+def test_homodyne_terms_broadcast_shapes_and_checks():
+    rho = np.linspace(-3.0, 3.0, 7)[:, None, None]
+    p = np.array([1.0, 2.0])[None, :, None]
+    phi = np.radians([30.0, 90.0, 150.0])
+    comps = homodyne_terms(rho, p, phi, 0.5, 2.0)
+    assert all(t.shape == (7, 2, 3) for t in comps.terms)
+    with pytest.raises(DivergenceError, match="phi = 0.0"):
+        homodyne_terms(rho, p, np.array([0.5, 0.0]), 0.5, 2.0)
+    with pytest.raises(DivergenceError, match="p = -1.0"):
+        homodyne_terms(rho, np.array([1.0, -1.0]), phi, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("noise", NOISE, ids=("clean", "noise"))
+@pytest.mark.parametrize("grid", GRIDS, ids=("linear", "log"))
+def test_homodyne_sweep_matches_scalar(grid, noise):
+    spec = parse_config(grid + BASE + noise + "angles_deg = 20,45,90,135\n")
+    point = _oracle(spec)
+    rows = run_sweep(spec).rows
+    assert len(rows) == spec.rho_count * 3 * 4
+    for row in rows:
+        _assert_row_matches(row, *point(row.rho, math.radians(row.phi_used), row.p))
+
+
+@pytest.mark.parametrize("noise", NOISE, ids=("clean", "noise"))
+@pytest.mark.parametrize("grid", GRIDS, ids=("linear", "log"))
+def test_variational_sweep_matches_scalar(grid, noise):
+    spec = parse_config(grid + BASE + noise + "readout = variational\n")
+    point, det = _oracle(spec), Detection(spec.epsilon)
+    for row in run_sweep(spec).rows:
+        # the kernel's angle comes from np.arctan2 of an array-computed
+        # cotangent; it stays within ULPS ulp of the scalar math.atan2 one
+        phi = float(phi_opt(row.rho, row.p, det))
+        c = det.epsilon * row.p * row.rho * abs(chi_m_dimensionless(row.rho)) ** 2
+        assert abs(phi - math.atan2(1.0, c)) <= ULPS * math.ulp(phi)
+        assert row.phi_used == math.degrees(phi)
+        _assert_row_matches(row, *point(row.rho, phi, row.p))
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=("linear", "log"))
+def test_synodyne_sweep_matches_scalar(grid):
+    spec = parse_config(grid + BASE + "readout = synodyne\nbeta = 1.02\nsynodyne_phi_deg = 5.8\n")
+    det, mode = Detection(spec.epsilon), MechanicalMode(1.0, 1e-6, n_th=spec.n_th)
+    lo = SynodyneLO(1.02, math.radians(5.8))
+    for row in run_sweep(spec).rows:
+        assert row.phi_used == 5.8
+        comps = synodyne_components(row.rho, row.p, lo, det, mode)
+        _assert_row_matches(row, comps, sum(abs(t) for t in comps.terms))
+    with pytest.raises(DivergenceError, match="alpha_p = 0"):
+        synodyne_terms(np.zeros(3), 1.0, SynodyneLO(1.0, 0.0), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("noise", NOISE, ids=("clean", "noise"))
+@pytest.mark.parametrize("grid", GRIDS, ids=("linear", "log"))
+def test_stitched_sweep_matches_scalar(grid, noise):
+    spec = parse_config(
+        grid + BASE + noise + "readout = stitched\nstitch_angles_deg = 90,45,60,75\n"
+    )
+    table = run_sweep(spec)
+    assert check_stitched(spec, table) == 0
+    # rho-major, then powers in config order
+    rows = table.rows
+    assert [r.p for r in rows[:3]] == [0.7, 14.0, 28.0]
+    assert [r.rho for r in rows] == sorted(r.rho for r in rows)
+
+
+def test_stitched_classical_noise_picks_pointwise_minimum():
+    # the angle must be chosen on totals that include the classical-noise
+    # term; choosing it on the quantum terms alone and adding s_ln after
+    # leaves 19 of these 41 rows above another candidate's total
+    spec = parse_config(
+        "rho_min = -10\nrho_max = 10\nrho_count = 41\npowers = 14\n"
+        "epsilon = 0.35\nn_th = 1.29\nreadout = stitched\n"
+        "stitch_angles_deg = 45,60,75,90\nc_aa = 0.5\nc_pp = 2\n" + CAVITY
+    )
+    assert check_stitched(spec, run_sweep(spec)) == 0
+
+
+def test_stitched_ties_go_toward_phase_quadrature():
+    # at rho = 0 the correlation term vanishes, and at p = 1e9 the
+    # angle-dependent imprecision is below one ulp of the backaction, so all
+    # four totals tie exactly; the tie goes to 90 degrees, listed last
+    spec = parse_config(
+        "rho_min = -1\nrho_max = 1\nrho_count = 3\npowers = 1e9\n"
+        "readout = stitched\nstitch_angles_deg = 45,60,75,90\n"
+    )
+    det, mode = Detection(1.0), MechanicalMode(1.0, 1e-6)
+    totals = {displacement_psd(0.0, 1e9, math.radians(a), det, mode).total
+              for a in (45.0, 60.0, 75.0, 90.0)}
+    assert len(totals) == 1
+    on_res = [r for r in run_sweep(spec).rows if r.rho == 0.0][0]
+    assert on_res.phi_used == 90.0
+
+
+# --- validation ----------------------------------------------------------
+
+MINIMAL = "rho_min = -10\nrho_max = 10\nrho_count = 21\npowers = 14\nangles_deg = 90\n"
+FLOAT_KEYS = ("rho_min", "rho_max", "epsilon", "n_th", "beta", "synodyne_phi_deg",
+              "c_aa", "c_pp", "kappa_hz", "omega_m_hz", "gamma_hz")
+LIST_KEYS = ("powers", "angles_deg", "stitch_angles_deg")
+
+
+@pytest.mark.parametrize("bad", ("nan", "inf", "-inf"))
+@pytest.mark.parametrize("key", FLOAT_KEYS + LIST_KEYS)
+def test_non_finite_values_rejected(key, bad):
+    lines = {k: v for k, v in (ln.split(" = ") for ln in MINIMAL.strip().split("\n"))}
+    lines[key] = f"1,{bad}" if key in LIST_KEYS else bad
+    text = "".join(f"{k} = {v}\n" for k, v in lines.items())
+    with pytest.raises(ParameterError, match=f"{key} must be finite"):
+        parse_config(text)
+
+
+def test_synodyne_with_classical_noise_rejected(tmp_path, capsys):
+    text = MINIMAL + "beta = 1.02\nc_aa = 0.004\nc_pp = 0.04\n" + CAVITY
+    with pytest.raises(ParameterError, match="c_aa and c_pp"):
+        parse_config(text + "readout = synodyne\n")
+    cfg = tmp_path / "syn.cfg"
+    cfg.write_text(text)
+    assert cli_main(["--config", str(cfg), "spectrum"]) == 0
+    assert cli_main(["--config", str(cfg), "synodyne"]) == 2
+    assert "c_aa and c_pp" in capsys.readouterr().err
+
+
+def test_non_finite_config_exit_codes(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(MINIMAL + "n_th = nan\n")
+    assert cli_main(["--config", str(cfg), "spectrum"]) == 2
+    assert "n_th must be finite" in capsys.readouterr().err
+    # finite input whose evaluation overflows float64 is a domain error
+    cfg.write_text(MINIMAL + "n_th = 1e308\n")
+    assert cli_main(["--config", str(cfg), "spectrum"]) == 3
+    assert "overflows" in capsys.readouterr().err
+
+
+# --- properties over accepted configs ------------------------------------
+
+# the physical domain drawn from: bounded far beyond any laboratory value,
+# with angles strictly inside (0, 180) degrees and beta != 1 so that the
+# synodyne LO keeps mechanical information
+_pos = st.floats(1e-3, 1e6)
+_angle = st.floats(0.5, 179.5)
+
+
+@st.composite
+def configs(draw):
+    readout = draw(st.sampled_from(("homodyne", "variational", "synodyne", "stitched")))
+    spacing = draw(st.sampled_from(("linear", "log-symmetric")))
+    lo = draw(st.floats(1e-3, 1e3) if spacing == "log-symmetric" else st.floats(-1e4, 1e4))
+    hi = lo + draw(st.floats(1e-3, 1e4))
+    lines = [
+        f"rho_min = {lo!r}", f"rho_max = {hi!r}",
+        f"rho_count = {draw(st.integers(2, 40))}", f"rho_spacing = {spacing}",
+        "powers = " + ",".join(repr(v) for v in draw(st.lists(_pos, min_size=1, max_size=3))),
+        f"epsilon = {draw(st.floats(1e-2, 1.0))!r}", f"n_th = {draw(st.floats(0.0, 1e4))!r}",
+        f"readout = {readout}",
+        "angles_deg = " + ",".join(repr(v) for v in draw(st.lists(_angle, min_size=1, max_size=3))),
+        "stitch_angles_deg = "
+        + ",".join(repr(v) for v in draw(st.lists(_angle, min_size=2, max_size=4))),
+    ]
+    if readout == "synodyne":
+        beta = draw(st.floats(0.1, 10.0).filter(lambda b: abs(b - 1.0) > 1e-6))
+        lines += [f"beta = {beta!r}", f"synodyne_phi_deg = {draw(st.floats(-180, 180))!r}"]
+    elif draw(st.booleans()):
+        lines += [f"c_aa = {draw(st.floats(0.0, 10.0))!r}",
+                  f"c_pp = {draw(st.floats(0.0, 10.0))!r}", CAVITY.strip()]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(configs())
+def test_accepted_configs_give_finite_tables(text):
+    spec = parse_config(text)
+    table = run_sweep(spec)
+    assert set(table.columns) == set(COLUMNS)
+    for name, col in table.columns.items():
+        assert col.dtype == np.float64 and col.ndim == 1
+        assert np.isfinite(col).all(), name
+    if spec.readout == "stitched":
+        check_stitched(spec, table)

@@ -208,7 +208,9 @@ def test_emit_jsonl_metadata_and_columns():
 
 
 def test_emit_empty_table():
-    table = SpectrumTable(metadata={"note": "empty"}, rows=[])
+    table = SpectrumTable(
+        metadata={"note": "empty"}, columns={c: np.empty(0) for c in COLUMNS}
+    )
     text = table_to_string(table, "csv")
     lines = text.strip().split("\n")
     assert lines[-1] == ",".join(COLUMNS)
