@@ -27,6 +27,8 @@ from .errors import (
 
 CSV_HEADER = ("frequency_hz", "psd_shotnoise_units")
 
+MAX_NFEV = 1000  # residual evaluations allowed to fit_lorentzian
+
 
 @dataclass(frozen=True)
 class LorentzianFit:
@@ -211,10 +213,13 @@ def fit_lorentzian(
 
     Initialization (when init is None): offset = median of the outer
     quartiles, center = argmax sample, gamma = full width at half of
-    (max - offset), amplitude = max - offset.  Refinement is damped
-    Gauss-Newton (Levenberg-Marquardt) run to gradient norm < 1e-10 or
-    200 iterations; non-convergence raises FitConvergenceError carrying the
-    best parameters found.
+    (max - offset), amplitude = max - offset.  Refinement is scipy's
+    Levenberg-Marquardt (MINPACK) with a finite-difference Jacobian.  It
+    stops at the first of gtol = 1e-10 (cosine between the residuals and
+    the Jacobian columns), xtol = ftol = 1e-14, or MAX_NFEV = 1000 residual
+    evaluations, not counting those that estimate the Jacobian.  Stopping
+    on MAX_NFEV raises FitConvergenceError carrying the best parameters
+    found.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -242,7 +247,7 @@ def fit_lorentzian(
         gtol=1e-10,
         xtol=1e-14,
         ftol=1e-14,
-        max_nfev=200 * 5,
+        max_nfev=MAX_NFEV,
     )
     rms = float(np.sqrt(np.mean(res.fun**2)))
     fit = LorentzianFit(
@@ -254,7 +259,8 @@ def fit_lorentzian(
     )
     if res.status == 0:
         raise FitConvergenceError(
-            "Lorentzian fit did not converge within 200 iterations",
+            f"Lorentzian fit did not converge within {MAX_NFEV} residual "
+            "evaluations",
             best_fit=fit,
             residual_rms=rms,
         )
@@ -312,11 +318,29 @@ def write_spectrum_csv(path, samples):
 
 
 def read_spectrum_csv(path) -> np.ndarray:
-    """Read a two-column sideband spectrum CSV written by write_spectrum_csv."""
+    """Read a two-column sideband spectrum CSV written by write_spectrum_csv.
+
+    A row that is not two finite numbers raises ParameterError naming the
+    path and line.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ParameterError(
             f"{path}: expected header {','.join(CSV_HEADER)}"
         )
-    return np.array([[float(a), float(b)] for a, b in rows[1:]])
+    try:
+        samples = np.array([[float(a), float(b)] for a, b in rows[1:]])
+        if np.isfinite(samples).all():
+            return samples
+    except ValueError:
+        pass
+    for lineno, row in enumerate(rows[1:], start=2):
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            values = []
+        if len(values) != 2 or not all(map(math.isfinite, values)):
+            raise ParameterError(
+                f"{path}: line {lineno}: expected two finite numbers, got {row}"
+            )

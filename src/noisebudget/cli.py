@@ -27,7 +27,6 @@ from .errors import DomainError, ParameterError
 from .figures import FIGURE_IDS, reproduce_figure
 from .limits import ql_added_noise, sql_psd
 from .sweep import (
-    NORMALIZATION_STATEMENT,
     SpectrumTable,
     emit_table,
     limit_columns,
@@ -48,9 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, help="output path (default stdout)")
     parser.add_argument(
         "--format", choices=("csv", "jsonl"), default="csv", dest="fmt"
-    )
-    parser.add_argument(
-        "--strict", action="store_true", help="reject unknown config keys"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("spectrum", help="run the sweep described by --config")
@@ -85,20 +81,16 @@ def _write_tables(tables: dict, args):
 
 
 def _cmd_sweep(args, readout_override=None) -> dict:
-    spec = parse_config(_read_config(args), strict=args.strict)
+    spec = parse_config(_read_config(args))
     if readout_override is not None:
-        spec = replace(spec, readout=readout_override).validate()
+        spec = replace(spec, readout=readout_override)
     return {"sweep": run_sweep(spec)}
 
 
 def _cmd_limits(args) -> dict:
-    spec = parse_config(_read_config(args), strict=args.strict)
+    spec = parse_config(_read_config(args))
     grid = spec.rho_grid()
-    meta = {
-        "artifact_version": __version__,
-        "normalization": NORMALIZATION_STATEMENT,
-        "spec": spec.metadata()["spec"],
-    }
+    meta = spec.metadata()
     ql_thermal = 2.0 * (spec.n_th + 0.5) * np.abs(chi_m_dimensionless(grid)) ** 2
     ql_added = ql_added_noise(grid, Detection(spec.epsilon))
     return {
@@ -111,22 +103,17 @@ def _cmd_limits(args) -> dict:
     }
 
 
-_CALIBRATE_KEYS = {"sideband_csv", "red_csv", "blue_csv"}
-
-
 def _cmd_calibrate(args):
-    kv = read_key_values(_read_config(args))
-    keys = {}
-    for key, (value, lineno) in kv.items():
-        if key not in _CALIBRATE_KEYS:
-            if args.strict:
-                raise ParameterError(f"line {lineno}: unknown key {key!r}")
-            continue
-        keys[key] = value
+    kv = read_key_values(_read_config(args), ("sideband_csv", "red_csv", "blue_csv"))
+    keys = {key: value for key, (value, _) in kv.items()}
     result = {}
     if "red_csv" in keys or "blue_csv" in keys:
         if not ("red_csv" in keys and "blue_csv" in keys):
             raise ParameterError("sideband thermometry needs both red_csv and blue_csv")
+        if "sideband_csv" in keys:
+            raise ParameterError(
+                "give either sideband_csv or red_csv + blue_csv, not both"
+            )
         fit = fit_sidebands(
             read_spectrum_csv(keys["red_csv"]), read_spectrum_csv(keys["blue_csv"])
         )

@@ -70,8 +70,9 @@ class ClassicalNoise:
     c_pp: float = 0.0
 
     def __post_init__(self):
-        if self.c_aa < 0 or self.c_pp < 0:
-            raise ParameterError("classical noise fractions must be >= 0")
+        for key in ("c_aa", "c_pp"):
+            if getattr(self, key) < 0:
+                raise ParameterError(f"{key} must be >= 0, got {getattr(self, key)}")
 
     @property
     def c_ap(self) -> float:

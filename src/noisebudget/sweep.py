@@ -1,12 +1,12 @@
 """Sweep configuration, deterministic evaluation, and table serialization.
 
 The config format is a flat key = value text document (UTF-8, '#' comments).
-Documented keys:
+The keys are the fields of SweepSpec, each parsed by its declared type:
 
     rho_min, rho_max      grid bounds (log-symmetric: bounds on |rho|, > 0)
     rho_count             number of grid points (>= 2)
-    rho_spacing           linear (default) | log-symmetric
     powers                comma-separated normalized powers, each > 0
+    rho_spacing           linear (default) | log-symmetric
     angles_deg            comma-separated homodyne angles in degrees
     epsilon               quantum efficiency (default 1)
     n_th                  thermal occupation (default 0)
@@ -14,8 +14,14 @@ Documented keys:
     beta, synodyne_phi_deg   synodyne LO ratio and phase
     stitch_angles_deg     candidate angles for stitched readout
     c_aa, c_pp            fractional classical noise (default 0)
-    kappa_hz, omega_m_hz, gamma_hz   cavity/mode frequencies in Hz,
-                          required only when classical noise is nonzero
+    kappa_hz, omega_m_hz, gamma_hz   cavity/mode frequencies in Hz (> 0),
+                          required only when classical noise is nonzero;
+                          gamma_hz / omega_m_hz must stay below the high-Q
+                          threshold the dimensionless spectra assume
+
+rho_min, rho_max, rho_count and powers are required.  Every other key, a
+value that does not parse, a non-finite number and a repeated list value is
+a ParameterError naming the key (CLI exit code 2).
 
 Angles and ordinary frequencies (Hz) are converted to radians and rad/s at
 this boundary; everything below works in angular units.
@@ -26,13 +32,17 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import (
+    Dict, List, NamedTuple, Optional, Tuple, get_args, get_origin, get_type_hints,
+)
 
 import numpy as np
 
 from . import __version__
-from .core import Detection, MechanicalMode, OpticalCavity, omega_from_rho
+from .core import (
+    HIGH_Q_THRESHOLD, Detection, MechanicalMode, OpticalCavity, omega_from_rho,
+)
 from .errors import DivergenceError, ParameterError
 from .limits import phi_opt, sql_psd
 from .spectra import (
@@ -69,31 +79,34 @@ SPACINGS = ("linear", "log-symmetric")
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Validated sweep description; see the module docstring for the schema."""
+    """Sweep description, checked on construction: an invalid value raises
+    ParameterError naming its key.  See the module docstring for the schema."""
 
     rho_min: float
     rho_max: float
     rho_count: int
+    powers: Tuple[float, ...]
     rho_spacing: str = "linear"
-    powers: tuple = ()
-    angles_deg: tuple = ()
+    angles_deg: Tuple[float, ...] = ()
     epsilon: float = 1.0
     n_th: float = 0.0
     readout: str = "homodyne"
     beta: Optional[float] = None
     synodyne_phi_deg: float = 0.0
-    stitch_angles_deg: tuple = ()
+    stitch_angles_deg: Tuple[float, ...] = ()
     c_aa: float = 0.0
     c_pp: float = 0.0
     kappa_hz: Optional[float] = None
     omega_m_hz: Optional[float] = None
     gamma_hz: Optional[float] = None
 
-    def validate(self):
+    def __post_init__(self):
         for key, value in self.__dict__.items():
             values = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ParameterError(f"{key} must be finite, got {value}")
+            if isinstance(value, tuple) and len(set(value)) < len(value):
+                raise ParameterError(f"{key} must not repeat a value, got {value}")
         if self.rho_count < 2:
             raise ParameterError(f"rho_count must be >= 2, got {self.rho_count}")
         if self.rho_spacing not in SPACINGS:
@@ -110,8 +123,7 @@ class SweepSpec:
             raise ParameterError("powers must list at least one value")
         if any(p <= 0 for p in self.powers):
             raise ParameterError("all powers must be > 0")
-        if not 0 < self.epsilon <= 1:
-            raise ParameterError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        Detection(self.epsilon)  # checks 0 < epsilon <= 1, naming the key
         if self.n_th < 0:
             raise ParameterError(f"n_th must be >= 0, got {self.n_th}")
         if self.readout not in READOUTS:
@@ -124,21 +136,39 @@ class SweepSpec:
             raise ParameterError("synodyne readout needs beta")
         if self.readout == "stitched" and len(self.stitch_angles_deg) < 2:
             raise ParameterError("stitched readout needs >= 2 stitch_angles_deg")
-        if self.c_aa < 0 or self.c_pp < 0:
-            raise ParameterError("c_aa and c_pp must be >= 0")
-        if (self.c_aa > 0 or self.c_pp > 0) and not self._has_cavity():
+        for key in ("kappa_hz", "omega_m_hz", "gamma_hz"):
+            value = getattr(self, key)
+            if value is not None and not value > 0:
+                raise ParameterError(f"{key} must be > 0, got {value}")
+        mode = self.mode()
+        if mode is not None and not mode.is_high_q:
+            raise ParameterError(
+                f"gamma_hz / omega_m_hz must be < {HIGH_Q_THRESHOLD:g} (the "
+                f"high-Q regime the spectra assume), got {self.gamma_hz} / "
+                f"{self.omega_m_hz}"
+            )
+        if ClassicalNoise(self.c_aa, self.c_pp).is_zero:
+            return
+        if mode is None or self.kappa_hz is None:
             raise ParameterError(
                 "classical noise needs kappa_hz, omega_m_hz and gamma_hz"
             )
-        if (self.c_aa > 0 or self.c_pp > 0) and self.readout == "synodyne":
+        if self.readout == "synodyne":
             raise ParameterError(
                 "synodyne readout does not model classical noise; "
                 "set c_aa and c_pp to 0"
             )
-        return self
 
-    def _has_cavity(self) -> bool:
-        return None not in (self.kappa_hz, self.omega_m_hz, self.gamma_hz)
+    def mode(self) -> Optional[MechanicalMode]:
+        """The mechanical mode in angular units, or None unless omega_m_hz
+        and gamma_hz are both set."""
+        if self.omega_m_hz is None or self.gamma_hz is None:
+            return None
+        return MechanicalMode(
+            omega_m=2 * math.pi * self.omega_m_hz,
+            gamma=2 * math.pi * self.gamma_hz,
+            n_th=self.n_th,
+        )
 
     def rho_grid(self) -> np.ndarray:
         if self.rho_spacing == "linear":
@@ -154,38 +184,14 @@ class SweepSpec:
 
     def to_text(self) -> str:
         """Serialize back to the flat key = value format (round-trips
-        through parse_config)."""
-        lines = [
-            f"rho_min = {self.rho_min:.17g}",
-            f"rho_max = {self.rho_max:.17g}",
-            f"rho_count = {self.rho_count}",
-            f"rho_spacing = {self.rho_spacing}",
-            "powers = " + ",".join(f"{p:.17g}" for p in self.powers),
-        ]
-        if self.angles_deg:
-            lines.append(
-                "angles_deg = " + ",".join(f"{a:.17g}" for a in self.angles_deg)
-            )
-        lines += [
-            f"epsilon = {self.epsilon:.17g}",
-            f"n_th = {self.n_th:.17g}",
-            f"readout = {self.readout}",
-        ]
-        if self.beta is not None:
-            lines.append(f"beta = {self.beta:.17g}")
-            lines.append(f"synodyne_phi_deg = {self.synodyne_phi_deg:.17g}")
-        if self.stitch_angles_deg:
-            lines.append(
-                "stitch_angles_deg = "
-                + ",".join(f"{a:.17g}" for a in self.stitch_angles_deg)
-            )
-        if self.c_aa or self.c_pp:
-            lines.append(f"c_aa = {self.c_aa:.17g}")
-            lines.append(f"c_pp = {self.c_pp:.17g}")
-        if self._has_cavity():
-            lines.append(f"kappa_hz = {self.kappa_hz:.17g}")
-            lines.append(f"omega_m_hz = {self.omega_m_hz:.17g}")
-            lines.append(f"gamma_hz = {self.gamma_hz:.17g}")
+        through parse_config); unset keys are left out."""
+        lines = []
+        for key, value in self.__dict__.items():
+            if value is None or value == ():
+                continue
+            values = value if isinstance(value, tuple) else (value,)
+            text = ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in values)
+            lines.append(f"{key} = {text}")
         return "\n".join(lines) + "\n"
 
     def metadata(self) -> dict:
@@ -199,29 +205,22 @@ class SweepSpec:
         }
 
 
-_FLOAT_KEYS = {
-    "rho_min",
-    "rho_max",
-    "epsilon",
-    "n_th",
-    "beta",
-    "synodyne_phi_deg",
-    "c_aa",
-    "c_pp",
-    "kappa_hz",
-    "omega_m_hz",
-    "gamma_hz",
-}
-_LIST_KEYS = {"powers", "angles_deg", "stitch_angles_deg"}
-_INT_KEYS = {"rho_count"}
-_STR_KEYS = {"rho_spacing", "readout"}
-_ALL_KEYS = _FLOAT_KEYS | _LIST_KEYS | _INT_KEYS | _STR_KEYS
-_REQUIRED = ("rho_min", "rho_max", "rho_count", "powers")
+def _parser(hint):
+    """The parser of a config value of field type hint: Tuple[float, ...]
+    is a comma-separated list, Optional[float] a float."""
+    kind = get_args(hint)[0] if get_args(hint) else hint
+    if get_origin(hint) is tuple:
+        return lambda text: tuple(kind(v) for v in text.split(",") if v.strip())
+    return kind
 
 
-def read_key_values(text: str) -> dict:
+_PARSERS = {key: _parser(hint) for key, hint in get_type_hints(SweepSpec).items()}
+_REQUIRED = [f.name for f in fields(SweepSpec) if f.default is MISSING]
+
+
+def read_key_values(text: str, keys) -> dict:
     """Parse 'key = value' lines; '#' starts a comment.  Returns key ->
-    (value, line_number)."""
+    (value, line_number); a key not in keys is rejected with its line."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -232,44 +231,30 @@ def read_key_values(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ParameterError(f"line {lineno}: empty key")
+        if key not in keys:
+            raise ParameterError(
+                f"line {lineno}: unknown key {key!r}; known keys: {', '.join(keys)}"
+            )
         if key in out:
             raise ParameterError(f"line {lineno}: duplicate key {key!r}")
         out[key] = (value, lineno)
     return out
 
 
-def parse_config(text: str, strict: bool = False) -> SweepSpec:
-    """Parse and validate a sweep config document.
-
-    Unknown keys are ignored unless strict is set, in which case they are
-    rejected with the offending key name and line.
-    """
-    kv = read_key_values(text)
-    fields = {}
-    for key, (value, lineno) in kv.items():
-        if key not in _ALL_KEYS:
-            if strict:
-                raise ParameterError(f"line {lineno}: unknown key {key!r}")
-            continue
+def parse_config(text: str) -> SweepSpec:
+    """Parse a sweep config document into a checked SweepSpec."""
+    values = {}
+    for key, (value, lineno) in read_key_values(text, _PARSERS).items():
         try:
-            if key in _FLOAT_KEYS:
-                fields[key] = float(value)
-            elif key in _INT_KEYS:
-                fields[key] = int(value)
-            elif key in _LIST_KEYS:
-                fields[key] = tuple(
-                    float(v) for v in value.split(",") if v.strip()
-                )
-            else:
-                fields[key] = value
+            values[key] = _PARSERS[key](value)
         except ValueError as exc:
             raise ParameterError(
                 f"line {lineno}: bad value for {key!r}: {value!r} ({exc})"
             ) from None
     for key in _REQUIRED:
-        if key not in fields:
+        if key not in values:
             raise ParameterError(f"missing required key {key!r}")
-    return SweepSpec(**fields).validate()
+    return SweepSpec(**values)
 
 
 class Row(NamedTuple):
@@ -334,7 +319,6 @@ def run_sweep(spec: SweepSpec) -> SpectrumTable:
     ordered by distance from 90 degrees, so ties go to the angle nearest
     phase quadrature.
     """
-    spec.validate()
     eps, n_th = spec.epsilon, spec.n_th
     rho = spec.rho_grid()[:, None, None]
     p = np.array(spec.powers)[None, :, None]
@@ -343,13 +327,8 @@ def run_sweep(spec: SweepSpec) -> SpectrumTable:
     def s_ln(phi):
         if noise.is_zero:
             return 0.0
-        mode = MechanicalMode(
-            omega_m=2 * math.pi * spec.omega_m_hz,
-            gamma=2 * math.pi * spec.gamma_hz,
-            n_th=n_th,
-        )
         cav = OpticalCavity(kappa=2 * math.pi * spec.kappa_hz)
-        omega = omega_from_rho(rho, mode)
+        omega = omega_from_rho(rho, spec.mode())
         return classical_noise_displacement(omega, phi, p, Detection(eps), cav, noise)
 
     if spec.readout == "synodyne":

@@ -27,6 +27,7 @@ from noisebudget.calibration import (
     read_spectrum_csv,
     write_spectrum_csv,
 )
+from noisebudget.cli import main as cli_main
 from noisebudget.errors import NonphysicalAsymmetryError, NoPeakError
 
 
@@ -221,3 +222,20 @@ def test_spectrum_csv_round_trip(tmp_path):
     bad.write_text("wrong,header\n1,2\n")
     with pytest.raises(ParameterError):
         read_spectrum_csv(bad)
+
+
+@pytest.mark.parametrize(
+    "body",
+    ("1,2\n3\n5,6\n", "1,2\n3,four\n5,6\n", "1,2\n3,nan\n5,6\n", "1,2\n3,-inf\n5,6\n",
+     "1,2\n3,4,5\n5,6\n"),
+    ids=("short", "non-numeric", "nan", "inf", "long"),
+)
+def test_read_spectrum_csv_names_bad_line(tmp_path, capsys, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("frequency_hz,psd_shotnoise_units\n" + body)
+    with pytest.raises(ParameterError, match=r"bad\.csv: line 3: expected two finite numbers"):
+        read_spectrum_csv(path)
+    cfg = tmp_path / "cal.cfg"
+    cfg.write_text(f"sideband_csv = {path}\n")
+    assert cli_main(["--config", str(cfg), "calibrate"]) == 2
+    assert f"{path}: line 3" in capsys.readouterr().err

@@ -1,0 +1,137 @@
+"""The config schema: SweepSpec checks itself, its fields are the keys, and
+every rejected config is exit code 2 with the offending key in stderr."""
+
+import dataclasses
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from noisebudget import (
+    LorentzianFit,
+    ParameterError,
+    SweepSpec,
+    parse_config,
+    synth_sideband_spectrum,
+)
+from noisebudget.calibration import write_spectrum_csv
+from noisebudget.cli import main as cli_main
+
+MINIMAL = "rho_min = -10\nrho_max = 10\nrho_count = 21\npowers = 14\nangles_deg = 90\n"
+CAVITY = "kappa_hz = 2.5e6\nomega_m_hz = 1.596e6\ngamma_hz = 340\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _exit_and_stderr(tmp_path, capsys, text, command="spectrum"):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = cli_main(["--config", str(cfg), "--out", str(tmp_path / "out.csv"), command])
+    return code, capsys.readouterr().err
+
+
+def test_spec_checks_itself_on_construction():
+    with pytest.raises(ParameterError, match="rho_count"):
+        SweepSpec(rho_min=-1.0, rho_max=1.0, rho_count=1, powers=(1.0,), angles_deg=(90.0,))
+    spec = parse_config(MINIMAL)
+    with pytest.raises(ParameterError, match="synodyne readout needs beta"):
+        dataclasses.replace(spec, readout="synodyne")
+    with pytest.raises(ParameterError, match="epsilon"):
+        dataclasses.replace(spec, epsilon=0.0)
+    with pytest.raises(ParameterError, match="c_pp must be >= 0"):
+        dataclasses.replace(spec, c_pp=-1.0)
+
+
+def test_misspelt_key_is_rejected(tmp_path, capsys):
+    code, err = _exit_and_stderr(
+        tmp_path, capsys, MINIMAL.replace("rho_count = 21", "rho_cuont = 7")
+    )
+    assert code == 2
+    assert "line 3: unknown key 'rho_cuont'" in err
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("powers", MINIMAL.replace("powers = 14", "powers = 14,14")),
+        ("angles_deg", MINIMAL.replace("angles_deg = 90", "angles_deg = 90,45,90")),
+        ("stitch_angles_deg",
+         MINIMAL + "readout = stitched\nstitch_angles_deg = 45,90,45.0\n"),
+    ],
+    ids=("powers", "angles_deg", "stitch_angles_deg"),
+)
+def test_repeated_list_value_is_rejected(tmp_path, capsys, key, text):
+    code, err = _exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2
+    assert f"{key} must not repeat a value" in err
+
+
+def test_low_q_mode_is_rejected(tmp_path, capsys):
+    text = MINIMAL + "c_aa = 0.1\nkappa_hz = 2.5e6\nomega_m_hz = 1e6\ngamma_hz = 1e5\n"
+    code, err = _exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2
+    assert "gamma_hz / omega_m_hz must be < 0.001" in err
+    # checked whenever omega_m_hz and gamma_hz are given, with or without noise
+    for cavity in (CAVITY, CAVITY.replace("kappa_hz = 2.5e6\n", "")):
+        code, err = _exit_and_stderr(
+            tmp_path, capsys, MINIMAL + cavity.replace("gamma_hz = 340", "gamma_hz = 1600")
+        )
+        assert code == 2
+        assert "gamma_hz" in err
+    # just below the threshold is accepted
+    code, _ = _exit_and_stderr(
+        tmp_path, capsys, MINIMAL + CAVITY.replace("gamma_hz = 340", "gamma_hz = 1595")
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize("key", ("kappa_hz", "omega_m_hz", "gamma_hz"))
+@pytest.mark.parametrize("value", ("0", "-340"))
+def test_non_positive_frequency_is_rejected(tmp_path, capsys, key, value):
+    text = re.sub(rf"{key} = \S+", f"{key} = {value}", MINIMAL + CAVITY)
+    code, err = _exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2
+    assert f"{key} must be > 0" in err
+
+
+def _sideband_csvs(tmp_path) -> dict:
+    grid = np.linspace(-1600.0, 1600.0, 400)
+    paths = {}
+    for name, amplitude in (("red", 1.35), ("blue", 0.78)):
+        paths[name] = tmp_path / f"{name}.csv"
+        truth = LorentzianFit(0.0, 325.0, amplitude, 1.0, 0.0)
+        write_spectrum_csv(paths[name], synth_sideband_spectrum(truth, grid))
+    return paths
+
+
+def test_calibrate_rejects_unknown_key(tmp_path, capsys):
+    paths = _sideband_csvs(tmp_path)
+    text = f"sideband_csv = {paths['red']}\nred_cvs = {paths['red']}\n"
+    code, err = _exit_and_stderr(tmp_path, capsys, text, "calibrate")
+    assert code == 2
+    assert "line 2: unknown key 'red_cvs'" in err
+
+
+def test_calibrate_rejects_sideband_csv_next_to_pair(tmp_path, capsys):
+    # sideband_csv next to a red/blue pair used to be dropped silently
+    paths = _sideband_csvs(tmp_path)
+    text = "".join(f"{key} = {paths[name]}\n" for key, name in
+                   (("sideband_csv", "red"), ("red_csv", "red"), ("blue_csv", "blue")))
+    code, err = _exit_and_stderr(tmp_path, capsys, text, "calibrate")
+    assert code == 2
+    assert "sideband_csv" in err
+
+
+def _readme_schema() -> str:
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"Schema:\n\n```\n(.*?)```", text, re.S)
+    assert match, "README has no config-schema block"
+    return match.group(1)
+
+
+def test_readme_schema_block_parses_and_names_every_field():
+    block = _readme_schema()
+    spec = parse_config(block)
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines()}
+    assert keys == {f.name for f in dataclasses.fields(SweepSpec)}
+    assert spec.c_aa == 0.004 and spec.gamma_hz == 340.0

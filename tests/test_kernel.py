@@ -260,12 +260,14 @@ def configs(draw):
     lines = [
         f"rho_min = {lo!r}", f"rho_max = {hi!r}",
         f"rho_count = {draw(st.integers(2, 40))}", f"rho_spacing = {spacing}",
-        "powers = " + ",".join(repr(v) for v in draw(st.lists(_pos, min_size=1, max_size=3))),
+        "powers = "
+        + ",".join(repr(v) for v in draw(st.lists(_pos, min_size=1, max_size=3, unique=True))),
         f"epsilon = {draw(st.floats(1e-2, 1.0))!r}", f"n_th = {draw(st.floats(0.0, 1e4))!r}",
         f"readout = {readout}",
-        "angles_deg = " + ",".join(repr(v) for v in draw(st.lists(_angle, min_size=1, max_size=3))),
+        "angles_deg = "
+        + ",".join(repr(v) for v in draw(st.lists(_angle, min_size=1, max_size=3, unique=True))),
         "stitch_angles_deg = "
-        + ",".join(repr(v) for v in draw(st.lists(_angle, min_size=2, max_size=4))),
+        + ",".join(repr(v) for v in draw(st.lists(_angle, min_size=2, max_size=4, unique=True))),
     ]
     if readout == "synodyne":
         beta = draw(st.floats(0.1, 10.0).filter(lambda b: abs(b - 1.0) > 1e-6))

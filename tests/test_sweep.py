@@ -59,10 +59,9 @@ def test_parse_errors():
         parse_config(MINIMAL.replace("angles_deg = 90", ""))
     with pytest.raises(ParameterError, match="classical noise"):
         parse_config(MINIMAL + "c_aa = 0.01\n")
-    # unknown keys pass silently unless strict
-    assert parse_config(MINIMAL + "mystery = 1\n").rho_count == 21
-    with pytest.raises(ParameterError, match="mystery"):
-        parse_config(MINIMAL + "mystery = 1\n", strict=True)
+    # unknown keys are always rejected, with the key and its line
+    with pytest.raises(ParameterError, match="line 7: unknown key 'mystery'"):
+        parse_config(MINIMAL + "mystery = 1\n")
 
 
 def test_config_round_trip():
@@ -217,9 +216,12 @@ def test_emit_empty_table():
 
 
 def test_read_key_values_comments():
-    kv = read_key_values("# top\nalpha = 1  # trailing\n\nbeta = two\n")
+    text = "# top\nalpha = 1  # trailing\n\nbeta = two\n"
+    kv = read_key_values(text, ("alpha", "beta"))
     assert kv["alpha"] == ("1", 2)
     assert kv["beta"] == ("two", 4)
+    with pytest.raises(ParameterError, match="line 4: unknown key 'beta'"):
+        read_key_values(text, ("alpha",))
 
 
 def _write_config(tmp_path, text):
@@ -247,10 +249,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     # 3: domain error (divergent quadrature)
     div = _write_config(tmp_path, MINIMAL.replace("angles_deg = 90", "angles_deg = 0"))
     assert cli_main(["--config", str(div), "spectrum"]) == 3
-    # 2: strict mode rejects unknown keys
+    # 2: unknown keys are rejected, and there is no --strict flag
     odd = _write_config(tmp_path, MINIMAL + "mystery = 1\n")
-    assert cli_main(["--config", str(odd), "--strict", "spectrum"]) == 2
-    assert cli_main(["--config", str(odd), "spectrum", ]) == 0
+    assert cli_main(["--config", str(odd), "spectrum"]) == 2
+    assert "unknown key 'mystery'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli_main(["--config", str(odd), "--strict", "spectrum"])
     # 4: unwritable output path
     cfg = _write_config(tmp_path, MINIMAL)
     missing = tmp_path / "no" / "such" / "dir" / "out.csv"
