@@ -10,6 +10,7 @@ two-column CSV (frequency_hz, psd_shotnoise_units) with a one-line header.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -324,18 +325,20 @@ def read_spectrum_csv(path) -> np.ndarray:
     path and line.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise ParameterError(
-            f"{path}: expected header {','.join(CSV_HEADER)}"
-        )
+        header, body = next(csv.reader([fh.readline()]), []), fh.read()
+    if tuple(header) != CSV_HEADER:
+        raise ParameterError(f"{path}: expected header {','.join(CSV_HEADER)}")
+    # loadtxt skips blank lines, accepts nan, warns on no data: check all three
+    lines = body.count("\n") + (not body.endswith("\n"))
     try:
-        samples = np.array([[float(a), float(b)] for a, b in rows[1:]])
-        if np.isfinite(samples).all():
-            return samples
+        if body.strip():
+            samples = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
+            if samples.shape == (lines, 2) and np.isfinite(samples).all():
+                return samples
     except ValueError:
         pass
-    for lineno, row in enumerate(rows[1:], start=2):
+    rows = list(csv.reader(io.StringIO(body, newline="")))
+    for lineno, row in enumerate(rows, start=2):
         try:
             values = [float(v) for v in row]
         except ValueError:
@@ -344,3 +347,4 @@ def read_spectrum_csv(path) -> np.ndarray:
             raise ParameterError(
                 f"{path}: line {lineno}: expected two finite numbers, got {row}"
             )
+    return np.array([[float(a), float(b)] for a, b in rows])

@@ -274,8 +274,8 @@ class Row(NamedTuple):
 class SpectrumTable:
     """Evaluated spectrum, stored by column.
 
-    columns maps each name in COLUMNS to a 1-D float64 array, all of one
-    length; rows is a read-only view that materialises one Row per index.
+    columns maps each name in COLUMNS to a finite 1-D float64 array, all of
+    one length; rows is a read-only view that materialises one Row per index.
     """
 
     metadata: dict
@@ -285,6 +285,9 @@ class SpectrumTable:
         self.columns = {c: np.asarray(self.columns[c], dtype=float) for c in COLUMNS}
         if {col.shape for col in self.columns.values()} != {self.columns["rho"].shape[:1]}:
             raise ParameterError("table columns must be 1-D arrays of one length")
+        for name, values in self.columns.items():
+            if not np.isfinite(values).all():
+                raise DivergenceError(f"column {name} overflows float64 for this config")
 
     @property
     def rows(self) -> List[Row]:
@@ -355,11 +358,7 @@ def run_sweep(spec: SweepSpec) -> SpectrumTable:
         )
         phi_deg = angles[pick]
 
-    columns = spectrum_columns(rho, phi_deg, p, comps)
-    for name, values in columns.items():
-        if not np.isfinite(values).all():
-            raise DivergenceError(f"column {name} overflows float64 for this config")
-    return SpectrumTable(spec.metadata(), columns)
+    return SpectrumTable(spec.metadata(), spectrum_columns(rho, phi_deg, p, comps))
 
 
 def emit_table(table: SpectrumTable, fmt: str, destination):
@@ -367,24 +366,26 @@ def emit_table(table: SpectrumTable, fmt: str, destination):
 
     destination is a path or a text file object.  CSV carries the metadata
     as '# key: json' comment lines before the header; floats use 17
-    significant digits so a re-ingested table is bit-identical.
+    significant digits so a re-ingested table is bit-identical.  JSON lines
+    are always standard JSON with finite numbers, keys sorted; each float is
+    its repr, which is what json.dumps writes for a finite float.
     """
     if fmt not in ("csv", "jsonl"):
         raise ParameterError(f"format must be csv or jsonl, got {fmt!r}")
     own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
     fh = open(destination, "w", newline="") if own else destination
-    columns = [table.columns[c].tolist() for c in COLUMNS]
+    keys = COLUMNS if fmt == "csv" else sorted(COLUMNS)
+    columns = [table.columns[c].tolist() for c in keys]
     try:
         if fmt == "csv":
             for key, value in table.metadata.items():
                 fh.write(f"# {key}: {json.dumps(value, sort_keys=True)}\n")
             fh.write(",".join(COLUMNS) + "\n")
             line = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
-            fh.writelines(line % row for row in zip(*columns))
         else:
             fh.write(json.dumps({"metadata": table.metadata}, sort_keys=True) + "\n")
-            for row in zip(*columns):
-                fh.write(json.dumps(dict(zip(COLUMNS, row)), sort_keys=True) + "\n")
+            line = "{" + ", ".join(f"{json.dumps(k)}: %r" for k in keys) + "}\n"
+        fh.writelines(line % row for row in zip(*columns))
     finally:
         if own:
             fh.close()
@@ -421,4 +422,7 @@ def load_table_csv(path) -> SpectrumTable:
     if not header_seen:
         raise ParameterError(f"{path}: missing header row")
     data = np.array(rows, dtype=float).reshape(-1, len(COLUMNS))
-    return SpectrumTable(metadata, dict(zip(COLUMNS, data.T.copy())))
+    try:
+        return SpectrumTable(metadata, dict(zip(COLUMNS, data.T.copy())))
+    except DivergenceError as exc:
+        raise ParameterError(f"{path}: {exc}") from None

@@ -1,0 +1,158 @@
+"""Table text I/O: JSON-lines emission, the finite-table invariant, and the
+sideband spectrum CSV reader, each checked against a plain reference."""
+
+import csv
+import hashlib
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from noisebudget import DivergenceError, ParameterError, load_table_csv
+from noisebudget.calibration import CSV_HEADER, read_spectrum_csv
+from noisebudget.cli import main as cli_main
+from noisebudget.sweep import COLUMNS, SpectrumTable, emit_table, table_to_string
+
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-5, 1e-4, 14.0, -3.0, 1.0)
+finite = st.one_of(
+    st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(*[finite] * len(COLUMNS)), max_size=12))
+def test_jsonl_matches_per_row_json_dumps(rows):
+    columns = {c: np.array([r[i] for r in rows], dtype=float) for i, c in enumerate(COLUMNS)}
+    table = SpectrumTable({"note": "property"}, columns)
+    expected = json.dumps({"metadata": table.metadata}, sort_keys=True) + "\n"
+    for row in zip(*(columns[c].tolist() for c in COLUMNS)):
+        expected += json.dumps(dict(zip(COLUMNS, row)), sort_keys=True) + "\n"
+    text = table_to_string(table, "jsonl")
+    assert text == expected
+    for line in text.splitlines()[1:]:
+        json.loads(line, parse_constant=_reject_constant)
+
+
+LIMITS_CONFIG = (
+    "rho_min = 1e-6\nrho_max = 1e6\nrho_count = 41\nrho_spacing = log-symmetric\n"
+    "powers = 14\nangles_deg = 90\nepsilon = 0.35\nn_th = 1.29\n"
+)
+# sha256 of `noisebudget --config <LIMITS_CONFIG> --format <fmt> limits` on
+# stdout, recorded from the per-row json.dumps writer
+LIMITS_SHA256 = {
+    "csv": "8b25bb3531e96a95b90bd7cc2201cd1ec639b8687e47ea1d64d3add18eed0321",
+    "jsonl": "064e424af039f4435c41b938c4263099f0f9cc6e63774ae1048ca60ad26a9fd2",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LIMITS_SHA256))
+def test_limits_output_golden_sha256(tmp_path, capsys, fmt):
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text(LIMITS_CONFIG)
+    assert cli_main(["--config", str(cfg), "--format", fmt, "limits"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LIMITS_SHA256[fmt]
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_table_rejects_non_finite_column(bad):
+    columns = {c: np.ones(3) for c in COLUMNS}
+    columns["s_ff"] = np.array([1.0, bad, 2.0])
+    with pytest.raises(DivergenceError, match="column s_ff"):
+        SpectrumTable({}, columns)
+
+
+def test_load_table_csv_names_path_of_non_finite_table(tmp_path):
+    table = SpectrumTable({}, {c: np.ones(2) for c in COLUMNS})
+    path = tmp_path / "table.csv"
+    emit_table(table, "csv", path)
+    path.write_text(path.read_text().replace("\n1,", "\nnan,", 1))
+    with pytest.raises(ParameterError, match=r"table\.csv: column rho"):
+        load_table_csv(path)
+
+
+def _reference_read(path):
+    """The reader without a fast path: csv rows, one float() per cell."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or tuple(rows[0]) != CSV_HEADER:
+        raise ParameterError(f"{path}: expected header {','.join(CSV_HEADER)}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            values = []
+        if len(values) != 2 or not all(map(math.isfinite, values)):
+            raise ParameterError(
+                f"{path}: line {lineno}: expected two finite numbers, got {row}"
+            )
+    return np.array([[float(a), float(b)] for a, b in rows[1:]])
+
+
+def _outcome(read, path):
+    try:
+        samples = read(path)
+    except ParameterError as exc:
+        return str(exc)
+    return samples.shape, samples.tobytes()
+
+
+HEADER = ",".join(CSV_HEADER)
+cells = st.one_of(
+    finite.map(repr),
+    st.sampled_from(("nan", "-inf", "", " ", "\t", " 2 ", "#c", "1_0", '"3"', "x", "1e400", "١")),
+)
+lines = st.one_of(
+    st.tuples(cells, cells).map(",".join),
+    st.lists(cells, max_size=3).map(",".join),
+)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.lists(lines, max_size=6),
+    st.sampled_from(("\n", "\r\n", "\r")),
+    st.booleans(),
+)
+def test_read_spectrum_csv_matches_reference(tmp_path, body, newline, final_newline):
+    path = tmp_path / "spectrum.csv"
+    text = newline.join([HEADER, *body]) + (newline if final_newline else "")
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(read_spectrum_csv, path) == _outcome(_reference_read, path)
+
+
+@pytest.mark.parametrize(
+    "body, lineno, got",
+    (("1,2\n\n5,6\n", 3, "[]"), ("1,2\n3,4\n\n", 4, "[]"), ("1,2\n#c\n5,6\n", 3, "['#c']")),
+    ids=("blank-line", "trailing-blank-line", "comment-row"),
+)
+def test_read_spectrum_csv_names_line_loadtxt_would_skip(tmp_path, body, lineno, got):
+    path = tmp_path / "spectrum.csv"
+    path.write_text(HEADER + "\n" + body)
+    with pytest.raises(ParameterError) as info:
+        read_spectrum_csv(path)
+    assert str(info.value) == f"{path}: line {lineno}: expected two finite numbers, got {got}"
+
+
+def test_header_only_spectrum_is_empty_and_calibrate_exits_2(tmp_path, capsys):
+    path = tmp_path / "spectrum.csv"
+    path.write_text(HEADER + "\n")
+    cfg = tmp_path / "cal.cfg"
+    cfg.write_text(f"sideband_csv = {path}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_spectrum_csv(path).size == 0
+        assert cli_main(["--config", str(cfg), "calibrate"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
