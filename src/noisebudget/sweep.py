@@ -75,6 +75,7 @@ COLUMNS = (
 
 READOUTS = ("homodyne", "synodyne", "variational", "stitched")
 SPACINGS = ("linear", "log-symmetric")
+BLOCK_ROWS = 4096  # rows emit_table formats per writelines call
 
 
 @dataclass(frozen=True)
@@ -369,23 +370,35 @@ def emit_table(table: SpectrumTable, fmt: str, destination):
     significant digits so a re-ingested table is bit-identical.  JSON lines
     are always standard JSON with finite numbers, keys sorted; each float is
     its repr, which is what json.dumps writes for a finite float.
+
+    A column whose values all share one bit pattern is formatted once, into
+    the row template; the other columns are formatted BLOCK_ROWS rows at a
+    time, so the writer's memory does not grow with the table's length.
     """
     if fmt not in ("csv", "jsonl"):
         raise ParameterError(f"format must be csv or jsonl, got {fmt!r}")
     own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
     fh = open(destination, "w", newline="") if own else destination
     keys = COLUMNS if fmt == "csv" else sorted(COLUMNS)
-    columns = [table.columns[c].tolist() for c in keys]
+    spec = "%.17g" if fmt == "csv" else "%r"
+    cols = [table.columns[c] for c in keys]
+    n = len(cols[0])
+    same = [n > 0 and (c.view(np.uint64) == c.view(np.uint64)[0]).all() for c in cols]
+    cells = [spec % c[0].item() if k else spec for c, k in zip(cols, same)]
+    varying = [c for c, k in zip(cols, same) if not k]
     try:
         if fmt == "csv":
             for key, value in table.metadata.items():
                 fh.write(f"# {key}: {json.dumps(value, sort_keys=True)}\n")
             fh.write(",".join(COLUMNS) + "\n")
-            line = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
+            line = ",".join(cells) + "\n"
         else:
             fh.write(json.dumps({"metadata": table.metadata}, sort_keys=True) + "\n")
-            line = "{" + ", ".join(f"{json.dumps(k)}: %r" for k in keys) + "}\n"
-        fh.writelines(line % row for row in zip(*columns))
+            line = "{%s}\n" % ", ".join(f"{json.dumps(k)}: {c}" for k, c in zip(keys, cells))
+        for start in range(0, n, BLOCK_ROWS):
+            block = [col[start:start + BLOCK_ROWS].tolist() for col in varying]
+            rows = zip(*block) if block else [()] * min(BLOCK_ROWS, n - start)
+            fh.writelines([line % row for row in rows])
     finally:
         if own:
             fh.close()
@@ -416,9 +429,14 @@ def load_table_csv(path) -> SpectrumTable:
                     raise ParameterError(f"{path}: unexpected header {line!r}")
                 header_seen = True
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            try:
+                rows.append([float(v) for v in line.split(",")])
+            except ValueError:
+                rows.append([])
             if len(rows[-1]) != len(COLUMNS):
-                raise ParameterError(f"{path}: line {lineno}: expected {len(COLUMNS)} values")
+                raise ParameterError(
+                    f"{path}: line {lineno}: expected {len(COLUMNS)} numbers, got {line!r}"
+                )
     if not header_seen:
         raise ParameterError(f"{path}: missing header row")
     data = np.array(rows, dtype=float).reshape(-1, len(COLUMNS))

@@ -1,0 +1,61 @@
+"""Documented invariants of the noise budget, checked over drawn
+(rho, p, phi, epsilon, n_th) rather than at hand-picked points.  The
+tolerances are those of the point tests in test_spectra, test_limits and
+test_synodyne."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from noisebudget import Detection, chi_m_dimensionless
+from noisebudget.limits import uncertainty_product
+from noisebudget.spectra import homodyne_terms
+from noisebudget.sweep import spectrum_columns
+from noisebudget.synodyne import SynodyneLO, synodyne_terms
+
+points = st.tuples(
+    st.floats(-1e4, 1e4),  # rho
+    st.floats(0.1, 100.0),  # p
+    st.floats(0.05, math.pi - 0.05),  # phi, rad
+    st.one_of(st.just(1.0), st.floats(1e-2, 1.0)),  # epsilon
+    st.floats(0.0, 1e4),  # n_th
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points)
+def test_total_is_sum_of_the_five_terms(point):
+    rho, p, phi, eps, n_th = point
+    comps = homodyne_terms(np.array([rho]), p, phi, eps, n_th)
+    columns = spectrum_columns(rho, math.degrees(phi), p, comps)
+    terms = [float(columns[c][0]) for c in ("s_m", "s_ii", "s_ff", "s_corr", "s_ln")]
+    scale = math.fsum(map(abs, terms))
+    assert abs(columns["total"][0] - math.fsum(terms)) <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(points)
+def test_uncertainty_relation(point):
+    rho, p, phi, eps, n_th = point
+    lhs, rhs = uncertainty_product(phi, p, Detection(eps))
+    if eps == 1.0:
+        assert lhs - rhs == pytest.approx(0.0, abs=1e-12)
+    else:
+        assert lhs - rhs > -1e-12
+    # the product is that of the kernel's imprecision and back-action terms
+    comps = homodyne_terms(np.array([rho]), p, phi, eps, n_th)
+    chim2 = abs(chi_m_dimensionless(rho)) ** 2
+    assert comps.s_ii[0] * comps.s_ff[0] / chim2 == pytest.approx(lhs, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points)
+def test_balanced_synodyne_is_homodyne_without_correlation(point):
+    rho, p, phi, eps, n_th = point
+    syn = synodyne_terms(np.array([rho]), p, SynodyneLO(1.0, phi), eps, n_th)
+    hom = homodyne_terms(np.array([rho]), p, phi, eps, n_th)
+    assert syn.total[0] == pytest.approx(hom.total[0] - hom.s_corr[0], rel=1e-12)
+    assert syn.s_corr[0] == pytest.approx(0.0, abs=1e-12)

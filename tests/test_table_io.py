@@ -1,10 +1,11 @@
-"""Table text I/O: JSON-lines emission, the finite-table invariant, and the
-sideband spectrum CSV reader, each checked against a plain reference."""
+"""Table text I/O: CSV and JSON-lines emission, the finite-table invariant,
+and the sideband spectrum CSV reader, each checked against a plain reference."""
 
 import csv
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 from noisebudget import DivergenceError, ParameterError, load_table_csv
 from noisebudget.calibration import CSV_HEADER, read_spectrum_csv
 from noisebudget.cli import main as cli_main
-from noisebudget.sweep import COLUMNS, SpectrumTable, emit_table, table_to_string
+from noisebudget.sweep import (
+    BLOCK_ROWS, COLUMNS, SpectrumTable, emit_table, table_to_string,
+)
 
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-5, 1e-4, 14.0, -3.0, 1.0)
 finite = st.one_of(
@@ -27,18 +30,80 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _reference_text(table, fmt):
+    """The writer without folding or blocks: one json.dumps (JSON lines) or
+    one '%.17g' (CSV) per cell."""
+    rows = zip(*(table.columns[c].tolist() for c in COLUMNS))
+    if fmt == "jsonl":
+        text = json.dumps({"metadata": table.metadata}, sort_keys=True) + "\n"
+        return text + "".join(
+            json.dumps(dict(zip(COLUMNS, row)), sort_keys=True) + "\n" for row in rows
+        )
+    text = "".join(
+        f"# {k}: {json.dumps(v, sort_keys=True)}\n" for k, v in table.metadata.items()
+    )
+    text += ",".join(COLUMNS) + "\n"
+    return text + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+
+
+@st.composite
+def columns(draw):
+    """Columns of one length, each varying, constant, or zeros of either sign."""
+    n = draw(st.integers(0, 12))
+    column = st.one_of(
+        st.lists(finite, min_size=n, max_size=n),
+        finite.map(lambda v: [v] * n),
+        st.lists(st.sampled_from((0.0, -0.0)), min_size=n, max_size=n),
+    )
+    return {c: np.array(draw(column), dtype=float) for c in COLUMNS}
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(*[finite] * len(COLUMNS)), max_size=12))
-def test_jsonl_matches_per_row_json_dumps(rows):
-    columns = {c: np.array([r[i] for r in rows], dtype=float) for i, c in enumerate(COLUMNS)}
+@given(columns())
+def test_jsonl_matches_per_row_json_dumps(columns):
     table = SpectrumTable({"note": "property"}, columns)
-    expected = json.dumps({"metadata": table.metadata}, sort_keys=True) + "\n"
-    for row in zip(*(columns[c].tolist() for c in COLUMNS)):
-        expected += json.dumps(dict(zip(COLUMNS, row)), sort_keys=True) + "\n"
     text = table_to_string(table, "jsonl")
-    assert text == expected
+    assert text == _reference_text(table, "jsonl")
     for line in text.splitlines()[1:]:
         json.loads(line, parse_constant=_reject_constant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns())
+def test_csv_matches_per_cell_format(columns):
+    table = SpectrumTable({"note": "property"}, columns)
+    assert table_to_string(table, "csv") == _reference_text(table, "csv")
+
+
+@pytest.mark.parametrize("fmt", ("csv", "jsonl"))
+@pytest.mark.parametrize(
+    "n", (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
+)
+@pytest.mark.parametrize("varying", (True, False), ids=("mixed", "all-constant"))
+def test_emit_row_blocks(fmt, n, varying):
+    columns = {c: np.full(n, 0.5 * i) for i, c in enumerate(COLUMNS)}
+    columns["s_ii"] = np.full(n, -0.0)
+    if varying:
+        columns["rho"] = np.linspace(-3.0, 3.0, n)
+        columns["total"] = np.arange(n) / 7.0
+    table = SpectrumTable({"rows": n}, columns)
+    text = table_to_string(table, fmt)
+    assert text == _reference_text(table, fmt)
+    assert text.count("\n") == n + (1 if fmt == "jsonl" else 2)
+
+
+@pytest.mark.parametrize("fmt", ("csv", "jsonl"))
+def test_emit_memory_does_not_grow_with_rows(tmp_path, fmt):
+    n = 50_001
+    columns = {c: np.linspace(i, i + 1.0, n) for i, c in enumerate(COLUMNS)}
+    table = SpectrumTable({}, columns)
+    tracemalloc.start()
+    try:
+        emit_table(table, fmt, tmp_path / f"table.{fmt}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, f"{peak / 1e6:.1f} MB"
 
 
 LIMITS_CONFIG = (
@@ -62,6 +127,23 @@ def test_limits_output_golden_sha256(tmp_path, capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == LIMITS_SHA256[fmt]
 
 
+STITCHED_CONFIG = (
+    "rho_min = -10\nrho_max = 10\nrho_count = 21\npowers = 0.7,14\n"
+    "readout = stitched\nstitch_angles_deg = 90,60,120\nepsilon = 0.35\nn_th = 1.29\n"
+)
+# sha256 of `noisebudget --config <STITCHED_CONFIG> spectrum` on stdout,
+# recorded from the writer that formatted every cell of every row
+STITCHED_CSV_SHA256 = "0bd8e9f34d6d06a41b2eabe8810c5ed5cef5b72625d460f3f2de6f0bd76fe193"
+
+
+def test_stitched_spectrum_csv_golden_sha256(tmp_path, capsys):
+    cfg = tmp_path / "stitched.cfg"
+    cfg.write_text(STITCHED_CONFIG)
+    assert cli_main(["--config", str(cfg), "spectrum"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STITCHED_CSV_SHA256
+
+
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 def test_table_rejects_non_finite_column(bad):
     columns = {c: np.ones(3) for c in COLUMNS}
@@ -77,6 +159,16 @@ def test_load_table_csv_names_path_of_non_finite_table(tmp_path):
     path.write_text(path.read_text().replace("\n1,", "\nnan,", 1))
     with pytest.raises(ParameterError, match=r"table\.csv: column rho"):
         load_table_csv(path)
+
+
+def test_load_table_csv_names_line_of_non_numeric_cell(tmp_path):
+    table = SpectrumTable({}, {c: np.ones(2) for c in COLUMNS})
+    path = tmp_path / "table.csv"
+    emit_table(table, "csv", path)
+    path.write_text(path.read_text().replace("\n1,", "\nabc,", 1))
+    with pytest.raises(ParameterError) as info:
+        load_table_csv(path)
+    assert str(info.value) == f"{path}: line 2: expected 10 numbers, got 'abc,1,1,1,1,1,1,1,1,1'"
 
 
 def _reference_read(path):
