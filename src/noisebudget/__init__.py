@@ -53,7 +53,6 @@ from .limits import (  # noqa: F401
     sql_psd,
     stitch_quadratures,
     uncertainty_product,
-    variational_spectrum,
 )
 from .synodyne import (  # noqa: F401
     SynodyneLO,

@@ -14,7 +14,7 @@ invariant on re-ingestion.
 
 from __future__ import annotations
 
-import math
+import copy
 from typing import Dict
 
 import numpy as np
@@ -24,258 +24,145 @@ from .errors import ParameterError
 from .limits import phi_opt, ql_added_noise, sql_psd
 from .spectra import homodyne_terms, light_terms
 from .sweep import (
-    NORMALIZATION_STATEMENT,
-    SpectrumTable,
-    SweepSpec,
-    limit_columns,
-    run_sweep,
+    NORMALIZATION_STATEMENT, SpectrumTable, SweepSpec, limit_columns, run_sweep,
     spectrum_columns,
 )
 from .synodyne import SynodyneLO, synodyne_added_noise, synodyne_terms
 from . import __version__
 
-FIGURE_IDS = (
-    "1a",
-    "1b",
-    "1d",
-    "2a-model",
-    "2b-model",
-    "3a-model",
-    "3b-model",
-    "S2a",
-    "S2b",
-)
-
 # reference parameter sets for the figure data
-_P_FIG1 = 50.0
-_RHO_SLICE = 5.0
-_P_FIG1D = 6.0
-_EPS_EXP = 0.35
-_NTH_EXP = 1.29
-_P_FIG3B = 14.0
-_P_FIG3B_INSET = 28.0
-_P_S2 = 100.0
-_BETA_S2 = 1.02
-_PHI_S2_DEG = 5.8
-
-_RHO_GRID = np.linspace(-20.0, 20.0, 401)
+_IDEAL = {"epsilon": 1.0, "n_th": 0.0}
+_EXP = {"epsilon": 0.35, "n_th": 1.29}  # the experiment's efficiency and occupation
+_STITCH_ANGLES = (45.0, 60.0, 75.0, 90.0)
+_GRID = np.linspace(-20.0, 20.0, 401)  # rho
 _P_GRID = np.logspace(-1.0, 3.0, 121)
 _PHI_GRID_DEG = np.linspace(1.0, 179.0, 179)
 
 
-def _meta(fig_id: str, curve: str, **params) -> dict:
-    return {
-        "artifact_version": __version__,
-        "normalization": NORMALIZATION_STATEMENT,
-        "figure": fig_id,
-        "curve": curve,
-        "params": params,
-    }
+def _columns(kind: str, epsilon: float, n_th: float, rho, p, phi_deg=0.0, beta=None):
+    """Table columns of one curve; rho, p or (light only) phi_deg may be a grid.
 
-
-def _fixed_phi(rho, p, phi_deg: float, epsilon: float, n_th: float) -> dict:
-    """Fixed-angle homodyne columns; rho or p may be a grid."""
-    comps = homodyne_terms(rho, p, math.radians(phi_deg), epsilon, n_th)
+    stitched takes its candidate angles as phi_deg and a linear rho grid.
+    The limit kinds (synodyne_variational, ql, sql) use phi_deg only as
+    their angle column, and ql and sql use p only as their power column.
+    """
+    det = Detection(epsilon)
+    thermal = 2.0 * (n_th + 0.5) * np.abs(chi_m_dimensionless(rho)) ** 2
+    if kind == "homodyne":
+        comps = homodyne_terms(rho, p, np.radians(phi_deg), epsilon, n_th)
+    elif kind == "variational":
+        phi = phi_opt(rho, p, det)
+        phi_deg = np.degrees(phi)
+        comps = homodyne_terms(rho, p, phi, epsilon, n_th)
+    elif kind == "stitched":
+        spec = SweepSpec(
+            rho_min=float(rho[0]), rho_max=float(rho[-1]), rho_count=rho.size,
+            powers=(p,), epsilon=epsilon, n_th=n_th, readout="stitched",
+            stitch_angles_deg=phi_deg,
+        )
+        return run_sweep(spec).columns
+    elif kind == "light":
+        comps = light_terms(rho, np.radians(phi_deg), p, epsilon, n_th)
+    elif kind == "synodyne":
+        lo = SynodyneLO(beta, np.radians(phi_deg))
+        comps = synodyne_terms(rho, p, lo, epsilon, n_th)
+    elif kind == "synodyne_variational":
+        added = synodyne_added_noise(rho, p, det)
+        return limit_columns(rho, added, thermal, phi_deg, p)
+    elif kind == "ql":
+        return limit_columns(rho, ql_added_noise(rho, det), thermal, phi_deg, p)
+    else:  # sql
+        return limit_columns(rho, sql_psd(rho), thermal, phi_deg, p)
     return spectrum_columns(rho, phi_deg, p, comps)
 
 
-def _variational(rho, p, epsilon: float, n_th: float) -> dict:
-    """Columns at the correlation-optimal angle; rho or p may be a grid."""
-    phi = phi_opt(rho, p, Detection(epsilon))
-    comps = homodyne_terms(rho, p, phi, epsilon, n_th)
-    return spectrum_columns(rho, np.degrees(phi), p, comps)
-
-
-def _zpm(rho):
-    return np.abs(chi_m_dimensionless(rho)) ** 2
-
-
-def _broadband_limits(fig_id: str) -> Dict[str, SpectrumTable]:
-    """SQL (power-optimized, plus zero point) and ideal-detector QL curves."""
-    grid, zpm = _RHO_GRID, _zpm(_RHO_GRID)
-    return {
-        "sql": SpectrumTable(
-            _meta(fig_id, "sql", power_optimized=True, include_zpm=True),
-            limit_columns(grid, sql_psd(grid), zpm, 90.0, 0.0),
-        ),
-        "ql": SpectrumTable(
-            _meta(fig_id, "ql", power_optimized=True, epsilon=1.0, n_th=0.0),
-            limit_columns(grid, ql_added_noise(grid, Detection(1.0)), zpm, 0.0, 0.0),
-        ),
-    }
-
-
-def _fig_1a() -> Dict[str, SpectrumTable]:
-    grid = _RHO_GRID
-    out = {}
-    for phi_deg in (90.0, 25.0):
-        out[f"phi{phi_deg:g}"] = SpectrumTable(
-            _meta("1a", f"phi{phi_deg:g}", p=_P_FIG1, epsilon=1.0, n_th=0.0),
-            _fixed_phi(grid, _P_FIG1, phi_deg, 1.0, 0.0),
-        )
-    out["variational"] = SpectrumTable(
-        _meta("1a", "variational", p=_P_FIG1, epsilon=1.0, n_th=0.0),
-        _variational(grid, _P_FIG1, 1.0, 0.0),
-    )
-    out.update(_broadband_limits("1a"))
-    return out
-
-
-def _fig_1b() -> Dict[str, SpectrumTable]:
-    rho = _RHO_SLICE
-    zpm = _zpm(rho)
-    out = {}
-    for phi_deg in (90.0, 25.0):
-        out[f"phi{phi_deg:g}"] = SpectrumTable(
-            _meta("1b", f"phi{phi_deg:g}", rho=rho, epsilon=1.0, n_th=0.0),
-            _fixed_phi(rho, _P_GRID, phi_deg, 1.0, 0.0),
-        )
-    out["variational"] = SpectrumTable(
-        _meta("1b", "variational", rho=rho, epsilon=1.0, n_th=0.0),
-        _variational(rho, _P_GRID, 1.0, 0.0),
-    )
-    out["ql"] = SpectrumTable(
-        _meta("1b", "ql", rho=rho, epsilon=1.0, n_th=0.0),
-        limit_columns(rho, ql_added_noise(rho, Detection(1.0)), zpm, 0.0, 0.0),
-    )
-    out["sql"] = SpectrumTable(
-        _meta("1b", "sql", rho=rho, include_zpm=True),
-        limit_columns(rho, sql_psd(rho), zpm, 90.0, 0.0),
-    )
-    return out
-
-
-def _fig_1d() -> Dict[str, SpectrumTable]:
-    comps = light_terms(_RHO_SLICE, np.radians(_PHI_GRID_DEG), _P_FIG1D, 1.0, 0.0)
-    return {
-        "light_psd": SpectrumTable(
-            _meta("1d", "light_psd", rho=_RHO_SLICE, p=_P_FIG1D,
-                  epsilon=1.0, n_th=0.0, units="shot-noise"),
-            spectrum_columns(_RHO_SLICE, _PHI_GRID_DEG, _P_FIG1D, comps),
-        )
-    }
-
-
-def _power_sweeps(fig_id: str, rhos, angles, key="rho{rho:g}_phi{phi:g}"):
+def _power_sweeps(rhos, angles, key="rho{rho:g}_phi{phi:g}") -> list:
     """Fixed-angle power sweeps at the experiment's efficiency and occupation."""
-    out = {}
-    for rho in rhos:
-        for phi_deg in angles:
-            name = key.format(rho=rho, phi=phi_deg)
-            out[name] = SpectrumTable(
-                _meta(fig_id, name, rho=rho, phi_deg=phi_deg,
-                      epsilon=_EPS_EXP, n_th=_NTH_EXP),
-                _fixed_phi(rho, _P_GRID, phi_deg, _EPS_EXP, _NTH_EXP),
-            )
-    return out
+    return [
+        (key.format(rho=rho, phi=phi), "homodyne", (rho, _P_GRID, phi),
+         dict(_EXP, rho=rho, phi_deg=phi))
+        for rho in rhos for phi in angles
+    ]
 
 
-def _insets(fig_id: str, p: float, angles, **extra) -> Dict[str, SpectrumTable]:
+def _insets(p: float, angles, **extra) -> list:
     """Fixed-angle spectra over the figure grid at power p."""
-    out = {}
-    for phi_deg in angles:
-        name = f"inset_phi{phi_deg:g}"
-        out[name] = SpectrumTable(
-            _meta(fig_id, name, p=p, phi_deg=phi_deg, epsilon=_EPS_EXP,
-                  n_th=_NTH_EXP, **extra),
-            _fixed_phi(_RHO_GRID, p, phi_deg, _EPS_EXP, _NTH_EXP),
-        )
-    return out
+    return [
+        (f"inset_phi{phi:g}", "homodyne", (_GRID, p, phi),
+         dict(_EXP, p=p, phi_deg=phi, **extra))
+        for phi in angles
+    ]
 
 
-def _fig_2a() -> Dict[str, SpectrumTable]:
-    return _power_sweeps("2a-model", (0.0, 2.5, 5.0, 10.0), (90.0,), key="rho{rho:g}")
+# power-optimized SQL (plus zero point) and ideal-detector QL over the grid
+_BROADBAND_LIMITS = [
+    ("sql", "sql", (_GRID, 0.0, 90.0), {"power_optimized": True, "include_zpm": True}),
+    ("ql", "ql", (_GRID, 0.0), dict(_IDEAL, power_optimized=True)),
+]
 
-
-def _fig_2b() -> Dict[str, SpectrumTable]:
-    out = _power_sweeps("2b-model", (_RHO_SLICE, -_RHO_SLICE), (90.0, 45.0))
-    out.update(_insets("2b-model", _P_FIG3B, (90.0, 45.0)))
-    return out
-
-
-def _fig_3a() -> Dict[str, SpectrumTable]:
-    return _power_sweeps("3a-model", (_RHO_SLICE, -_RHO_SLICE), (45.0, 60.0, 75.0, 90.0))
-
-
-def _fig_3b() -> Dict[str, SpectrumTable]:
-    angles = (45.0, 60.0, 75.0, 90.0)
-    stitched = SweepSpec(
-        rho_min=float(_RHO_GRID[0]), rho_max=float(_RHO_GRID[-1]),
-        rho_count=_RHO_GRID.size, powers=(_P_FIG3B,), epsilon=_EPS_EXP,
-        n_th=_NTH_EXP, readout="stitched", stitch_angles_deg=angles,
-    )
-    out = {
-        "stitched": SpectrumTable(
-            _meta("3b-model", "stitched", p=_P_FIG3B, epsilon=_EPS_EXP,
-                  n_th=_NTH_EXP, angles_deg=list(angles)),
-            run_sweep(stitched).columns,
-        ),
-        "phi90": SpectrumTable(
-            _meta("3b-model", "phi90", p=_P_FIG3B, epsilon=_EPS_EXP,
-                  n_th=_NTH_EXP),
-            _fixed_phi(_RHO_GRID, _P_FIG3B, 90.0, _EPS_EXP, _NTH_EXP),
-        ),
-    }
-    out.update(_insets("3b-model", _P_FIG3B_INSET, angles,
-                       note="total_over_sql column is the inset normalization"))
-    return out
-
-
-def _fig_s2a() -> Dict[str, SpectrumTable]:
-    lo = SynodyneLO(_BETA_S2, 0.0)
-    syn = synodyne_terms(_RHO_GRID, _P_S2, lo, 1.0, 0.0)
-    return {
-        "synodyne_beta1.02": SpectrumTable(
-            _meta("S2a", "synodyne_beta1.02", p=_P_S2, beta=_BETA_S2,
-                  phi_deg=0.0, epsilon=1.0, n_th=0.0),
-            spectrum_columns(_RHO_GRID, 0.0, _P_S2, syn),
-        ),
-        "homodyne_phi5.8": SpectrumTable(
-            _meta("S2a", "homodyne_phi5.8", p=_P_S2, phi_deg=_PHI_S2_DEG,
-                  epsilon=1.0, n_th=0.0),
-            _fixed_phi(_RHO_GRID, _P_S2, _PHI_S2_DEG, 1.0, 0.0),
-        ),
-        "homodyne_phi90": SpectrumTable(
-            _meta("S2a", "homodyne_phi90", p=_P_S2, phi_deg=90.0,
-                  epsilon=1.0, n_th=0.0),
-            _fixed_phi(_RHO_GRID, _P_S2, 90.0, 1.0, 0.0),
-        ),
-    }
-
-
-def _fig_s2b() -> Dict[str, SpectrumTable]:
-    grid = _RHO_GRID
-    return {
-        "homodyne_variational": SpectrumTable(
-            _meta("S2b", "homodyne_variational", p=_P_S2, epsilon=1.0, n_th=0.0),
-            _variational(grid, _P_S2, 1.0, 0.0),
-        ),
-        "synodyne_variational": SpectrumTable(
-            _meta("S2b", "synodyne_variational", p=_P_S2, epsilon=1.0, n_th=0.0),
-            limit_columns(grid, synodyne_added_noise(grid, _P_S2, Detection(1.0)),
-                          _zpm(grid), 0.0, _P_S2),
-        ),
-        **_broadband_limits("S2b"),
-    }
-
-
-_DISPATCH = {
-    "1a": _fig_1a,
-    "1b": _fig_1b,
-    "1d": _fig_1d,
-    "2a-model": _fig_2a,
-    "2b-model": _fig_2b,
-    "3a-model": _fig_3a,
-    "3b-model": _fig_3b,
-    "S2a": _fig_s2a,
-    "S2b": _fig_s2b,
+# Per figure id, its curves in output order as (name, kind, inputs, metadata
+# params).  inputs are _columns' (rho, p[, phi_deg[, beta]]); epsilon and n_th
+# come from params, so the metadata names what was evaluated, and default to
+# an ideal detector in the ground state where params name neither (the SQL).
+_FIGURES = {
+    "1a": [
+        ("phi90", "homodyne", (_GRID, 50.0, 90.0), dict(_IDEAL, p=50.0)),
+        ("phi25", "homodyne", (_GRID, 50.0, 25.0), dict(_IDEAL, p=50.0)),
+        ("variational", "variational", (_GRID, 50.0), dict(_IDEAL, p=50.0)),
+        *_BROADBAND_LIMITS,
+    ],
+    "1b": [
+        ("phi90", "homodyne", (5.0, _P_GRID, 90.0), dict(_IDEAL, rho=5.0)),
+        ("phi25", "homodyne", (5.0, _P_GRID, 25.0), dict(_IDEAL, rho=5.0)),
+        ("variational", "variational", (5.0, _P_GRID), dict(_IDEAL, rho=5.0)),
+        ("ql", "ql", (5.0, 0.0), dict(_IDEAL, rho=5.0)),
+        ("sql", "sql", (5.0, 0.0, 90.0), dict(rho=5.0, include_zpm=True)),
+    ],
+    "1d": [
+        ("light_psd", "light", (5.0, 6.0, _PHI_GRID_DEG),
+         dict(_IDEAL, rho=5.0, p=6.0, units="shot-noise")),
+    ],
+    "2a-model": _power_sweeps((0.0, 2.5, 5.0, 10.0), (90.0,), key="rho{rho:g}"),
+    "2b-model": _power_sweeps((5.0, -5.0), (90.0, 45.0)) + _insets(14.0, (90.0, 45.0)),
+    "3a-model": _power_sweeps((5.0, -5.0), _STITCH_ANGLES),
+    "3b-model": [
+        ("stitched", "stitched", (_GRID, 14.0, _STITCH_ANGLES),
+         dict(_EXP, p=14.0, angles_deg=list(_STITCH_ANGLES))),
+        ("phi90", "homodyne", (_GRID, 14.0, 90.0), dict(_EXP, p=14.0)),
+        *_insets(28.0, _STITCH_ANGLES,
+                 note="total_over_sql column is the inset normalization"),
+    ],
+    "S2a": [
+        ("synodyne_beta1.02", "synodyne", (_GRID, 100.0, 0.0, 1.02),
+         dict(_IDEAL, p=100.0, beta=1.02, phi_deg=0.0)),
+        ("homodyne_phi5.8", "homodyne", (_GRID, 100.0, 5.8),
+         dict(_IDEAL, p=100.0, phi_deg=5.8)),
+        ("homodyne_phi90", "homodyne", (_GRID, 100.0, 90.0),
+         dict(_IDEAL, p=100.0, phi_deg=90.0)),
+    ],
+    "S2b": [
+        ("homodyne_variational", "variational", (_GRID, 100.0), dict(_IDEAL, p=100.0)),
+        ("synodyne_variational", "synodyne_variational", (_GRID, 100.0),
+         dict(_IDEAL, p=100.0)),
+        *_BROADBAND_LIMITS,
+    ],
 }
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def reproduce_figure(fig_id: str) -> Dict[str, SpectrumTable]:
     """Model curves for a reference figure id, keyed by curve name."""
-    if fig_id not in _DISPATCH:
+    if fig_id not in _FIGURES:
         raise ParameterError(
             f"unknown figure id {fig_id!r}; supported: {', '.join(FIGURE_IDS)}"
         )
-    return _DISPATCH[fig_id]()
+    meta = {"artifact_version": __version__, "normalization": NORMALIZATION_STATEMENT}
+    return {
+        curve: SpectrumTable(
+            dict(meta, figure=fig_id, curve=curve, params=copy.deepcopy(params)),
+            _columns(
+                kind, params.get("epsilon", 1.0), params.get("n_th", 0.0), *inputs
+            ),
+        )
+        for curve, kind, inputs, params in _FIGURES[fig_id]
+    }

@@ -1,11 +1,10 @@
-"""SQL and QL reference curves, variational readout, and force sensitivity.
+"""SQL and QL references, variational readout, stitching, and force sensitivity.
 
 The SQL here is the added measurement noise with uncorrelated imprecision and
 backaction, 1/sqrt(1 + rho^2) in dimensionless units; the QL is the deeper
 bound from mechanical quadrature non-commutation, reached by measuring at the
-correlation-optimal quadrature and power.  Limit curves exclude the thermal +
-zero-point term unless the mode carries n_th > 0 or zero-point inclusion is
-requested explicitly.
+correlation-optimal quadrature and power.  sql_psd and ql_added_noise are the
+added noise alone; ql_psd adds the mode's thermal + zero-point term.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .core import Detection, MechanicalMode, chi_m_dimensionless, cot
 from .errors import ParameterError
-from .spectra import displacement_psd, homodyne_terms
+from .spectra import _check_phi, displacement_psd, homodyne_terms
 
 P_CAP = 1e9
 
@@ -36,7 +35,7 @@ class LimitCurve:
 
     grid: np.ndarray
     values: np.ndarray
-    kind: str  # "SQL" | "QL" | "variational-fixed-p" | "fixed-angle"
+    kind: str  # "fixed-angle"
     params: dict = field(default_factory=dict)
 
 
@@ -117,8 +116,10 @@ def uncertainty_product(phi: float, p: float, det: Detection):
     """(S_II * S_FF, 1/4 + S_IF^2) for the probe uncertainty relation.
 
     lhs >= rhs always, with equality iff eps = 1; the product is power
-    independent but computed through the power-carrying components.
+    independent but computed through the power-carrying components.  phi = 0
+    or pi is a DivergenceError, as in displacement_psd.
     """
+    _check_phi(phi)
     if not p > 0:
         raise ParameterError(f"p must be positive, got {p}")
     c = cot(phi)
@@ -126,40 +127,6 @@ def uncertainty_product(phi: float, p: float, det: Detection):
     s_ff = 0.5 * p
     s_if = -0.5 * c
     return s_ii * s_ff, 0.25 + s_if**2
-
-
-def sql_curve(grid, include_zpm: bool = False) -> LimitCurve:
-    """SQL reference curve; include_zpm adds one zero-point unit |chi_m|^2."""
-    grid = np.asarray(grid, dtype=float)
-    values = sql_psd(grid)
-    if include_zpm:
-        values = values + np.abs(chi_m_dimensionless(grid)) ** 2
-    return LimitCurve(grid, values, "SQL", {"include_zpm": include_zpm})
-
-
-def ql_curve(grid, det: Detection, mode: MechanicalMode) -> LimitCurve:
-    """QL reference curve (thermal + zero point per the mode's n_th)."""
-    grid = np.asarray(grid, dtype=float)
-    return LimitCurve(
-        grid,
-        ql_psd(grid, det, mode),
-        "QL",
-        {"epsilon": det.epsilon, "n_th": mode.n_th},
-    )
-
-
-def variational_spectrum(
-    grid, p: float, det: Detection, mode: MechanicalMode
-) -> LimitCurve:
-    """Pointwise psd_at_phi_opt over the grid at fixed power."""
-    grid = np.asarray(grid, dtype=float)
-    values = psd_at_phi_opt(grid, p, det, mode)
-    return LimitCurve(
-        grid,
-        values,
-        "variational-fixed-p",
-        {"p": p, "epsilon": det.epsilon, "n_th": mode.n_th},
-    )
 
 
 def fixed_angle_spectrum(

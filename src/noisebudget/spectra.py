@@ -263,20 +263,18 @@ def classical_noise_psd(
 ) -> float:
     """Classical-noise contribution to the light PSD (shot-noise units).
 
-    Three terms: a quadrature-independent part proportional to
-    c_aa + c_pp, a quadrature-exchange part proportional to c_aa - c_pp,
-    and the amplitude-phase cross term.  For a resonant probe at phi = 90 deg
-    this reduces to 8 eps (kappa/2)^2 |chi_c(omega)|^2 c_pp.  Broadcasts
-    over omega and phi.
+    2 eps (kappa/2)^2 |sqrt(c_aa) (A + B) + i sqrt(c_pp) (A - B)|^2 with
+    A = chi_c(-omega) e^{-i phi} and B = conj(chi_c(omega)) e^{i phi}: the
+    sum of a part proportional to c_aa + c_pp, a quadrature-exchange part
+    proportional to c_aa - c_pp and the amplitude-phase cross term, written
+    as one squared magnitude so it is never negative.  For a resonant probe
+    at phi = 90 deg this reduces to 8 eps (kappa/2)^2 |chi_c(omega)|^2 c_pp.
+    Broadcasts over omega and phi.
     """
-    eps = det.epsilon
-    k2 = (cav.kappa / 2.0) ** 2
-    cm = chi_c(-omega, cav)
-    cp = chi_c(omega, cav)
-    cross = cm * cp * np.exp(-2j * phi)
-    out = 2.0 * eps * (noise.c_aa + noise.c_pp) * k2 * (np.abs(cm) ** 2 + np.abs(cp) ** 2)
-    out = out + 4.0 * eps * (noise.c_aa - noise.c_pp) * k2 * cross.real
-    return out - 8.0 * eps * noise.c_ap * k2 * cross.imag
+    a = chi_c(-omega, cav) * np.exp(-1j * phi)
+    b = np.conj(chi_c(omega, cav)) * np.exp(1j * phi)
+    amp = math.sqrt(noise.c_aa) * (a + b) + 1j * math.sqrt(noise.c_pp) * (a - b)
+    return 2.0 * det.epsilon * (cav.kappa / 2.0) ** 2 * np.abs(amp) ** 2
 
 
 def classical_noise_displacement(

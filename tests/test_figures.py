@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from noisebudget import ParameterError, chi_m_dimensionless, reproduce_figure
 from noisebudget.cli import main as cli_main
 from noisebudget.figures import FIGURE_IDS
 from noisebudget.limits import sql_psd
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _at(rows, rho):
@@ -158,13 +161,26 @@ def test_figure_out_files_join_to_stdout(tmp_path, capsys, fig_id, fmt):
     out = _figure_stdout(capsys, fig_id, fmt)
     names = re.findall(r"^# --- (.+) ---$", out, re.M)
     base = tmp_path / f"base.{fmt}"
-    assert cli_main(["--format", fmt, "--out", str(base), "reproduce-figure", fig_id]) == 0
+    argv = ["--format", fmt, "--out", str(base), "reproduce-figure", fig_id]
+    assert cli_main(argv) == 0
     if len(names) == 1:
         paths = [base]
     else:
         paths = [tmp_path / f"base.{name}.{fmt}" for name in names]
     assert sorted(tmp_path.iterdir()) == sorted(paths)
     joined = "".join(
-        f"# --- {name} ---\n" + path.read_bytes().decode() for name, path in zip(names, paths)
+        f"# --- {name} ---\n" + path.read_bytes().decode()
+        for name, path in zip(names, paths)
     )
     assert joined == out
+
+
+def test_readme_lists_every_figure_curve_in_order():
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"Figure ids for `reproduce-figure`.*?\n\n(.*?)\n\n", text, re.S)
+    assert match, "README has no figure list"
+    items = re.findall(r"^- `([^`]+)`: (.*?)(?=^- |\Z)", match.group(1), re.S | re.M)
+    listed = {fig_id: re.findall(r"`([^`]+)`", curves) for fig_id, curves in items}
+    assert tuple(listed) == FIGURE_IDS
+    for fig_id, curves in listed.items():
+        assert curves == list(reproduce_figure(fig_id)), fig_id

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisebudget import Detection, chi_m_dimensionless
+from noisebudget import ClassicalNoise, Detection, OpticalCavity, chi_m_dimensionless
 from noisebudget.limits import uncertainty_product
-from noisebudget.spectra import homodyne_terms
+from noisebudget.spectra import classical_noise_psd, homodyne_terms
 from noisebudget.sweep import spectrum_columns
 from noisebudget.synodyne import SynodyneLO, synodyne_terms
 
@@ -59,3 +59,28 @@ def test_balanced_synodyne_is_homodyne_without_correlation(point):
     hom = homodyne_terms(np.array([rho]), p, phi, eps, n_th)
     assert syn.total[0] == pytest.approx(hom.total[0] - hom.s_corr[0], rel=1e-12)
     assert syn.s_corr[0] == pytest.approx(0.0, abs=1e-12)
+
+
+@st.composite
+def noisy_points(draw):
+    """(omega, phi, epsilon, cavity, noise) with the angle often drawn next to
+    the root of the classical-noise quadratic form, where its parts cancel;
+    for a resonant probe that root is phi = atan2(sqrt(c_pp), sqrt(c_aa)) + pi/2."""
+    kappa = 2 * math.pi * draw(st.floats(1e5, 1e8))
+    omega = 2 * math.pi * draw(st.floats(1e3, 1e8)) * draw(st.sampled_from((-1, 1)))
+    level = st.one_of(st.just(0.0), st.floats(1e-4, 10.0))
+    c_aa, c_pp = draw(level), draw(level)
+    root = math.atan2(math.sqrt(c_pp), math.sqrt(c_aa)) + math.pi / 2
+    phi = draw(st.one_of(
+        st.floats(0.05, math.pi - 0.05),
+        st.floats(-1e-6, 1e-6).map(lambda d: (root + d) % math.pi),
+    ))
+    eps = draw(st.floats(1e-2, 1.0))
+    return omega, phi, Detection(eps), OpticalCavity(kappa), ClassicalNoise(c_aa, c_pp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(noisy_points())
+def test_classical_noise_is_never_negative(point):
+    omega, phi, det, cav, noise = point
+    assert classical_noise_psd(omega, phi, det, cav, noise) >= 0.0

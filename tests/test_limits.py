@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 
 from noisebudget import (
     Detection,
+    DivergenceError,
     MechanicalMode,
     ParameterError,
     chi_m_dimensionless,
@@ -22,15 +23,9 @@ from noisebudget import (
     sql_psd,
     stitch_quadratures,
     uncertainty_product,
-    variational_spectrum,
 )
-from noisebudget.limits import (
-    P_CAP,
-    fixed_angle_spectrum,
-    ql_added_noise,
-    ql_curve,
-    sql_curve,
-)
+from noisebudget.limits import P_CAP, fixed_angle_spectrum, ql_added_noise
+from noisebudget.spectra import homodyne_terms
 from noisebudget.synodyne import synodyne_variational
 
 
@@ -142,24 +137,29 @@ def test_uncertainty_product(ideal_det, exp_det):
         assert lhs - rhs > 0.0
 
 
-def test_curves_and_variational(ideal_det, zero_mode, exp_det, exp_mode):
+@pytest.mark.parametrize("phi", (0.0, math.pi))
+def test_uncertainty_product_diverges_at_phi_0_and_pi(ideal_det, phi):
+    with pytest.raises(DivergenceError, match="phi = 0 or pi"):
+        uncertainty_product(phi, 1.0, ideal_det)
+
+
+def test_sql_zero_point_and_variational_bounds(exp_det, exp_mode):
     grid = np.linspace(-10.0, 10.0, 81)
-    sql = sql_curve(grid)
-    np.testing.assert_allclose(sql.values, sql_psd(grid), rtol=1e-12)
-    with_zpm = sql_curve(grid, include_zpm=True)
-    np.testing.assert_allclose(
-        with_zpm.values - sql.values,
-        np.abs(chi_m_dimensionless(grid)) ** 2,
-        rtol=1e-12,
-    )
-    ql = ql_curve(grid, exp_det, exp_mode)
-    var = variational_spectrum(grid, 50.0, exp_det, exp_mode)
-    phase = fixed_angle_spectrum(grid, 50.0, math.pi / 2.0, exp_det, exp_mode)
+    chim2 = np.abs(chi_m_dimensionless(grid)) ** 2
+    # SQL + zero point: ideal ground-state phase-quadrature readout at the
+    # power 1/|chi_m| that minimizes its added noise
+    p_sql = np.sqrt(1.0 + grid**2)
+    sql_zpm = homodyne_terms(grid, p_sql, math.pi / 2.0, 1.0, 0.0).total
+    np.testing.assert_allclose(sql_zpm - sql_psd(grid), chim2, rtol=1e-12)
+    ql = ql_psd(grid, exp_det, exp_mode)
+    var = psd_at_phi_opt(grid, 50.0, exp_det, exp_mode)
+    eps, n_th = exp_det.epsilon, exp_mode.n_th
+    phase = homodyne_terms(grid, 50.0, math.pi / 2.0, eps, n_th).total
     # variational never loses to the phase quadrature, and never beats QL
-    assert np.all(var.values <= phase.values + 1e-12)
-    assert np.all(var.values >= ql.values - 1e-12)
+    assert np.all(var <= phase + 1e-12)
+    assert np.all(var >= ql - 1e-12)
     i0 = np.argmin(np.abs(grid))
-    assert var.values[i0] == pytest.approx(phase.values[i0], rel=1e-12)
+    assert var[i0] == pytest.approx(phase[i0], rel=1e-12)
 
 
 def test_variational_tangent_to_ql_at_matching_power(ideal_det, zero_mode):
