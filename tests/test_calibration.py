@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
-from conftest import GAMMA, KAPPA, OMEGA_M
+from conftest import F_GAMMA_HZ, F_M_HZ, GAMMA, KAPPA, NTH_EXP, OMEGA_M
 from noisebudget import (
     Detection,
     EfficiencyBudget,
@@ -19,8 +22,12 @@ from noisebudget import (
     rescale_occupation,
     synth_sideband_spectrum,
 )
+from noisebudget import calibration
 from noisebudget.calibration import (
     SidebandFit,
+    _deterministic_init,
+    _lorentzian,
+    _lorentzian_jacobian,
     blue_sideband_amplitude,
     coupling_from_damping_series,
     fit_sidebands,
@@ -28,7 +35,7 @@ from noisebudget.calibration import (
     write_spectrum_csv,
 )
 from noisebudget.cli import main as cli_main
-from noisebudget.errors import NonphysicalAsymmetryError, NoPeakError
+from noisebudget.errors import FitConvergenceError, NonphysicalAsymmetryError, NoPeakError
 
 
 def test_n_th_from_sidebands():
@@ -174,6 +181,107 @@ def test_fit_lorentzian_input_validation():
         fit_lorentzian(narrow)
     with pytest.raises(ParameterError):
         fit_lorentzian(np.ones((10, 3)))
+
+
+# central differences with steps of 1e-4 of each parameter's scale are
+# within ~1e-8 of the column's largest entry (truncation), plus the rounding
+# of the model values, a few ulp of the largest one, divided by the step
+JACOBIAN_RTOL = 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    center=st.floats(-1e7, 1e7),
+    gamma=st.floats(1e-3, 1e5),
+    amplitude=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+    offset=st.floats(-1e3, 1e3),
+    span=st.floats(0.1, 50.0),
+    n=st.integers(1, 64),
+)
+def test_lorentzian_jacobian_matches_central_differences(
+    center, gamma, amplitude, offset, span, n
+):
+    x = center + gamma * np.linspace(-span, span, n)
+    theta = np.array([center, gamma, amplitude, offset])
+    jac = _lorentzian_jacobian(x)(theta).copy()
+    assert jac.shape == (4, n)
+    scale = (gamma, gamma, abs(amplitude), max(1.0, abs(offset)))
+    for k, row in enumerate(jac):
+        h = np.zeros(4)
+        h[k] = 1e-4 * scale[k]
+        hi, lo = theta + h, theta - h
+        f_hi, f_lo = _lorentzian(x, *hi), _lorentzian(x, *lo)
+        central = (f_hi - f_lo) / (hi[k] - lo[k])
+        rounding = 8 * np.finfo(float).eps * np.abs([f_hi, f_lo]).max() / (hi[k] - lo[k])
+        bound = JACOBIAN_RTOL * np.abs(row).max() + rounding
+        np.testing.assert_array_less(np.abs(row - central), bound)
+
+
+def _finite_difference_fit(samples):
+    """The fit this module used before the analytic Jacobian: scipy's
+    least_squares Levenberg-Marquardt with its default 2-point differences,
+    same initial guess and tolerances; returns (theta, cost)."""
+    x, y = samples[:, 0], samples[:, 1]
+    init = _deterministic_init(x, y)
+    res = least_squares(
+        lambda theta: _lorentzian(x, *theta) - y,
+        [init.center, init.gamma, init.amplitude, init.offset],
+        method="lm",
+        gtol=1e-10,
+        xtol=1e-14,
+        ftol=1e-14,
+        max_nfev=1000,
+    )
+    assert res.status > 0
+    return res.x, res.cost
+
+
+# worst gaps seen over 80 seeds: 4.9e-7 linewidths (center), 3.8e-7 (gamma)
+FIT_RTOL = 2e-6
+
+
+@pytest.mark.parametrize("samples", (2001, 100001))
+def test_fit_lorentzian_matches_finite_difference_reference(samples):
+    grid = np.linspace(F_M_HZ - 25e3, F_M_HZ + 25e3, samples)
+    for seed in range(40):
+        amplitude = 0.5 * (1.0 + 1.0 / NTH_EXP) if seed % 2 else 0.5
+        truth = LorentzianFit(F_M_HZ, F_GAMMA_HZ, amplitude, 1.0, 0.0)
+        data = synth_sideband_spectrum(truth, grid, noise_sigma=0.01, seed=seed)
+        fit = fit_lorentzian(data)
+        (center, gamma, amp, offset), cost = _finite_difference_fit(data)
+        assert abs(fit.center - center) <= FIT_RTOL * gamma, seed
+        assert fit.gamma == pytest.approx(gamma, rel=FIT_RTOL), seed
+        assert fit.amplitude == pytest.approx(amp, rel=FIT_RTOL), seed
+        assert fit.offset == pytest.approx(offset, rel=FIT_RTOL), seed
+        theta = (fit.center, fit.gamma, fit.amplitude, fit.offset)
+        fit_cost = 0.5 * np.sum((_lorentzian(grid, *theta) - data[:, 1]) ** 2)
+        assert fit_cost <= cost * (1.0 + 1e-12), seed
+        assert fit.residual_rms == pytest.approx(math.sqrt(2.0 * fit_cost / samples), rel=1e-9)
+
+
+def test_fit_lorentzian_raises_convergence_error_at_max_nfev(tmp_path, capsys, monkeypatch):
+    grid = np.linspace(-1600.0, 1600.0, 400)
+    red = synth_sideband_spectrum(
+        LorentzianFit(0.0, 325.0, 1.35, 1.0, 0.0), grid, noise_sigma=0.005, seed=1
+    )
+    blue = synth_sideband_spectrum(
+        LorentzianFit(0.0, 325.0, 0.78, 1.0, 0.0), grid, noise_sigma=0.005, seed=2
+    )
+    monkeypatch.setattr(calibration, "MAX_NFEV", 3)
+    with pytest.raises(FitConvergenceError, match="MAX_NFEV = 3 residual evaluations") as info:
+        fit_lorentzian(red)
+    assert isinstance(info.value.best_fit, LorentzianFit)
+    assert math.isfinite(info.value.residual_rms)
+    assert info.value.best_fit.residual_rms == info.value.residual_rms
+    paths = {}
+    for name, samples in (("red", red), ("blue", blue)):
+        paths[name] = tmp_path / f"{name}.csv"
+        write_spectrum_csv(paths[name], samples)
+    cfg = tmp_path / "cal.cfg"
+    cfg.write_text(f"red_csv = {paths['red']}\nblue_csv = {paths['blue']}\n")
+    assert cli_main(["--config", str(cfg), "calibrate"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ") and "MAX_NFEV = 3" in err
 
 
 def test_fit_sidebands_thermometry():
