@@ -178,30 +178,20 @@ def _lorentzian(x, center, gamma, amplitude, offset):
     return offset + amplitude * hw2 / (hw2 + (x - center) ** 2)
 
 
-def _lorentzian_jacobian(x):
-    """jacobian(theta): derivatives of _lorentzian at the points x with
-    respect to theta = (center, gamma, amplitude, offset), as one (4, N)
-    array with a row per parameter (MINPACK's col_deriv layout).
+def _lorentzian_jacobian(theta, x):
+    """Derivatives of _lorentzian at the points x with respect to
+    theta = (center, gamma, amplitude, offset), as one (4, N) array with a
+    row per parameter (MINPACK's col_deriv layout).
 
     With d = x - center, hw = gamma/2 and den = hw^2 + d^2 they are
-    2 A hw^2 d / den^2, A hw d^2 / den^2, hw^2 / den and 1.  Each call
-    overwrites and returns the same array, which leastsq copies.
+    2 A hw^2 d / den^2, A hw d^2 / den^2, hw^2 / den and 1.
     """
-    jac = np.empty((4, x.size))
-    jac[3] = 1.0
-
-    def jacobian(theta):
-        center, gamma, amplitude, _ = theta
-        hw = 0.5 * gamma
-        d = x - center
-        den = hw * hw + d * d
-        q = amplitude * hw / (den * den)
-        np.multiply(2.0 * hw * d, q, out=jac[0])
-        np.multiply(d * d, q, out=jac[1])
-        np.divide(hw * hw, den, out=jac[2])
-        return jac
-
-    return jacobian
+    center, gamma, amplitude, _ = theta
+    hw = 0.5 * gamma
+    d = x - center
+    den = hw * hw + d * d
+    q = amplitude * hw / (den * den)
+    return np.array([2.0 * hw * d * q, d * d * q, hw * hw / den, np.ones_like(x)])
 
 
 def _deterministic_init(x, y) -> LorentzianFit:
@@ -267,14 +257,15 @@ def fit_lorentzian(
             f"{x[-1] - x[0]:g} < 3 * {init.gamma:g}"
         )
 
-    def residuals(theta):
+    def residuals(theta, x):
         return _lorentzian(x, *theta) - y
 
     theta0 = [init.center, init.gamma, init.amplitude, init.offset]
     theta, _, info, _, status = leastsq(
         residuals,
         theta0,
-        Dfun=_lorentzian_jacobian(x),
+        args=(x,),
+        Dfun=_lorentzian_jacobian,
         col_deriv=True,
         full_output=True,
         gtol=1e-10,

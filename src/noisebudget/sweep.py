@@ -426,43 +426,6 @@ def _metadata_item(path, lineno: int, line: str) -> tuple:
     )
 
 
-def _table_body(path, body: str, first_lineno: int, metadata: dict) -> np.ndarray:
-    """The numbers in body, the lines after the header; its first line is
-    line first_lineno of the file.
-
-    np.loadtxt reads it when that gives one row of len(COLUMNS) numbers per
-    line (loadtxt skips blank lines, which the row count then shows).
-    Otherwise a pass of one float() per cell skips blank lines, adds
-    metadata lines to metadata and names the first bad line.
-    """
-    if body.strip():
-        lines = body.count("\n") + (not body.endswith("\n"))
-        try:
-            data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
-            if data.shape == (lines, len(COLUMNS)):
-                return data
-        except ValueError:
-            pass
-    rows = []
-    for lineno, raw in enumerate(io.StringIO(body, newline=""), start=first_lineno):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, value = _metadata_item(path, lineno, line)
-            metadata[key] = value
-            continue
-        try:
-            rows.append([float(v) for v in line.split(",")])
-        except ValueError:
-            rows.append([])
-        if len(rows[-1]) != len(COLUMNS):
-            raise ParameterError(
-                f"{path}: line {lineno}: expected {len(COLUMNS)} numbers, got {line!r}"
-            )
-    return np.array(rows, dtype=float).reshape(-1, len(COLUMNS))
-
-
 def load_table_csv(path) -> SpectrumTable:
     """Re-ingest a CSV table written by emit_table (values bit-identical).
 
@@ -472,21 +435,33 @@ def load_table_csv(path) -> SpectrumTable:
     is a ParameterError naming the path and line.
     """
     metadata = {}
-    header = ",".join(COLUMNS)
+    rows = []
+    header_seen = False
     with open(path, newline="") as fh:
-        for lineno, raw in enumerate(iter(fh.readline, ""), start=1):
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
+            if not line:
+                continue
             if line.startswith("#"):
                 key, value = _metadata_item(path, lineno, line)
                 metadata[key] = value
-            elif line == header:
-                break
-            elif line:
-                raise ParameterError(f"{path}: unexpected header {line!r}")
-        else:
-            raise ParameterError(f"{path}: missing header row")
-        body = fh.read()
-    data = _table_body(path, body, lineno + 1, metadata)
+                continue
+            if not header_seen:
+                if line != ",".join(COLUMNS):
+                    raise ParameterError(f"{path}: unexpected header {line!r}")
+                header_seen = True
+                continue
+            try:
+                rows.append([float(v) for v in line.split(",")])
+            except ValueError:
+                rows.append([])
+            if len(rows[-1]) != len(COLUMNS):
+                raise ParameterError(
+                    f"{path}: line {lineno}: expected {len(COLUMNS)} numbers, got {line!r}"
+                )
+    if not header_seen:
+        raise ParameterError(f"{path}: missing header row")
+    data = np.array(rows, dtype=float).reshape(-1, len(COLUMNS))
     try:
         return SpectrumTable(metadata, dict(zip(COLUMNS, data.T.copy())))
     except DivergenceError as exc:

@@ -203,7 +203,7 @@ def test_lorentzian_jacobian_matches_central_differences(
 ):
     x = center + gamma * np.linspace(-span, span, n)
     theta = np.array([center, gamma, amplitude, offset])
-    jac = _lorentzian_jacobian(x)(theta).copy()
+    jac = _lorentzian_jacobian(theta, x)
     assert jac.shape == (4, n)
     scale = (gamma, gamma, abs(amplitude), max(1.0, abs(offset)))
     for k, row in enumerate(jac):

@@ -190,102 +190,20 @@ def test_load_table_csv_names_stdout_separator(tmp_path, capsys, command, curve)
     assert "--out" in message
 
 
-def _reference_load(path):
-    """The table reader without a fast path: one float() per cell."""
-    metadata, rows, header_seen = {}, [], False
-    with open(path, newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, sep, value = line[2:].partition(": ")
-                try:
-                    if not (line.startswith("# ") and sep):
-                        raise ValueError
-                    metadata[key] = json.loads(value)
-                except ValueError:
-                    raise ParameterError(
-                        f"{path}: line {lineno}: expected a '# key: <json>' metadata line, "
-                        f"got {line!r}; stdout separates tables with '# --- <curve> ---' "
-                        "lines, so write a table to load with --out"
-                    ) from None
-                continue
-            if not header_seen:
-                if line != ",".join(COLUMNS):
-                    raise ParameterError(f"{path}: unexpected header {line!r}")
-                header_seen = True
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError:
-                rows.append([])
-            if len(rows[-1]) != len(COLUMNS):
-                raise ParameterError(
-                    f"{path}: line {lineno}: expected {len(COLUMNS)} numbers, got {line!r}"
-                )
-    if not header_seen:
-        raise ParameterError(f"{path}: missing header row")
-    data = np.array(rows, dtype=float).reshape(-1, len(COLUMNS))
-    try:
-        return SpectrumTable(metadata, dict(zip(COLUMNS, data.T.copy())))
-    except DivergenceError as exc:
-        raise ParameterError(f"{path}: {exc}") from None
-
-
-def _load_outcome(load, path):
-    try:
-        table = load(path)
-    except ParameterError as exc:
-        return str(exc)
-    return table.metadata, [table.columns[c].tobytes() for c in COLUMNS]
-
-
-TABLE_HEADER = ",".join(COLUMNS)
-table_cells = st.one_of(
-    finite.map(repr),
-    finite.map(lambda v: "%.17g" % v),
-    st.sampled_from(("nan", "inf", "-inf", "", " ", " 2 ", "1_0", '"3"', "x", "1e400", "١")),
-)
-good_rows = st.lists(finite.map(lambda v: "%.17g" % v), min_size=10, max_size=10).map(",".join)
-table_lines = st.one_of(
-    good_rows,
-    st.lists(table_cells, min_size=10, max_size=10).map(",".join),
-    st.lists(table_cells, max_size=11).map(",".join),
-    st.sampled_from(("", "# note: 1", "# --- sweep ---", "#x", "# bad: {", TABLE_HEADER)),
-)
-
-
-@settings(
-    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
-@given(
-    st.lists(st.sampled_from(("# note: 1", '# curve: "sql"', "", "# --- sql ---")), max_size=2),
-    st.sampled_from((TABLE_HEADER, TABLE_HEADER, "rho,total")),
-    st.one_of(st.lists(good_rows, max_size=8), st.lists(table_lines, max_size=6)),
-    st.sampled_from(("\n", "\n", "\r\n", "\r")),
-    st.booleans(),
-)
-def test_load_table_csv_matches_per_cell_reference(tmp_path, head, header, body, newline, final):
-    path = tmp_path / "table.csv"
-    text = newline.join([*head, header, *body]) + (newline if final else "")
-    path.write_bytes(text.encode())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert _load_outcome(load_table_csv, path) == _load_outcome(_reference_load, path)
-
-
 @pytest.mark.parametrize(
     "body, message",
     (
         ("\n\n1,1,1,1,1,1,1,1,1,1\n2,2\n", "line 6: expected 10 numbers, got '2,2'"),
         ("1,1,1,1,1,1,1,1,1,1\n# --- ql ---\n", "line 4: expected a '# key: <json>'"),
+        ("#x\n", "line 3: expected a '# key: <json>' metadata line, got '#x'"),
+        ("# bad: {\n", "line 3: expected a '# key: <json>' metadata line, got '# bad: {'"),
+        ("1,1,1,1,1,1,1,1,1,1\r\nnan,x\r\n", "line 4: expected 10 numbers, got 'nan,x\\r'"),
     ),
-    ids=("after-blank-lines", "separator-after-header"),
+    ids=("after-blank-lines", "separator-after-header", "no-space", "bad-json", "crlf"),
 )
 def test_load_table_csv_names_bad_line(tmp_path, body, message):
     path = tmp_path / "table.csv"
-    path.write_text(f"# note: 1\n{TABLE_HEADER}\n{body}")
+    path.write_text(f"# note: 1\n{','.join(COLUMNS)}\n{body}")
     with pytest.raises(ParameterError, match=f"^{re.escape(f'{path}: {message}')}"):
         load_table_csv(path)
 
