@@ -65,6 +65,21 @@ class SidebandFit:
                 f"a_red = {self.a_red}, a_blue = {self.a_blue}"
             )
 
+    @classmethod
+    def from_fits(cls, red: LorentzianFit, blue: LorentzianFit) -> "SidebandFit":
+        """Combine the red and blue sideband fits.
+
+        gamma_fit, offset and residual_rms are the red/blue averages; the
+        amplitudes keep their own fits (only their ratio matters downstream).
+        """
+        return cls(
+            gamma_fit=0.5 * (red.gamma + blue.gamma),
+            a_red=red.amplitude,
+            a_blue=blue.amplitude,
+            offset=0.5 * (red.offset + blue.offset),
+            residual_rms=0.5 * (red.residual_rms + blue.residual_rms),
+        )
+
 
 @dataclass(frozen=True)
 class EfficiencyBudget:
@@ -292,20 +307,9 @@ def fit_lorentzian(
 
 
 def fit_sidebands(red_samples, blue_samples) -> SidebandFit:
-    """Fit red and blue sideband spectra and combine for thermometry.
-
-    gamma_fit and offset are the red/blue averages; the amplitudes keep
-    their own fits (only their ratio matters downstream).
-    """
-    red = fit_lorentzian(red_samples)
-    blue = fit_lorentzian(blue_samples)
-    return SidebandFit(
-        gamma_fit=0.5 * (red.gamma + blue.gamma),
-        a_red=red.amplitude,
-        a_blue=blue.amplitude,
-        offset=0.5 * (red.offset + blue.offset),
-        residual_rms=0.5 * (red.residual_rms + blue.residual_rms),
-    )
+    """Fit red and blue sideband spectra and combine them for thermometry
+    (see SidebandFit.from_fits)."""
+    return SidebandFit.from_fits(fit_lorentzian(red_samples), fit_lorentzian(blue_samples))
 
 
 def synth_sideband_spectrum(
