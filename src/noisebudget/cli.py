@@ -22,8 +22,6 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .calibration import (
     SidebandFit,
@@ -31,10 +29,11 @@ from .calibration import (
     n_th_from_sidebands,
     read_spectrum_csv,
 )
-from .core import Detection, chi_m_dimensionless
+from .core import Detection
 from .errors import DomainError, ParameterError
 from .figures import FIGURE_IDS, reproduce_figure
 from .limits import ql_added_noise, sql_psd
+from .spectra import thermal_term
 from .sweep import (
     SpectrumTable,
     emit_table,
@@ -198,7 +197,7 @@ def _cmd_limits(args) -> dict:
     spec = parse_config(_read_config(args))
     grid = spec.rho_grid()
     meta = spec.metadata()
-    ql_thermal = 2.0 * (spec.n_th + 0.5) * np.abs(chi_m_dimensionless(grid)) ** 2
+    ql_thermal = thermal_term(grid, spec.n_th)
     ql_added = ql_added_noise(grid, Detection(spec.epsilon))
     return {
         "sql": SpectrumTable(

@@ -13,14 +13,27 @@ commonly used elsewhere is C = p / 4.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ParameterError, UnsupportedConfigError
 
 HIGH_Q_THRESHOLD = 1e-3
+
+
+def check_finite(name: str, x):
+    """ParameterError naming the argument when x holds a nan or an inf."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ParameterError(f"{name} must be finite, got {np.asarray(x)[~finite].flat[0]}")
+
+
+def check_finite_fields(obj):
+    """check_finite on each float field of dataclass obj, and each tuple of floats."""
+    for f in fields(obj):
+        if isinstance(getattr(obj, f.name), (float, tuple)):
+            check_finite(f.name, getattr(obj, f.name))
 
 
 @dataclass(frozen=True)
@@ -48,6 +61,7 @@ class MechanicalMode:
     n_ba: float = 0.0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if not self.omega_m > 0:
             raise ParameterError(f"omega_m must be positive, got {self.omega_m}")
         if not self.gamma > 0:
@@ -72,6 +86,7 @@ class OpticalCavity:
     delta: float = 0.0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if not self.kappa > 0:
             raise ParameterError(f"kappa must be positive, got {self.kappa}")
 
@@ -165,4 +180,4 @@ def photon_number_from_p(p, g, mode: MechanicalMode, cav: OpticalCavity):
 
 def cot(phi):
     """Cotangent, written out so the intent is visible at call sites."""
-    return math.cos(phi) / math.sin(phi)
+    return np.cos(phi) / np.sin(phi)

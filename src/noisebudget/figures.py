@@ -19,10 +19,10 @@ from typing import Dict
 
 import numpy as np
 
-from .core import Detection, chi_m_dimensionless
+from .core import Detection
 from .errors import ParameterError
 from .limits import phi_opt, ql_added_noise, sql_psd
-from .spectra import homodyne_terms, light_terms
+from .spectra import homodyne_terms, light_terms, thermal_term
 from .sweep import (
     NORMALIZATION_STATEMENT, SpectrumTable, SweepSpec, limit_columns, run_sweep,
     spectrum_columns,
@@ -47,7 +47,7 @@ def _columns(kind: str, epsilon: float, n_th: float, rho, p, phi_deg=0.0, beta=N
     their angle column, and ql and sql use p only as their power column.
     """
     det = Detection(epsilon)
-    thermal = 2.0 * (n_th + 0.5) * np.abs(chi_m_dimensionless(rho)) ** 2
+    thermal = thermal_term(rho, n_th)
     if kind == "homodyne":
         comps = homodyne_terms(rho, p, np.radians(phi_deg), epsilon, n_th)
     elif kind == "variational":

@@ -15,9 +15,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import Detection, MechanicalMode, chi_m_dimensionless, cot
+from .core import Detection, MechanicalMode, check_finite, chi_m_dimensionless, cot
 from .errors import ParameterError
-from .spectra import _check_phi, displacement_psd, homodyne_terms
+from .spectra import displacement_psd, homodyne_terms, point_view, thermal_term
 
 P_CAP = 1e9
 
@@ -68,6 +68,7 @@ def phi_opt(rho, p, det: Detection):
     return np.arctan2(1.0, c)
 
 
+@point_view
 def psd_at_phi_opt(
     rho: float, p: float, det: Detection, mode: MechanicalMode
 ) -> float:
@@ -78,10 +79,11 @@ def psd_at_phi_opt(
     """
     if not p > 0:
         raise ParameterError(f"p must be positive, got {p}")
+    check_finite("rho", rho)
     eps = det.epsilon
     chim2 = abs(chi_m_dimensionless(rho)) ** 2
     return (
-        2.0 * (mode.n_th + 0.5) * chim2
+        thermal_term(rho, mode.n_th)
         + 1.0 / (2.0 * eps * p)
         + 0.5 * p * (1.0 + (1.0 - eps) * rho**2) * chim2**2
     )
@@ -92,13 +94,12 @@ def p_opt(rho: float, det: Detection) -> OptimalPower:
     eps = det.epsilon
     chim2 = abs(chi_m_dimensionless(rho)) ** 2
     p = 1.0 / (math.sqrt(eps * (1.0 + (1.0 - eps) * rho**2)) * chim2)
-    if p > P_CAP:
-        return OptimalPower(P_CAP, True)
-    return OptimalPower(p, False)
+    return OptimalPower(min(p, P_CAP), p > P_CAP)
 
 
 def ql_added_noise(rho, det: Detection):
     """Probe-added noise at the QL: sqrt(1/eps + (1-eps)/eps rho^2) |chi_m|^2."""
+    check_finite("rho", rho)
     eps = det.epsilon
     rho = np.asarray(rho)
     chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
@@ -107,26 +108,21 @@ def ql_added_noise(rho, det: Detection):
 
 def ql_psd(rho, det: Detection, mode: MechanicalMode):
     """QL total PSD: thermal + zero-point term plus the optimal added noise."""
-    rho = np.asarray(rho)
-    chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
-    return 2.0 * (mode.n_th + 0.5) * chim2 + ql_added_noise(rho, det)
+    return thermal_term(rho, mode.n_th) + ql_added_noise(rho, det)
 
 
+@point_view
 def uncertainty_product(phi: float, p: float, det: Detection):
     """(S_II * S_FF, 1/4 + S_IF^2) for the probe uncertainty relation.
 
-    lhs >= rhs always, with equality iff eps = 1; the product is power
-    independent but computed through the power-carrying components.  phi = 0
+    S_II and S_FF are homodyne_terms at rho = 0, where |chi_m|^2 = 1, and
+    S_IF = -cot(phi) / 2.  lhs >= rhs, with equality iff eps = 1.  phi = 0
     or pi is a DivergenceError, as in displacement_psd.
     """
-    _check_phi(phi)
     if not p > 0:
         raise ParameterError(f"p must be positive, got {p}")
-    c = cot(phi)
-    s_ii = (1.0 + c * c) / (2.0 * det.epsilon * p)
-    s_ff = 0.5 * p
-    s_if = -0.5 * c
-    return s_ii * s_ff, 0.25 + s_if**2
+    comps = homodyne_terms(0.0, p, phi, det.epsilon, 0.0)
+    return comps.s_ii * comps.s_ff, 0.25 + (-0.5 * cot(phi)) ** 2
 
 
 def fixed_angle_spectrum(
@@ -143,12 +139,18 @@ def fixed_angle_spectrum(
     )
 
 
-def stitch_quadratures(curves: Sequence[LimitCurve]) -> StitchedSpectrum:
-    """Minimum envelope over fixed-angle spectra sharing grid and parameters.
+def pick_quadrature(phi, totals):
+    """Per point, the index along the last axis of totals of the candidate
+    angle (phi, radians) with the lowest total.  Candidates are searched by
+    distance from 90 degrees and np.argmin keeps the first minimum, so a tie
+    goes to the angle nearest phase quadrature."""
+    order = np.argsort(np.abs(np.asarray(phi) - math.pi / 2.0), kind="stable")
+    return order[np.argmin(totals[..., order], axis=-1)]
 
-    Ties are broken toward the candidate angle closest to 90 degrees, which
-    keeps the on-resonance choice deterministic.
-    """
+
+def stitch_quadratures(curves: Sequence[LimitCurve]) -> StitchedSpectrum:
+    """Minimum envelope over fixed-angle spectra sharing grid and
+    parameters; pick_quadrature chooses the angle at each point."""
     if len(curves) < 2:
         raise ParameterError("stitching needs at least two fixed-angle spectra")
     ref = curves[0]
@@ -161,22 +163,17 @@ def stitch_quadratures(curves: Sequence[LimitCurve]) -> StitchedSpectrum:
                     f"stitched spectra disagree on {key}: "
                     f"{c.params.get(key)} vs {ref.params.get(key)}"
                 )
-    # sort candidates by |phi - 90 deg| so np.argmin's first-wins tie break
-    # lands on the angle nearest phase quadrature
-    order = sorted(
-        range(len(curves)),
-        key=lambda i: abs(curves[i].params["phi"] - math.pi / 2.0),
-    )
-    stacked = np.vstack([curves[i].values for i in order])
-    phis = np.array([curves[i].params["phi"] for i in order])
-    pick = np.argmin(stacked, axis=0)
+    phis = np.array([c.params["phi"] for c in curves])
+    totals = np.stack([c.values for c in curves], axis=-1)
+    pick = pick_quadrature(phis, totals)
     return StitchedSpectrum(
         grid=ref.grid.copy(),
         chosen_phi=phis[pick],
-        values=stacked[pick, np.arange(ref.grid.size)],
+        values=totals[np.arange(ref.grid.size), pick],
     )
 
 
+@point_view
 def force_psd(
     rho: float, p: float, phi: float, det: Detection, mode: MechanicalMode
 ) -> float:
@@ -194,26 +191,17 @@ def force_sql(rho):
     return np.sqrt(1.0 + np.asarray(rho) ** 2)
 
 
+@point_view
 def force_psd_opt(
     rho: float,
     det: Detection,
     mode: MechanicalMode,
     p: Optional[float] = None,
 ) -> float:
-    """Force PSD at the optimal quadrature (and optimal power when p is None).
+    """Force PSD at the optimal quadrature (and optimal power when p is None):
+    psd_at_phi_opt, or ql_psd when p is None, over |chi_m|^2.
 
     At p_opt: 2 (n_th + 1/2) + sqrt(1/eps + (1-eps)/eps rho^2).
     """
-    eps = det.epsilon
-    chim2 = abs(chi_m_dimensionless(rho)) ** 2
-    if p is None:
-        return 2.0 * (mode.n_th + 0.5) + math.sqrt(
-            1.0 / eps + (1.0 - eps) / eps * rho**2
-        )
-    if not p > 0:
-        raise ParameterError(f"p must be positive, got {p}")
-    return (
-        2.0 * (mode.n_th + 0.5)
-        + 1.0 / (2.0 * eps * p * chim2)
-        + 0.5 * p * (1.0 + (1.0 - eps) * rho**2) * chim2
-    )
+    psd = ql_psd(rho, det, mode) if p is None else psd_at_phi_opt(rho, p, det, mode)
+    return psd / abs(chi_m_dimensionless(rho)) ** 2

@@ -13,6 +13,7 @@ cross-correlation, and an optional classical-noise term.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -23,6 +24,8 @@ from .core import (
     Detection,
     MechanicalMode,
     OpticalCavity,
+    check_finite,
+    check_finite_fields,
     chi_c,
     chi_m,
     chi_m_dimensionless,
@@ -70,6 +73,7 @@ class ClassicalNoise:
     c_pp: float = 0.0
 
     def __post_init__(self):
+        check_finite_fields(self)
         for key in ("c_aa", "c_pp"):
             if getattr(self, key) < 0:
                 raise ParameterError(f"{key} must be >= 0, got {getattr(self, key)}")
@@ -95,6 +99,7 @@ class ExternalForce:
     phi_f: float = 0.0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.amplitude < 0:
             raise ParameterError("force amplitude must be >= 0")
 
@@ -115,10 +120,41 @@ def _check_phi(phi):
 
 def _check_p(p):
     for value in _values(p):
-        if not value > 0.0:
+        if not 0.0 < value < math.inf:
             raise DivergenceError(
-                f"imprecision diverges for p <= 0; got p = {value}"
+                f"imprecision diverges for p <= 0, backaction for p = inf; got p = {value}"
             )
+
+
+def point_view(evaluate):
+    """Decorator for a point evaluator, whose result is SpectrumComponents,
+    a tuple or one value; each 0-d value is returned as a Python float.  It
+    runs with float64 warnings off, and a result that is not finite, from an
+    overflow on the way, is a DivergenceError."""
+
+    @functools.wraps(evaluate)
+    def view(*args, **kwargs):
+        try:
+            with np.errstate(all="ignore"):
+                out = evaluate(*args, **kwargs)
+                comps, many = isinstance(out, SpectrumComponents), isinstance(out, tuple)
+                parts = tuple(
+                    float(v) if np.ndim(v) == 0 else v
+                    for v in (out.terms if comps else out if many else (out,))
+                )
+                finite = np.isfinite(parts + (sum(parts),) if comps else parts).all()
+        except ArithmeticError:  # a Python float overflow or division by zero
+            finite = False
+        if not finite:
+            raise DivergenceError(f"{evaluate.__name__} overflows float64 at these inputs")
+        return SpectrumComponents(*parts) if comps else parts if many else parts[0]
+
+    return view
+
+
+def thermal_term(rho, n_th):
+    """Thermal + zero-point motion s_m = 2 (n_th + 1/2) |chi_m|^2; broadcasts."""
+    return 2.0 * (n_th + 0.5) * np.abs(chi_m_dimensionless(rho)) ** 2
 
 
 def budget_terms(rho, p, epsilon, n_th, imprecision, correlation, s_ln=0.0):
@@ -130,12 +166,13 @@ def budget_terms(rho, p, epsilon, n_th, imprecision, correlation, s_ln=0.0):
     s_corr = -correlation * |chi_m|^2
 
     Every argument broadcasts; the five terms come back as arrays of the
-    common shape.  Callers check p and their angles first.
+    common shape.  rho is checked here, p and the angles by the callers.
     """
+    check_finite("rho", rho)
     chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
     return SpectrumComponents(
         *np.broadcast_arrays(
-            2.0 * (n_th + 0.5) * chim2,
+            thermal_term(rho, n_th),
             imprecision / (2.0 * epsilon * p),
             0.5 * p * chim2,
             -correlation * chim2,
@@ -152,10 +189,11 @@ def homodyne_terms(rho, p, phi, epsilon: float, n_th: float, s_ln=0.0):
     """
     _check_phi(phi)
     _check_p(p)
-    c = np.cos(phi) / np.sin(phi)
+    c = cot(phi)
     return budget_terms(rho, p, epsilon, n_th, 1.0 + c * c, c * rho, s_ln)
 
 
+@point_view
 def displacement_psd(
     rho: float,
     p: float,
@@ -164,27 +202,14 @@ def displacement_psd(
     mode: MechanicalMode,
     s_ln: float = 0.0,
 ) -> SpectrumComponents:
-    """Dimensionless displacement PSD components at detuning rho.
-
-    s_m    = 2 (n_th + 1/2) |chi_m|^2
-    s_ii   = (1 + cot^2 phi) / (2 eps p)
-    s_ff   = (p/2) |chi_m|^2
-    s_corr = -cot(phi) * rho * |chi_m|^2
+    """Dimensionless displacement PSD components at detuning rho: the
+    homodyne_terms budget at one point, with imprecision 1 + cot^2 phi and
+    correlation cot(phi) rho.
 
     The optional s_ln slot carries a pre-computed classical-noise
     contribution in the same units (zero by default).
     """
-    _check_phi(phi)
-    _check_p(p)
-    chim2 = abs(chi_m_dimensionless(rho)) ** 2
-    c = cot(phi)
-    return SpectrumComponents(
-        s_m=2.0 * (mode.n_th + 0.5) * chim2,
-        s_ii=(1.0 + c * c) / (2.0 * det.epsilon * p),
-        s_ff=0.5 * p * chim2,
-        s_corr=-c * rho * chim2,
-        s_ln=s_ln,
-    )
+    return homodyne_terms(rho, p, phi, det.epsilon, mode.n_th, s_ln)
 
 
 def displacement_psd_cavity(
@@ -196,62 +221,45 @@ def displacement_psd_cavity(
     cav: OpticalCavity,
     s_ln: float = 0.0,
 ) -> SpectrumComponents:
-    """Displacement PSD retaining the cavity's weak frequency dependence.
-
-    Identical to displacement_psd except the imprecision scales as
-    1/|chi_c_tilde(omega)|^2 and the backaction as |chi_c_tilde(omega)|^2,
-    with chi_c_tilde normalized to unity at omega_m.  Resonant probe only.
+    """Displacement PSD retaining the cavity's weak frequency dependence:
+    displacement_psd at the power p |chi_c_tilde(omega)|^2 the cavity passes,
+    so the imprecision scales as 1/|chi_c_tilde|^2 and the backaction as
+    |chi_c_tilde|^2, with chi_c_tilde unity at omega_m.  Resonant probe only.
     """
     _require_resonant_probe(cav, "displacement_psd_cavity")
+    chict2 = abs(chi_c(omega, cav)) ** 2 / abs(chi_c(mode.omega_m, cav)) ** 2
     rho = float(rho_from_omega(omega, mode))
-    flat = displacement_psd(rho, p, phi, det, mode, s_ln=s_ln)
-    chict2 = (
-        abs(chi_c(omega, cav)) ** 2 / abs(chi_c(mode.omega_m, cav)) ** 2
-    )
-    return SpectrumComponents(
-        s_m=flat.s_m,
-        s_ii=flat.s_ii / chict2,
-        s_ff=flat.s_ff * chict2,
-        s_corr=flat.s_corr,
-        s_ln=flat.s_ln,
-    )
+    return displacement_psd(rho, p * chict2, phi, det, mode, s_ln=s_ln)
 
 
-def light_psd_components(
-    rho: float,
-    phi: float,
-    p: float,
-    det: Detection,
-    mode: MechanicalMode,
-) -> SpectrumComponents:
-    """Shot-noise-normalized light PSD, S_phi = 2 eps p sin^2(phi) S_xx.
+def light_terms(rho, phi, p: float, epsilon: float, n_th: float):
+    """Shot-noise-normalized light PSD, S_phi = 2 eps p sin^2(phi) S_xx, as
+    terms that broadcast over rho and phi.
 
     Written in the limit form in which the sin^2(phi) factor cancels the
     shot-noise divergence, so phi = 0 and pi are allowed (pure shot noise
     remains).  Components map to the displacement decomposition scaled by
     2 eps p sin^2(phi), with the imprecision term collapsing to exactly 1.
     """
-    return light_terms(rho, phi, p, det.epsilon, mode.n_th)
-
-
-def light_terms(rho, phi, p: float, epsilon: float, n_th: float):
-    """Broadcasting form of light_psd_components over rho and phi."""
-    if p < 0.0:
-        raise ParameterError(f"p must be >= 0, got {p}")
+    if not 0.0 <= p < math.inf:
+        raise ParameterError(f"p must be finite and >= 0, got {p}")
+    check_finite("rho", rho)
+    check_finite("phi", phi)
     chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
     s2 = np.sin(phi) ** 2
     scale = 2.0 * epsilon * p * s2
     return SpectrumComponents(
-        s_m=scale * 2.0 * (n_th + 0.5) * chim2,
+        s_m=scale * thermal_term(rho, n_th),
         s_ii=1.0,
         s_ff=scale * 0.5 * p * chim2,
         s_corr=-2.0 * epsilon * p * np.sin(phi) * np.cos(phi) * rho * chim2,
     )
 
 
+@point_view
 def light_psd(rho, phi, p, det: Detection, mode: MechanicalMode) -> float:
-    """Total shot-noise-normalized light PSD (ponderomotive squeezing < 1)."""
-    return light_psd_components(rho, phi, p, det, mode).total
+    """Total light PSD of light_terms at one point (ponderomotive squeezing < 1)."""
+    return light_terms(rho, phi, p, det.epsilon, mode.n_th).total
 
 
 def classical_noise_psd(

@@ -41,10 +41,11 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    HIGH_Q_THRESHOLD, Detection, MechanicalMode, OpticalCavity, omega_from_rho,
+    HIGH_Q_THRESHOLD, Detection, MechanicalMode, OpticalCavity, check_finite_fields,
+    omega_from_rho,
 )
 from .errors import DivergenceError, ParameterError
-from .limits import phi_opt, sql_psd
+from .limits import phi_opt, pick_quadrature, sql_psd
 from .spectra import (
     ClassicalNoise,
     SpectrumComponents,
@@ -102,10 +103,8 @@ class SweepSpec:
     gamma_hz: Optional[float] = None
 
     def __post_init__(self):
+        check_finite_fields(self)
         for key, value in self.__dict__.items():
-            values = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                raise ParameterError(f"{key} must be finite, got {value}")
             if isinstance(value, tuple) and len(set(value)) < len(value):
                 raise ParameterError(f"{key} must not repeat a value, got {value}")
         if self.rho_count < 2:
@@ -319,9 +318,8 @@ def run_sweep(spec: SweepSpec) -> SpectrumTable:
 
     Each readout is one vectorized pass over the broadcast (rho, power,
     angle) grid.  Stitched readout keeps, per (rho, power), the candidate
-    angle with the lowest total, classical noise included; candidates are
-    ordered by distance from 90 degrees, so ties go to the angle nearest
-    phase quadrature.
+    angle with the lowest total, classical noise included, as chosen by
+    pick_quadrature: ties go to the angle nearest phase quadrature.
     """
     eps, n_th = spec.epsilon, spec.n_th
     rho = spec.rho_grid()[:, None, None]
@@ -343,21 +341,15 @@ def run_sweep(spec: SweepSpec) -> SpectrumTable:
         phi = phi_opt(rho, p, Detection(eps))
         phi_deg = np.degrees(phi)
         comps = homodyne_terms(rho, p, phi, eps, n_th, s_ln(phi))
-    elif spec.readout == "homodyne":
-        phi_deg = np.array(spec.angles_deg)
+    else:  # homodyne, or stitched: one candidate angle kept per point
+        stitched = spec.readout == "stitched"
+        phi_deg = np.array(spec.stitch_angles_deg if stitched else spec.angles_deg)
         phi = np.radians(phi_deg)
         comps = homodyne_terms(rho, p, phi, eps, n_th, s_ln(phi))
-    else:  # stitched
-        angles = np.array(
-            sorted(spec.stitch_angles_deg, key=lambda a: abs(math.radians(a) - math.pi / 2))
-        )
-        phi = np.radians(angles)
-        comps = homodyne_terms(rho, p, phi, eps, n_th, s_ln(phi))
-        pick = np.argmin(comps.total, axis=2)[..., None]
-        comps = SpectrumComponents(
-            *(np.take_along_axis(t, pick, axis=2) for t in comps.terms)
-        )
-        phi_deg = angles[pick]
+        if stitched:
+            pick = pick_quadrature(phi, comps.total)[..., None]
+            comps = SpectrumComponents(*(np.take_along_axis(t, pick, 2) for t in comps.terms))
+            phi_deg = phi_deg[pick]
 
     return SpectrumTable(spec.metadata(), spectrum_columns(rho, phi_deg, p, comps))
 

@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Detection, MechanicalMode, OpticalCavity, chi_c, chi_m_dimensionless
+from .core import (
+    Detection, MechanicalMode, OpticalCavity, check_finite_fields, chi_c,
+    chi_m_dimensionless,
+)
 from .errors import BranchPoleError, DivergenceError, ParameterError
 from .limits import OptimalPower, P_CAP
 from .spectra import (
@@ -28,6 +31,8 @@ from .spectra import (
     _check_p,
     bin_index,
     budget_terms,
+    point_view,
+    thermal_term,
 )
 
 _ALPHA_P_FLOOR = 1e-300
@@ -43,6 +48,7 @@ class SynodyneLO:
     phi: float = 0.0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if not self.beta > 0:
             raise ParameterError(f"beta must be positive, got {self.beta}")
 
@@ -87,8 +93,8 @@ def check_cavity_symmetry(
         )
 
 
-def _lo_factors(lo: SynodyneLO):
-    """(shot, correlation) factors of the LO, each relative to |alpha_p|^2."""
+def _checked_lo(lo: SynodyneLO):
+    """lo_coefficients(lo) and |alpha_p|^2; alpha_p = 0 is a DivergenceError."""
     alpha_a, alpha_p = lo_coefficients(lo)
     ap2 = abs(alpha_p) ** 2
     if ap2 < _ALPHA_P_FLOOR:
@@ -96,9 +102,10 @@ def _lo_factors(lo: SynodyneLO):
             "alpha_p = 0: the LO carries no mechanical information "
             f"(beta = {lo.beta}, phi = {lo.phi})"
         )
-    return (abs(alpha_a) ** 2 + ap2) / ap2, (alpha_a.conjugate() * alpha_p).imag / ap2
+    return alpha_a, alpha_p, ap2
 
 
+@point_view
 def synodyne_components(
     rho: float,
     p: float,
@@ -106,23 +113,20 @@ def synodyne_components(
     det: Detection,
     mode: MechanicalMode,
 ) -> SpectrumComponents:
-    """Synodyne displacement PSD components at demodulated detuning rho."""
-    _check_p(p)
-    shot_factor, corr_factor = _lo_factors(lo)
-    chim2 = abs(chi_m_dimensionless(rho)) ** 2
-    return SpectrumComponents(
-        s_m=2.0 * (mode.n_th + 0.5) * chim2,
-        s_ii=shot_factor / (2.0 * det.epsilon * p),
-        s_ff=0.5 * p * chim2,
-        s_corr=-chim2 * corr_factor,
-    )
+    """Synodyne displacement PSD components at demodulated detuning rho: the
+    synodyne_terms budget at one point."""
+    return synodyne_terms(rho, p, lo, det.epsilon, mode.n_th)
 
 
 def synodyne_terms(rho, p, lo: SynodyneLO, epsilon: float, n_th: float):
-    """Broadcasting form of synodyne_components over arrays rho and p."""
+    """Broadcasting form of synodyne_components over arrays rho and p, with
+    imprecision (|alpha_a|^2 + |alpha_p|^2) / |alpha_p|^2 and correlation
+    Im(conj(alpha_a) alpha_p) / |alpha_p|^2."""
     _check_p(p)
-    shot_factor, corr_factor = _lo_factors(lo)
-    return budget_terms(rho, p, epsilon, n_th, shot_factor, corr_factor)
+    alpha_a, alpha_p, ap2 = _checked_lo(lo)
+    shot = (abs(alpha_a) ** 2 + ap2) / ap2
+    corr = (alpha_a.conjugate() * alpha_p).imag / ap2
+    return budget_terms(rho, p, epsilon, n_th, shot, corr)
 
 
 def synodyne_psd(
@@ -183,8 +187,7 @@ def synodyne_variational(
 
     2 (n_th + 1/2) |chi_m|^2 + synodyne_added_noise(rho, p, det)
     """
-    chim2 = abs(chi_m_dimensionless(rho)) ** 2
-    return 2.0 * (mode.n_th + 0.5) * chim2 + synodyne_added_noise(rho, p, det)
+    return thermal_term(rho, mode.n_th) + synodyne_added_noise(rho, p, det)
 
 
 def synodyne_added_noise(rho, p: float, det: Detection):
@@ -211,9 +214,7 @@ def synodyne_p_opt(rho: float, det: Detection) -> OptimalPower:
     if radicand == 0.0:
         return OptimalPower(P_CAP, True)
     p = 1.0 / (math.sqrt(radicand) * chim2)
-    if p > P_CAP:
-        return OptimalPower(P_CAP, True)
-    return OptimalPower(p, False)
+    return OptimalPower(min(p, P_CAP), p > P_CAP)
 
 
 def synodyne_ql(rho, det: Detection, mode: MechanicalMode):
@@ -224,7 +225,7 @@ def synodyne_ql(rho, det: Detection, mode: MechanicalMode):
     """
     eps = det.epsilon
     chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
-    return 2.0 * (mode.n_th + 0.5) * chim2 + np.sqrt(
+    return thermal_term(rho, mode.n_th) + np.sqrt(
         (1.0 - eps) / eps + rho**2 / eps
     ) * chim2
 
@@ -250,10 +251,7 @@ def synodyne_force_response(
         raise ParameterError("grid must be a sorted 1-D array of >= 2 points")
     if not p_zp > 0:
         raise ParameterError(f"p_zp must be positive, got {p_zp}")
-    alpha_a, alpha_p = lo_coefficients(lo)
-    ap2 = abs(alpha_p) ** 2
-    if ap2 < _ALPHA_P_FLOOR:
-        raise DivergenceError("alpha_p = 0: no mechanical information in the LO")
+    _, alpha_p, ap2 = _checked_lo(lo)
     widths = _bin_widths(grid)
     offset = force.omega_f - mode.omega_m
     amp2 = (force.amplitude / (4.0 * p_zp)) ** 2
@@ -263,12 +261,11 @@ def synodyne_force_response(
     term_plus = alpha_p * cmath.exp(-1j * force.phi_f)
     term_minus = alpha_p.conjugate() * cmath.exp(1j * force.phi_f)
     if i_plus == i_minus:
-        weight = abs(term_plus + term_minus) ** 2 / (2.0 * ap2)
-        chim2 = abs(chi_m_dimensionless(rho_demodulated(grid[i_plus], mode))) ** 2
-        out[i_plus] += amp2 * chim2 * weight / widths[i_plus]
+        lines = [(i_plus, term_plus + term_minus)]
     else:
-        for i, term in ((i_plus, term_plus), (i_minus, term_minus)):
-            weight = abs(term) ** 2 / (2.0 * ap2)
-            chim2 = abs(chi_m_dimensionless(rho_demodulated(grid[i], mode))) ** 2
-            out[i] += amp2 * chim2 * weight / widths[i]
+        lines = [(i_plus, term_plus), (i_minus, term_minus)]
+    for i, term in lines:
+        weight = abs(term) ** 2 / (2.0 * ap2)
+        chim2 = abs(chi_m_dimensionless(rho_demodulated(grid[i], mode))) ** 2
+        out[i] += amp2 * chim2 * weight / widths[i]
     return out

@@ -9,6 +9,7 @@ from scipy.optimize import minimize_scalar
 import oracles
 from conftest import GAMMA, KAPPA, OMEGA_M
 from noisebudget import (
+    ClassicalNoise,
     Detection,
     MechanicalMode,
     OpticalCavity,
@@ -25,6 +26,8 @@ from noisebudget import (
     sql_photon_number,
 )
 from noisebudget.core import cot, photon_number_from_p
+from noisebudget.spectra import ExternalForce
+from noisebudget.synodyne import SynodyneLO
 
 
 def test_chi_m_on_resonance(exp_mode):
@@ -161,6 +164,31 @@ def test_parameter_validation():
         Detection(1.2)
     # ParameterError doubles as a ValueError for generic callers
     assert issubclass(ParameterError, ValueError)
+
+
+NON_FINITE_FIELDS = {
+    "MechanicalMode.omega_m": lambda v: MechanicalMode(v, 1.0),
+    "MechanicalMode.gamma": lambda v: MechanicalMode(1.0, v),
+    "MechanicalMode.n_th": lambda v: MechanicalMode(1.0, 1.0, n_th=v),
+    "MechanicalMode.n_ba": lambda v: MechanicalMode(1.0, 1.0, n_ba=v),
+    "OpticalCavity.kappa": lambda v: OpticalCavity(v),
+    "OpticalCavity.delta": lambda v: OpticalCavity(1.0, delta=v),
+    "ClassicalNoise.c_aa": lambda v: ClassicalNoise(c_aa=v),
+    "ClassicalNoise.c_pp": lambda v: ClassicalNoise(c_pp=v),
+    "ExternalForce.amplitude": lambda v: ExternalForce(v, 1.0),
+    "ExternalForce.omega_f": lambda v: ExternalForce(1.0, v),
+    "ExternalForce.phi_f": lambda v: ExternalForce(1.0, 1.0, phi_f=v),
+    "SynodyneLO.beta": lambda v: SynodyneLO(v),
+    "SynodyneLO.phi": lambda v: SynodyneLO(1.02, phi=v),
+}
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+def test_parameter_dataclasses_reject_non_finite_fields(field, bad):
+    name = field.split(".")[1]
+    with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+        NON_FINITE_FIELDS[field](bad)
 
 
 def test_cot():

@@ -1,15 +1,17 @@
-"""The broadcasting evaluation kernels against the scalar point evaluators.
+"""The broadcasting evaluation kernels and their point views against
+tests/oracles.py.
 
-displacement_psd, synodyne_components and classical_noise_displacement at
-one point are the oracles; run_sweep and the *_terms kernels evaluate whole
-grids at once.  The tolerance is fixed from float64: each term within ULPS
+The oracles are scalar formulas written term by term on Python floats;
+run_sweep and the *_terms kernels evaluate whole grids at once, and the
+point evaluators (displacement_psd, synodyne_components, ...) are views of
+those kernels.  The tolerance is fixed from float64: each term within ULPS
 ulp of the summed magnitudes of every additive part at that point.  The
-classical-noise term s_ln is itself a sum of three parts that can cancel,
-so it counts by the magnitudes of those parts.  Stitched angles must match
-unless two candidates' totals tie within that same tolerance.
+oracle writes the classical-noise term s_ln as a sum of three parts that
+can cancel, so s_ln counts by the magnitudes of those parts.  Stitched
+angles must match unless two candidates' totals tie within that same
+tolerance.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -17,24 +19,31 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from conftest import GAMMA, OMEGA_M
 from noisebudget import (
-    ClassicalNoise,
     Detection,
     DivergenceError,
     MechanicalMode,
-    OpticalCavity,
+    NoiseBudgetError,
     ParameterError,
     SweepSpec,
-    chi_c,
     chi_m_dimensionless,
     displacement_psd,
+    force_psd,
+    force_psd_opt,
+    light_psd,
     omega_from_rho,
     parse_config,
+    psd_at_phi_opt,
     run_sweep,
+    stitch_quadratures,
+    synodyne_psd,
+    uncertainty_product,
 )
 from noisebudget.cli import main as cli_main
-from noisebudget.limits import phi_opt
-from noisebudget.spectra import classical_noise_displacement, homodyne_terms
+from noisebudget.limits import fixed_angle_spectrum, phi_opt
+from noisebudget.spectra import SpectrumComponents, homodyne_terms
 from noisebudget.sweep import COLUMNS
 from noisebudget.synodyne import SynodyneLO, synodyne_components, synodyne_terms
 
@@ -59,34 +68,25 @@ def _assert_row_matches(row, comps, scale: float):
 
 
 def _oracle(spec: SweepSpec):
-    """Scalar homodyne evaluation of one point of the spec: (rho, phi, p) ->
+    """Oracle homodyne evaluation of one point of the spec: (rho, phi, p) ->
     (components, summed magnitudes of every additive part)."""
-    det = Detection(spec.epsilon)
-    mode = MechanicalMode(1.0, 1e-6, n_th=spec.n_th)
     noisy = bool(spec.c_aa or spec.c_pp)
     if noisy:
         cav_mode = MechanicalMode(
             2 * math.pi * spec.omega_m_hz, 2 * math.pi * spec.gamma_hz, n_th=spec.n_th
         )
-        cav = OpticalCavity(2 * math.pi * spec.kappa_hz)
-        noise = ClassicalNoise(spec.c_aa, spec.c_pp)
+        kappa = 2 * math.pi * spec.kappa_hz
 
     def point(rho, phi, p):
         s_ln = s_ln_scale = 0.0
         if noisy:
             omega = float(omega_from_rho(rho, cav_mode))
-            s_ln = float(classical_noise_displacement(omega, phi, p, det, cav, noise))
-            cm, cp = chi_c(-omega, cav), chi_c(omega, cav)
-            cross = cm * cp * cmath.exp(-2j * phi)
-            parts = (
-                2 * (noise.c_aa + noise.c_pp) * (abs(cm) ** 2 + abs(cp) ** 2),
-                4 * abs((noise.c_aa - noise.c_pp) * cross.real),
-                8 * noise.c_ap * abs(cross.imag),
+            s_ln, s_ln_scale = oracles.classical_noise_displacement(
+                omega, phi, p, kappa, spec.c_aa, spec.c_pp
             )
-            s_ln_scale = (cav.kappa / 2) ** 2 * sum(parts) / (2 * p * math.sin(phi) ** 2)
-        comps = displacement_psd(rho, p, phi, det, mode, s_ln=s_ln)
-        quantum = (comps.s_m, comps.s_ii, comps.s_ff, comps.s_corr)
-        return comps, sum(abs(t) for t in quantum) + s_ln_scale
+        quantum = oracles.homodyne_terms(rho, p, phi, spec.epsilon, spec.n_th)
+        comps = SpectrumComponents(*quantum, s_ln)
+        return comps, sum(map(abs, quantum)) + s_ln_scale
 
     return point
 
@@ -150,12 +150,12 @@ def test_variational_sweep_matches_scalar(grid, noise):
 @pytest.mark.parametrize("grid", GRIDS, ids=("linear", "log"))
 def test_synodyne_sweep_matches_scalar(grid):
     spec = parse_config(grid + BASE + "readout = synodyne\nbeta = 1.02\nsynodyne_phi_deg = 5.8\n")
-    det, mode = Detection(spec.epsilon), MechanicalMode(1.0, 1e-6, n_th=spec.n_th)
-    lo = SynodyneLO(1.02, math.radians(5.8))
     for row in run_sweep(spec).rows:
         assert row.phi_used == 5.8
-        comps = synodyne_components(row.rho, row.p, lo, det, mode)
-        _assert_row_matches(row, comps, sum(abs(t) for t in comps.terms))
+        terms = oracles.synodyne_terms(
+            row.rho, row.p, 1.02, math.radians(5.8), spec.epsilon, spec.n_th
+        )
+        _assert_row_matches(row, SpectrumComponents(*terms), sum(map(abs, terms)))
     with pytest.raises(DivergenceError, match="alpha_p = 0"):
         synodyne_terms(np.zeros(3), 1.0, SynodyneLO(1.0, 0.0), 1.0, 0.0)
 
@@ -189,17 +189,124 @@ def test_stitched_classical_noise_picks_pointwise_minimum():
 def test_stitched_ties_go_toward_phase_quadrature():
     # at rho = 0 the correlation term vanishes, and at p = 1e9 the
     # angle-dependent imprecision is below one ulp of the backaction, so all
-    # four totals tie exactly; the tie goes to 90 degrees, listed last
+    # four totals tie exactly; the tie goes to 90 degrees, listed last, in
+    # run_sweep and in stitch_quadratures alike
+    angles = (45.0, 60.0, 75.0, 90.0)
     spec = parse_config(
         "rho_min = -1\nrho_max = 1\nrho_count = 3\npowers = 1e9\n"
         "readout = stitched\nstitch_angles_deg = 45,60,75,90\n"
     )
-    det, mode = Detection(1.0), MechanicalMode(1.0, 1e-6)
-    totals = {displacement_psd(0.0, 1e9, math.radians(a), det, mode).total
-              for a in (45.0, 60.0, 75.0, 90.0)}
+    totals = {sum(oracles.homodyne_terms(0.0, 1e9, math.radians(a), 1.0, 0.0))
+              for a in angles}
     assert len(totals) == 1
     on_res = [r for r in run_sweep(spec).rows if r.rho == 0.0][0]
     assert on_res.phi_used == 90.0
+    det, mode = Detection(1.0), MechanicalMode(1.0, 1e-6)
+    curves = [fixed_angle_spectrum(spec.rho_grid(), 1e9, math.radians(a), det, mode)
+              for a in angles]
+    assert len({c.values[1] for c in curves}) == 1
+    assert stitch_quadratures(curves).chosen_phi[1] == math.pi / 2.0
+
+
+# --- point views -----------------------------------------------------------
+
+
+def _assert_view_matches(got, want, terms):
+    """got within ULPS ulp of the summed magnitudes of the oracle's additive
+    terms of want."""
+    assert abs(got - want) <= ULPS * EPS64 * math.fsum(map(abs, terms)), (got, want)
+
+
+def test_point_views_match_oracles():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        rho = float(rng.choice([0.0, rng.uniform(-30.0, 30.0), rng.uniform(-1e4, 1e4)]))
+        p = float(10.0 ** rng.uniform(-3.0, 6.0))
+        phi = float(rng.uniform(0.01, math.pi - 0.01))
+        eps, n_th = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, 100.0))
+        beta, lo_phi = float(rng.uniform(0.2, 5.0)), float(rng.uniform(-3.0, 3.0))
+        det, mode = Detection(eps), MechanicalMode(1.0, 1e-6, n_th=n_th)
+        views = (
+            (displacement_psd(rho, p, phi, det, mode),
+             oracles.homodyne_terms(rho, p, phi, eps, n_th)),
+            (synodyne_components(rho, p, SynodyneLO(beta, lo_phi), det, mode),
+             oracles.synodyne_terms(rho, p, beta, lo_phi, eps, n_th)),
+        )
+        for comps, terms in views:
+            assert all(type(t) is float for t in comps.terms)
+            for got, want in zip(comps.terms, terms + (0.0,)):
+                _assert_view_matches(got, want, terms)
+            _assert_view_matches(comps.total, math.fsum(terms), terms)
+        lhs, rhs = uncertainty_product(phi, p, det)
+        want_lhs, want_rhs = oracles.uncertainty_product(phi, p, eps)
+        _assert_view_matches(lhs, want_lhs, (want_lhs,))
+        _assert_view_matches(rhs, want_rhs, (want_rhs,))
+        for power in (None, p):
+            terms = oracles.force_psd_opt(rho, eps, n_th, power)
+            got = force_psd_opt(rho, det, mode, p=power)
+            _assert_view_matches(got, math.fsum(terms), terms)
+
+
+def test_kernel_totals_match_full_model_in_broadband_limit():
+    # with kappa/omega_m > 1e4 the dimensionless budget matches the
+    # cavity-filtered light PSD to better than 1e-6 everywhere in the band
+    rho, p, phi = np.meshgrid(
+        np.linspace(-20.0, 20.0, 41), [0.7, 14.0, 28.0], [0.4, 1.1, math.pi / 2.0, 2.5],
+        indexing="ij",
+    )
+    kappa = 1e4 * OMEGA_M * 1.5
+    got = homodyne_terms(rho, p, phi, 0.35, 1.29).total
+    want = oracles.displacement_psd_full(rho, p, phi, 0.35, kappa, GAMMA, OMEGA_M, 1.29)
+    np.testing.assert_allclose(got, want, rtol=1e-6)
+
+
+# every float that a caller can pass: nan, +-inf, +-0.0, subnormals and the
+# largest finite values, beside ordinary draws
+SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310, 1.7e308)
+
+
+def _floats(*bounds):
+    return st.one_of(st.sampled_from(SPECIAL), st.floats(*bounds))
+
+
+def _mode(n_th):
+    return MechanicalMode(1.0, 1e-6, n_th=n_th)
+
+
+VIEWS = {
+    "displacement_psd": lambda rho, p, phi, eps, n_th, beta: displacement_psd(
+        rho, p, phi, Detection(eps), _mode(n_th)).total,
+    "synodyne_psd": lambda rho, p, phi, eps, n_th, beta: synodyne_psd(
+        rho, p, SynodyneLO(beta, phi), Detection(eps), _mode(n_th)),
+    "uncertainty_product": lambda rho, p, phi, eps, n_th, beta: uncertainty_product(
+        phi, p, Detection(eps)),
+    "force_psd": lambda rho, p, phi, eps, n_th, beta: force_psd(
+        rho, p, phi, Detection(eps), _mode(n_th)),
+    "force_psd_opt": lambda rho, p, phi, eps, n_th, beta: force_psd_opt(
+        rho, Detection(eps), _mode(n_th), p=p),
+    "force_psd_opt at p_opt": lambda rho, p, phi, eps, n_th, beta: force_psd_opt(
+        rho, Detection(eps), _mode(n_th)),
+    "psd_at_phi_opt": lambda rho, p, phi, eps, n_th, beta: psd_at_phi_opt(
+        rho, p, Detection(eps), _mode(n_th)),
+    "light_psd": lambda rho, p, phi, eps, n_th, beta: light_psd(
+        rho, phi, p, Detection(eps), _mode(n_th)),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(VIEWS)), _floats(), _floats(), _floats(0.0, math.pi),
+    _floats(0.0, 1.0), _floats(0.0), _floats(0.0),
+)
+def test_point_views_return_finite_floats_or_typed_errors(
+    name, rho, p, phi, eps, n_th, beta
+):
+    try:
+        out = VIEWS[name](rho, p, phi, eps, n_th, beta)
+    except NoiseBudgetError:
+        return
+    for value in out if isinstance(out, tuple) else (out,):
+        assert isinstance(value, float) and math.isfinite(value), (name, out)
 
 
 # --- validation ----------------------------------------------------------
@@ -218,6 +325,23 @@ def test_non_finite_values_rejected(key, bad):
     text = "".join(f"{k} = {v}\n" for k, v in lines.items())
     with pytest.raises(ParameterError, match=f"{key} must be finite"):
         parse_config(text)
+
+
+def test_non_finite_power_and_detuning_rejected():
+    det, mode = Detection(1.0), MechanicalMode(1.0, 1e-6)
+    with pytest.raises(DivergenceError, match="p = inf"):
+        displacement_psd(1.0, math.inf, 1.0, det, mode)
+    with pytest.raises(DivergenceError, match="p = inf"):
+        uncertainty_product(1.0, math.inf, det)
+    with pytest.raises(ParameterError, match="p must be finite"):
+        light_psd(1.0, 1.0, math.nan, det, mode)
+    for rho in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterError, match="rho must be finite"):
+            displacement_psd(rho, 1.0, 1.0, det, mode)
+        with pytest.raises(ParameterError, match="rho must be finite"):
+            homodyne_terms(np.array([0.0, rho]), 1.0, 1.0, 1.0, 0.0)
+        with pytest.raises(ParameterError, match="rho must be finite"):
+            light_psd(rho, 1.0, 1.0, det, mode)
 
 
 def test_synodyne_with_classical_noise_rejected(tmp_path, capsys):

@@ -28,7 +28,6 @@ from noisebudget.spectra import (
     bin_index,
     classical_noise_displacement,
     classical_noise_psd,
-    light_psd_components,
     mechanical_psd,
 )
 from noisebudget.errors import GridRangeError
