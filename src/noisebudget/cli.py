@@ -8,11 +8,16 @@ calibrate's red/blue pair, and the --out files of a multi-table command
 with at least FORK_MIN_ROWS rows in all, run as independent jobs on the CPUs
 this process may use (_run_jobs); stdout output and every library function
 stay serial.
+
+run() is the process entry point (the noisebudget script and
+python -m noisebudget.cli); main(argv) is the same command for in-process
+callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import pickle
@@ -21,6 +26,8 @@ import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .calibration import (
@@ -193,6 +200,7 @@ def _cmd_sweep(args, readout_override=None) -> dict:
     return {"sweep": run_sweep(spec)}
 
 
+@np.errstate(all="ignore")  # SpectrumTable turns an overflow into a DivergenceError
 def _cmd_limits(args) -> dict:
     spec = parse_config(_read_config(args))
     grid = spec.rho_grid()
@@ -283,5 +291,22 @@ def main(argv=None) -> int:
     return 0
 
 
+def run():
+    """Process entry point: exit with main()'s code.  Only for a process that
+    ends with this command; in-process callers use main(argv)."""
+    try:
+        sys.exit(main())
+    finally:
+        # Shutdown otherwise spends 0.12-0.19 s in the final garbage
+        # collections over the ~51k GC-tracked objects that importing numpy
+        # and scipy.optimize leaves.  gc.freeze() moves them into the
+        # permanent generation, which those collections skip; stdio is still
+        # flushed, atexit handlers still run and acyclic objects are still
+        # freed by refcount.  The cost: cyclic garbage left at exit is never
+        # collected, so nothing may rely on a finalizer in a reference cycle.
+        # Every file the CLI opens is closed explicitly for that reason.
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

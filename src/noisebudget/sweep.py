@@ -313,13 +313,16 @@ def limit_columns(rho, added, thermal, phi_deg: float, p: float) -> dict:
     return spectrum_columns(rho, phi_deg, p, comps)
 
 
+@np.errstate(all="ignore")
 def run_sweep(spec: SweepSpec) -> SpectrumTable:
     """Evaluate the sweep, rho-major then power then angle, deterministically.
 
     Each readout is one vectorized pass over the broadcast (rho, power,
     angle) grid.  Stitched readout keeps, per (rho, power), the candidate
     angle with the lowest total, classical noise included, as chosen by
-    pick_quadrature: ties go to the angle nearest phase quadrature.
+    pick_quadrature: ties go to the angle nearest phase quadrature.  It runs
+    with float64 warnings off: a value that overflows on the way is caught
+    by SpectrumTable's finite check as a DivergenceError.
     """
     eps, n_th = spec.epsilon, spec.n_th
     rho = spec.rho_grid()[:, None, None]

@@ -94,9 +94,19 @@ def check_cavity_symmetry(
 
 
 def _checked_lo(lo: SynodyneLO):
-    """lo_coefficients(lo) and |alpha_p|^2; alpha_p = 0 is a DivergenceError."""
+    """lo_coefficients(lo) and |alpha_p|^2.  alpha_p = 0, and a beta so large
+    that |alpha_a|^2 + |alpha_p|^2 = (1 + beta^2)/2 overflows float64, are
+    DivergenceErrors."""
     alpha_a, alpha_p = lo_coefficients(lo)
-    ap2 = abs(alpha_p) ** 2
+    try:
+        ap2 = abs(alpha_p) ** 2
+        power = abs(alpha_a) ** 2 + ap2
+    except OverflowError:  # a Python float power raises where numpy gives inf
+        power = math.inf
+    if not math.isfinite(power):
+        raise DivergenceError(
+            f"beta = {lo.beta}: the LO power (1 + beta^2)/2 overflows float64"
+        )
     if ap2 < _ALPHA_P_FLOOR:
         raise DivergenceError(
             "alpha_p = 0: the LO carries no mechanical information "

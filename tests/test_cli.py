@@ -1,14 +1,22 @@
-"""The CLI's flag checks and its worker processes: a multi-table --out and
-calibrate's red/blue pair run as jobs in forked children, with output bytes,
-errors and exit codes as in a serial run."""
+"""The CLI's flag checks, its worker processes and its process entry point.
 
+A multi-table --out and calibrate's red/blue pair run as jobs in forked
+children, with output bytes, errors and exit codes as in a serial run.
+cli.run, the entry point of a CLI process, freezes the heap at exit and
+otherwise behaves as the in-process cli.main."""
+
+import gc
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisebudget
 from noisebudget import LorentzianFit, synth_sideband_spectrum
 from noisebudget.calibration import write_spectrum_csv
 from noisebudget import cli
@@ -217,3 +225,79 @@ def test_flag_the_command_does_not_use_exits_2(tmp_path, capsys, argv, flag, com
     assert cli_main(["--out", str(out), *argv]) == 2
     assert f"error: {command} does not use {flag}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    ((["reproduce-figure", "1d"], 0), (["--version"], 0), (["no-such-command"], 2)),
+)
+def test_run_freezes_the_heap_once_after_main(monkeypatch, capsys, argv, code):
+    events = []
+    main = cli.main
+
+    def recorded_main(argv=None):
+        try:
+            return main(argv)
+        finally:
+            events.append("main")
+
+    monkeypatch.setattr(cli, "main", recorded_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["noisebudget", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == code
+    assert events == ["main", "freeze"]
+
+
+def test_main_in_process_does_not_freeze_the_heap(tmp_path):
+    before = gc.get_freeze_count()
+    assert cli_main(["--out", str(tmp_path / "fig.csv"), "reproduce-figure", "1d"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+TINY_CONFIG = (
+    "rho_min = -20\nrho_max = 20\nrho_count = 5\npowers = 1\nangles_deg = 90\n"
+)
+HUGE_GRID_CONFIG = (
+    "rho_min = -1e200\nrho_max = 1e200\nrho_count = 5\npowers = 1\nangles_deg = 90\n"
+)
+HUGE_BETA_CONFIG = TINY_CONFIG + "beta = 1e200\n"
+OVERFLOW_LINE = "domain error: column total_over_sql overflows float64 for this config\n"
+BETA_LINE = "domain error: beta = 1e+200: the LO power (1 + beta^2)/2 overflows float64\n"
+
+# (config text or None, argv with {cfg} and {tmp}, exit code, stderr or None)
+PROCESS_CASES = {
+    "table": (TINY_CONFIG, ["--config", "{cfg}", "spectrum"], 0, ""),
+    "version": (None, ["--version"], 0, ""),
+    "usage": (None, ["no-such-command"], 2, None),
+    "config": (TINY_CONFIG + "mystery = 1\n", ["--config", "{cfg}", "spectrum"], 2, None),
+    "spectrum-overflow": (HUGE_GRID_CONFIG, ["--config", "{cfg}", "spectrum"], 3, OVERFLOW_LINE),
+    "limits-overflow": (HUGE_GRID_CONFIG, ["--config", "{cfg}", "limits"], 3, OVERFLOW_LINE),
+    "synodyne-beta": (HUGE_BETA_CONFIG, ["--config", "{cfg}", "synodyne"], 3, BETA_LINE),
+    "out-dir": (TINY_CONFIG, ["--config", "{cfg}", "--out", "{tmp}/no/such.csv", "spectrum"], 4, None),
+}
+
+
+@pytest.mark.parametrize("case", PROCESS_CASES)
+def test_cli_process_matches_main_in_process(tmp_path, capsys, case):
+    text, argv, code, stderr = PROCESS_CASES[case]
+    cfg = tmp_path / "c.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    argv = [a.format(cfg=cfg, tmp=tmp_path) for a in argv]
+    try:
+        in_process = cli_main(argv)
+    except SystemExit as exc:  # argparse's --version and usage errors
+        in_process = exc.code
+    out, err = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(noisebudget.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "noisebudget.cli", *argv], capture_output=True, env=env,
+        cwd=tmp_path,
+    )
+    assert in_process == proc.returncode == code
+    assert proc.stdout == out.encode()
+    assert proc.stderr.decode() == err
+    if stderr is not None:
+        assert err == stderr

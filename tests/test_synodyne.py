@@ -32,6 +32,7 @@ from noisebudget.synodyne import (
     synodyne_components,
     synodyne_force_response,
     synodyne_p_opt,
+    synodyne_terms,
 )
 
 
@@ -101,6 +102,19 @@ def test_degenerate_lo_rejected(ideal_det, zero_mode):
         synodyne_psd(0.0, 1.0, SynodyneLO(1.0, 0.0), ideal_det, zero_mode)
     with pytest.raises(DivergenceError):
         synodyne_psd(0.0, 0.0, SynodyneLO(1.02, 0.0), ideal_det, zero_mode)
+
+
+def test_overflowing_lo_power_names_beta(ideal_det, zero_mode):
+    # (1 + beta^2)/2 overflows float64; below that the budget stays finite
+    lo = SynodyneLO(1e200, 0.0)
+    with pytest.raises(DivergenceError, match=r"beta = 1e\+200"):
+        synodyne_psd(0.0, 1.0, lo, ideal_det, zero_mode)
+    with pytest.raises(DivergenceError, match=r"beta = 1e\+200"):
+        synodyne_terms(np.zeros(3), 1.0, lo, 1.0, 0.0)
+    grid = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(DivergenceError, match=r"beta = 1e\+200"):
+        synodyne_force_response(ExternalForce(1.0, 1.0, 0.0), lo, zero_mode, grid, 1.0)
+    assert math.isfinite(synodyne_psd(0.0, 1.0, SynodyneLO(1e150, 0.0), ideal_det, zero_mode))
 
 
 def test_slight_imbalance_beats_sql_on_resonance(ideal_det, zero_mode):
