@@ -4,10 +4,13 @@ Subcommands: spectrum, limits, variational, synodyne, calibrate,
 reproduce-figure.  Exit codes: 0 success, 2 validation error, 3 domain
 error, 4 I/O error.
 
-calibrate's red/blue pair, and the --out files of a multi-table command
-with at least FORK_MIN_ROWS rows in all, run as independent jobs on the CPUs
-this process may use (_run_jobs); stdout output and every library function
-stay serial.
+calibrate's red/blue pair, and the --out tables of a command once they
+hold at least FORK_MIN_ROWS rows in all, run as independent jobs on the CPUs
+this process may use (_run_jobs).  Each such table is cut into one contiguous
+row range per CPU; the ranges after the first are written to temporary files
+in forked children and appended to the final file in the kernel
+(_write_out), so the bytes do not depend on the CPU count.  stdout output,
+smaller tables and every library function stay serial.
 
 run() is the process entry point (the noisebudget script and
 python -m noisebudget.cli); main(argv) is the same command for in-process
@@ -17,11 +20,14 @@ callers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
 import pickle
+import stat
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -107,8 +113,9 @@ def _fork_share(jobs, share) -> tuple:
     # next call that wants threads; 4x4 calls run on the calling thread
     # anyway.  An OpenBLAS built with OpenMP, or MKL, is not covered by this.
     # The child leaves through os._exit, so it never flushes the parent's
-    # stdio buffers or runs its exit handlers.  Python >= 3.12 warns on every
-    # fork in a process with other threads; that warning is kept off stderr.
+    # stdio buffers or runs its exit handlers; a job that writes a file
+    # flushes it itself.  Python >= 3.12 warns on every fork in a process
+    # with other threads; that warning is kept off stderr.
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", message=r".*use of fork\(\) may lead to deadlocks",
@@ -126,19 +133,24 @@ def _fork_share(jobs, share) -> tuple:
     return pid, os.fdopen(r, "rb")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 on platforms that cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _run_jobs(jobs: list, fork: bool = True) -> list:
     """Results of jobs, a list of independent argument-free callables, in
     input order.
 
     The jobs are dealt round-robin into one share per CPU this process may
-    use, at most one per job, or into a single share if not fork.  The first
-    share runs in this process, each other one in a forked child
-    (_fork_share); with one share every job runs here.  If jobs raise, the
-    first failing one in input order is re-raised, as a serial run would
-    raise it.  Every child is reaped before return.
+    use, at most one per job, or into a single share if not fork: job i goes
+    to share i % (number of shares).  The first share runs in this process,
+    each other one in a forked child (_fork_share); with one share every job
+    runs here.  If jobs raise, the first failing one in input order is
+    re-raised, as a serial run would raise it.  Every child is reaped before
+    return.
     """
-    cpus = len(os.sched_getaffinity(0)) if fork and hasattr(os, "sched_getaffinity") else 1
-    n = max(1, min(cpus, len(jobs)))
+    n = max(1, min(_usable_cpus() if fork else 1, len(jobs)))
     shares = [range(k, len(jobs), n) for k in range(n)]
     children = []
     try:
@@ -164,8 +176,9 @@ def _run_jobs(jobs: list, fork: bool = True) -> list:
 
 
 # A table row costs about 5 us to write (10 cells) and a fork 5-15 ms, so
-# forked writers gain only past about this many rows in all: no figure has
-# as many (2,406 at most), a 50,001-point limits run has 100,002.
+# --out tables are cut into one row range per CPU only once they hold about
+# this many rows in all: no figure has as many (2,406 at most); a
+# 20,001-point stitched spectrum at two powers has 40,002.
 FORK_MIN_ROWS = 10_000
 
 
@@ -175,6 +188,80 @@ def _read_config(args) -> str:
     return args.config.read_text(encoding="utf-8")
 
 
+def _row_ranges(n_rows: int, n: int) -> list:
+    """Contiguous ranges that cut range(n_rows) into min(n, n_rows) parts
+    as even as can be, each non-empty; [range(0, 0)] for no rows."""
+    n = max(1, min(n, n_rows))
+    bounds = [k * n_rows // n for k in range(n + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _emit_part(table, fmt, fh, rows):
+    emit_table(table, fmt, fh, rows)
+    fh.flush()  # a forked child leaves through os._exit, which flushes nothing
+
+
+def _append(dst, src):
+    """Append the whole file behind descriptor src to dst, copied in the
+    kernel from src's offset 0: a forked child shares src's file offset,
+    which it left at the end."""
+    size, done = os.fstat(src).st_size, 0
+    while done < size:
+        sent = os.sendfile(dst, src, done, size - done)
+        if not sent:
+            raise OSError(f"table part ended at {done} of {size} bytes")
+        done += sent
+
+
+def _write_out(tables: dict, fmt: str, out: Path):
+    """Write each table to its --out path, the rows of a large one in a
+    contiguous range per CPU.
+
+    The paths are opened in table order before any work starts.  Range 0 of
+    each table is written by this process straight into its final file, and
+    each later range by a forked child into an unlinked temporary file
+    beside it, which this process then appends in the kernel.  A table goes
+    unsplit when it holds fewer than FORK_MIN_ROWS rows with the others, or
+    when its path is no regular file (a pipe or /dev/null, say).  If a job
+    fails, every opened file is truncated to empty before the error is
+    raised, so no partial table is left to load.
+    """
+    paths = [out] if len(tables) == 1 else [
+        out.with_name(f"{out.stem}.{name}{out.suffix}") for name in tables
+    ]
+    rows = sum(len(table.columns["rho"]) for table in tables.values())
+    n = _usable_cpus() if rows >= FORK_MIN_ROWS else 1
+    files, parts, jobs = [], [], []
+    try:
+        for table, path in zip(tables.values(), paths):
+            fh = open(path, "w", newline="")
+            files.append(fh)
+            split = n if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else 1
+            ranges = _row_ranges(len(table.columns["rho"]), split)
+            for k, part_rows in enumerate(ranges):
+                dest = fh
+                if k:
+                    dest = tempfile.TemporaryFile("w", newline="", dir=path.parent)
+                    parts.append((fh, dest))
+                jobs.append(partial(_emit_part, table, fmt, dest, part_rows))
+            # job i runs in share i % n, so range k of every table runs in
+            # share k; tuple pads the table's jobs to n as a job doing nothing
+            jobs += [tuple] * (n - len(ranges))
+        _run_jobs(jobs, fork=bool(parts))
+        for fh, part in parts:
+            _append(fh.fileno(), part.fileno())
+    except BaseException:
+        for fh in files:
+            with contextlib.suppress(OSError):
+                fh.close()
+            with contextlib.suppress(OSError):
+                os.truncate(fh.name, 0)
+        raise
+    finally:
+        for fh in [part for _, part in parts] + files:
+            fh.close()
+
+
 def _write_tables(tables: dict, args):
     fmt = args.fmt or "csv"
     if args.out is None:
@@ -182,15 +269,7 @@ def _write_tables(tables: dict, args):
             sys.stdout.write(f"# --- {name} ---\n")
             emit_table(table, fmt, sys.stdout)
         return
-    out = args.out
-    paths = [out] if len(tables) == 1 else [
-        out.with_name(f"{out.stem}.{name}{out.suffix}") for name in tables
-    ]
-    rows = sum(len(table.columns["rho"]) for table in tables.values())
-    _run_jobs(
-        [partial(emit_table, t, fmt, p) for t, p in zip(tables.values(), paths)],
-        fork=rows >= FORK_MIN_ROWS,
-    )
+    _write_out(tables, fmt, args.out)
 
 
 def _cmd_sweep(args, readout_override=None) -> dict:

@@ -282,7 +282,8 @@ def classical_noise_psd(
     a = chi_c(-omega, cav) * np.exp(-1j * phi)
     b = np.conj(chi_c(omega, cav)) * np.exp(1j * phi)
     amp = math.sqrt(noise.c_aa) * (a + b) + 1j * math.sqrt(noise.c_pp) * (a - b)
-    return 2.0 * det.epsilon * (cav.kappa / 2.0) ** 2 * np.abs(amp) ** 2
+    # a float64 power: (kappa/2)^2 past float64 is inf, not an OverflowError
+    return 2.0 * det.epsilon * np.float64(cav.kappa / 2.0) ** 2 * np.abs(amp) ** 2
 
 
 def classical_noise_displacement(

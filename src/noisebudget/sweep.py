@@ -357,7 +357,7 @@ def run_sweep(spec: SweepSpec) -> SpectrumTable:
     return SpectrumTable(spec.metadata(), spectrum_columns(rho, phi_deg, p, comps))
 
 
-def emit_table(table: SpectrumTable, fmt: str, destination):
+def emit_table(table: SpectrumTable, fmt: str, destination, rows: Optional[range] = None):
     """Serialize a table as CSV or JSON-lines.
 
     destination is a path or a text file object.  CSV carries the metadata
@@ -366,34 +366,42 @@ def emit_table(table: SpectrumTable, fmt: str, destination):
     are always standard JSON with finite numbers, keys sorted; each float is
     its repr, which is what json.dumps writes for a finite float.
 
+    rows, a range of row indices with step 1, writes only those rows, and
+    the metadata and header only if it starts at row 0: the contiguous
+    ranges of a table, written one after another, give the table's bytes.
+
     A column whose values all share one bit pattern is formatted once, into
     the row template; the other columns are formatted BLOCK_ROWS rows at a
     time, so the writer's memory does not grow with the table's length.
     """
     if fmt not in ("csv", "jsonl"):
         raise ParameterError(f"format must be csv or jsonl, got {fmt!r}")
+    rows = range(len(table.columns["rho"])) if rows is None else rows
     own = isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__")
     fh = open(destination, "w", newline="") if own else destination
     keys = COLUMNS if fmt == "csv" else sorted(COLUMNS)
     spec = "%.17g" if fmt == "csv" else "%r"
-    cols = [table.columns[c] for c in keys]
+    cols = [table.columns[c][rows.start:rows.stop] for c in keys]
     n = len(cols[0])
     same = [n > 0 and (c.view(np.uint64) == c.view(np.uint64)[0]).all() for c in cols]
     cells = [spec % c[0].item() if k else spec for c, k in zip(cols, same)]
     varying = [c for c, k in zip(cols, same) if not k]
     try:
         if fmt == "csv":
-            for key, value in table.metadata.items():
-                fh.write(f"# {key}: {json.dumps(value, sort_keys=True)}\n")
-            fh.write(",".join(COLUMNS) + "\n")
+            head = "".join(
+                f"# {key}: {json.dumps(value, sort_keys=True)}\n"
+                for key, value in table.metadata.items()
+            ) + ",".join(COLUMNS) + "\n"
             line = ",".join(cells) + "\n"
         else:
-            fh.write(json.dumps({"metadata": table.metadata}, sort_keys=True) + "\n")
+            head = json.dumps({"metadata": table.metadata}, sort_keys=True) + "\n"
             line = "{%s}\n" % ", ".join(f"{json.dumps(k)}: {c}" for k, c in zip(keys, cells))
+        if rows.start == 0:
+            fh.write(head)
         for start in range(0, n, BLOCK_ROWS):
             block = [col[start:start + BLOCK_ROWS].tolist() for col in varying]
-            rows = zip(*block) if block else [()] * min(BLOCK_ROWS, n - start)
-            fh.writelines([line % row for row in rows])
+            values = zip(*block) if block else [()] * min(BLOCK_ROWS, n - start)
+            fh.writelines([line % row for row in values])
     finally:
         if own:
             fh.close()

@@ -1,20 +1,30 @@
 """The CLI's flag checks, its worker processes and its process entry point.
 
-A multi-table --out and calibrate's red/blue pair run as jobs in forked
-children, with output bytes, errors and exit codes as in a serial run.
-cli.run, the entry point of a CLI process, freezes the heap at exit and
-otherwise behaves as the in-process cli.main."""
+The row ranges of large --out tables and calibrate's red/blue pair run as
+jobs in forked children, with output bytes, errors and exit codes as in a
+serial run.  cli.run, the entry point of a CLI process, freezes the heap at
+exit and otherwise behaves as the in-process cli.main.  Any config text
+gives one of the documented exit codes, at most one line on stderr, and
+finite tables."""
 
+import contextlib
+import errno
 import gc
+import io
+import json
+import math
 import os
 import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import noisebudget
 from noisebudget import LorentzianFit, synth_sideband_spectrum
@@ -22,7 +32,9 @@ from noisebudget.calibration import write_spectrum_csv
 from noisebudget import cli
 from noisebudget.cli import _run_jobs
 from noisebudget.cli import main as cli_main
+from noisebudget.errors import DivergenceError, ParameterError
 from noisebudget.figures import FIGURE_IDS, reproduce_figure
+from noisebudget.sweep import load_table_csv
 
 LIMITS_CONFIG = (
     "rho_min = -20\nrho_max = 20\nrho_count = {rho_count}\npowers = 14\n"
@@ -120,6 +132,102 @@ def test_unwritable_second_table_exits_4(tmp_path, monkeypatch, capsys, cpus):
     assert "lim.ql.csv" in capsys.readouterr().err
 
 
+STITCHED_CONFIG = (
+    "rho_min = -20\nrho_max = 20\nrho_count = {rho_count}\npowers = 1,14\n"
+    "readout = stitched\nstitch_angles_deg = 90,60,120\nepsilon = 0.35\nn_th = 1.29\n"
+)
+SPECTRUM_CASES = {
+    "stitched-csv": (STITCHED_CONFIG.format(rho_count=301), "csv"),
+    "stitched-jsonl": (STITCHED_CONFIG.format(rho_count=301), "jsonl"),
+    # two rows for up to three CPUs: fewer ranges than CPUs
+    "fewer-rows-than-cpus": (
+        "rho_min = -1\nrho_max = 1\nrho_count = 2\npowers = 3\nangles_deg = 90\n", "csv",
+    ),
+    # phi_used, p and s_ln hold one value each
+    "constant-columns": (LIMITS_CONFIG.format(rho_count=97), "jsonl"),
+}
+
+
+@pytest.mark.parametrize("case", SPECTRUM_CASES)
+def test_spectrum_out_bytes_do_not_depend_on_cpus(tmp_path, monkeypatch, case):
+    # one file in each output directory: no temporary part is left beside it
+    text, fmt = SPECTRUM_CASES[case]
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    argv = ["--config", str(cfg), "--format", fmt, "spectrum"]
+    _assert_same_bytes_serial_and_forked(tmp_path, monkeypatch, argv, f"s.{fmt}", 1)
+
+
+@pytest.mark.parametrize("cpus, n_forks", ((1, 0), (2, 1), (3, 2)))
+@pytest.mark.parametrize("rho_count, large", ((4999, False), (5000, True)))
+def test_single_table_is_cut_into_one_range_per_cpu_from_fork_min_rows(
+    tmp_path, monkeypatch, cpus, n_forks, rho_count, large
+):
+    assert cli.FORK_MIN_ROWS == 2 * 5000  # rho_count rows at each of two powers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks = _count_forks(monkeypatch)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(STITCHED_CONFIG.format(rho_count=rho_count))
+    out = tmp_path / "out" / "s.csv"
+    out.parent.mkdir()
+    assert cli_main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 0
+    assert len(forks) == (n_forks if large else 0)
+    assert os.listdir(out.parent) == ["s.csv"]
+    assert len(load_table_csv(out).columns["rho"]) == 2 * rho_count
+
+
+def test_table_to_a_path_that_is_no_regular_file_is_not_cut(tmp_path, monkeypatch):
+    # /dev/null is no regular file: its table is written whole, in-process
+    _use_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(STITCHED_CONFIG.format(rho_count=301))
+    assert cli_main(["--config", str(cfg), "--out", os.devnull, "spectrum"]) == 0
+    assert forks == []
+
+
+def _emit_failing_at_last_row(error, emit_table):
+    """emit_table that writes its rows, then raises error if they hold the
+    table's last row: the same error, serial or forked, from the last range."""
+    def emit(table, fmt, destination, rows=None):
+        emit_table(table, fmt, destination, rows)
+        n_rows = len(table.columns["rho"])
+        if rows is None or n_rows - 1 in rows:
+            raise error
+    return emit
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    (
+        (OSError(errno.ENOSPC, "No space left on device"), 4),
+        (DivergenceError("column total overflows float64 for this config"), 3),
+    ),
+)
+@pytest.mark.parametrize("command, files", (("spectrum", 1), ("limits", 2)))
+def test_failing_later_range_fails_as_serial_and_leaves_no_table(
+    tmp_path, monkeypatch, capsys, error, code, command, files
+):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(STITCHED_CONFIG.format(rho_count=301))
+    monkeypatch.setattr(cli, "emit_table", _emit_failing_at_last_row(error, cli.emit_table))
+    results = []
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        out_dir = tmp_path / f"cpus{cpus}"
+        out_dir.mkdir()
+        exit_code = cli_main(["--config", str(cfg), "--out", str(out_dir / "s.csv"), command])
+        left = sorted(out_dir.iterdir())
+        assert len(left) == files
+        for path in left:
+            assert path.read_bytes() == b""
+            with pytest.raises(ParameterError, match="missing header row"):
+                load_table_csv(path)
+        results.append((exit_code, capsys.readouterr().err, [p.name for p in left]))
+    assert results[0][0] == code
+    assert results[1:] == results[:1] * 2
+
+
 def _count_forks(monkeypatch):
     forks = []
     fork_share = cli._fork_share
@@ -147,10 +255,9 @@ def test_limits_tables_fork_from_fork_min_rows(tmp_path, monkeypatch, rho_count,
     assert sorted(p.name for p in tmp_path.glob("lim.*")) == ["lim.ql.csv", "lim.sql.csv"]
 
 
-@pytest.mark.parametrize("cpus, left", ((1, []), (2, ["lim.ql.csv"])))
+@pytest.mark.parametrize("cpus, left", ((1, []), (2, [])))
 def test_unwritable_first_table_exits_4(tmp_path, monkeypatch, capsys, cpus, left):
-    # a serial run stops at the first table; a forked one has written the
-    # other share's tables by then, and reports the same error
+    # every path is opened, in table order, before any table is written
     cfg = _limits_config(tmp_path)
     (tmp_path / "lim.sql.csv").mkdir()
     _use_cpus(monkeypatch, cpus)
@@ -263,6 +370,13 @@ HUGE_GRID_CONFIG = (
     "rho_min = -1e200\nrho_max = 1e200\nrho_count = 5\npowers = 1\nangles_deg = 90\n"
 )
 HUGE_BETA_CONFIG = TINY_CONFIG + "beta = 1e200\n"
+# (kappa/2)^2 overflows float64; it used to raise OverflowError, exit 1
+HUGE_KAPPA_CONFIG = (
+    "rho_min = -20\nrho_max = 20\nrho_count = 11\npowers = 14\nepsilon = 0.35\n"
+    "n_th = 1.29\nangles_deg = 90\nc_aa = 0.5\nc_pp = 1\nkappa_hz = 1e154\n"
+    "omega_m_hz = 1.596e6\ngamma_hz = 340\n"
+)
+KAPPA_LINE = "domain error: column s_ln overflows float64 for this config\n"
 OVERFLOW_LINE = "domain error: column total_over_sql overflows float64 for this config\n"
 BETA_LINE = "domain error: beta = 1e+200: the LO power (1 + beta^2)/2 overflows float64\n"
 
@@ -275,6 +389,7 @@ PROCESS_CASES = {
     "spectrum-overflow": (HUGE_GRID_CONFIG, ["--config", "{cfg}", "spectrum"], 3, OVERFLOW_LINE),
     "limits-overflow": (HUGE_GRID_CONFIG, ["--config", "{cfg}", "limits"], 3, OVERFLOW_LINE),
     "synodyne-beta": (HUGE_BETA_CONFIG, ["--config", "{cfg}", "synodyne"], 3, BETA_LINE),
+    "classical-noise-kappa": (HUGE_KAPPA_CONFIG, ["--config", "{cfg}", "spectrum"], 3, KAPPA_LINE),
     "out-dir": (TINY_CONFIG, ["--config", "{cfg}", "--out", "{tmp}/no/such.csv", "spectrum"], 4, None),
 }
 
@@ -301,3 +416,107 @@ def test_cli_process_matches_main_in_process(tmp_path, capsys, case):
     assert proc.stderr.decode() == err
     if stderr is not None:
         assert err == stderr
+
+
+# float64 edge values: signed zeros, subnormals, and magnitudes whose
+# squares (1e154) or values (1e200, 1e308) overflow; keys that must be
+# positive take only the positive ones
+EDGES = (0.0, -0.0, 5e-324, 2.2e-308, 1e154, 1e200, 1e308)
+SIGNED_EDGES = EDGES + tuple(-v for v in EDGES[2:])
+SIGNED_KEYS = ("rho", "synodyne_phi_deg")
+# the physical range of each numeric key; list keys hold up to three values
+PHYSICAL = {
+    "rho": (-50.0, 50.0),
+    "powers": (1e-3, 1e3),
+    "angles_deg": (1.0, 179.0),
+    "stitch_angles_deg": (1.0, 179.0),
+    "epsilon": (0.01, 1.0),
+    "n_th": (0.0, 100.0),
+    "beta": (0.01, 10.0),
+    "synodyne_phi_deg": (-180.0, 180.0),
+    "c_aa": (0.0, 1.0),
+    "c_pp": (0.0, 1.0),
+    "kappa_hz": (1e3, 1e8),
+    "omega_m_hz": (1e5, 1e8),
+    "gamma_hz": (1.0, 100.0),
+}
+LIST_KEYS = {"powers": 1, "angles_deg": 1, "stitch_angles_deg": 2}  # key: least length
+CLASSICAL_KEYS = ("c_aa", "c_pp", "kappa_hz", "omega_m_hz", "gamma_hz")
+
+
+@st.composite
+def config_values(draw, command: str) -> dict:
+    """Values of every key for command: physical but for one or two keys,
+    which take float64 edge values.  Lists hold no repeats and the grid
+    bounds come in order, so validation passes unless an edge value breaks
+    it."""
+    edgy = draw(st.sets(st.sampled_from(sorted(PHYSICAL)), min_size=1, max_size=2))
+    spacing = draw(st.sampled_from(("linear", "log-symmetric")))
+    physical = dict(PHYSICAL, rho=PHYSICAL["rho"] if spacing == "linear" else (1e-3, 50.0))
+
+    def numbers(key):
+        if key not in edgy:
+            return st.floats(*physical[key])
+        return st.sampled_from(SIGNED_EDGES if key in SIGNED_KEYS else EDGES)
+
+    bounds = draw(st.lists(numbers("rho"), min_size=2, max_size=2, unique=True))
+    readout = draw(st.sampled_from(("homodyne", "synodyne", "variational", "stitched")))
+    keys = [k for k in PHYSICAL if k != "rho" and k not in CLASSICAL_KEYS]
+    if "synodyne" not in (readout, command):  # synodyne models no classical noise
+        keys += CLASSICAL_KEYS
+    values = {
+        "rho_min": min(bounds),
+        "rho_max": max(bounds),
+        "rho_count": draw(st.integers(2, 64)),
+        "rho_spacing": spacing,
+        "readout": readout,
+    }
+    for key in keys:
+        if key in LIST_KEYS:
+            values[key] = draw(st.lists(numbers(key), min_size=LIST_KEYS[key], max_size=3, unique=True))
+        else:
+            values[key] = draw(numbers(key))
+    return values
+
+
+def _config_text(values: dict) -> str:
+    def text(v):
+        return ",".join(map(repr, v)) if isinstance(v, list) else str(v)
+    return "".join(f"{key} = {text(value)}\n" for key, value in values.items())
+
+
+def _table_values(out: str, fmt: str) -> list:
+    """Every number in the tables of a command's stdout."""
+    values = []
+    for line in out.splitlines():
+        if fmt == "jsonl" and not line.startswith("#"):
+            row = json.loads(line, parse_constant=float)
+            values += [] if "metadata" in row else list(row.values())
+        elif fmt == "csv" and not line.startswith(("#", "rho,")):
+            values += [float(v) for v in line.split(",")]
+    return values
+
+
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.data(),
+    st.sampled_from(("spectrum", "limits", "variational", "synodyne")),
+    st.sampled_from(("csv", "jsonl")),
+)
+def test_any_config_text_gives_a_documented_exit_and_finite_tables(tmp_path, data, command, fmt):
+    values = data.draw(config_values(command))
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_text(_config_text(values))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(["--config", str(cfg), "--format", fmt, command])
+    assert code in (0, 2, 3, 4)
+    assert caught == []
+    assert err.getvalue().count("\n") == (code != 0)
+    if code == 0:
+        numbers = _table_values(out.getvalue(), fmt)
+        assert numbers and all(isinstance(v, float) and math.isfinite(v) for v in numbers)
