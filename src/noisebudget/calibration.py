@@ -10,9 +10,9 @@ two-column CSV (frequency_hz, psd_shotnoise_units) with a one-line header.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -199,14 +199,26 @@ def _lorentzian_jacobian(theta, x):
     row per parameter (MINPACK's col_deriv layout).
 
     With d = x - center, hw = gamma/2 and den = hw^2 + d^2 they are
-    2 A hw^2 d / den^2, A hw d^2 / den^2, hw^2 / den and 1.
+    2 A hw^2 d / den^2, A hw d^2 / den^2, hw^2 / den and 1.  They are
+    filled in place, the intermediates d, d^2, den and A hw / den^2 held in
+    rows 0-3 until each row is overwritten with its own value, so the result
+    is the only array allocated.
     """
     center, gamma, amplitude, _ = theta
     hw = 0.5 * gamma
-    d = x - center
-    den = hw * hw + d * d
-    q = amplitude * hw / (den * den)
-    return np.array([2.0 * hw * d * q, d * d * q, hw * hw / den, np.ones_like(x)])
+    jac = np.empty((4, np.size(x)))
+    d, dd, den, q = jac
+    np.subtract(x, center, out=d)
+    np.multiply(d, d, out=dd)
+    np.add(dd, hw * hw, out=den)
+    np.multiply(den, den, out=q)
+    np.divide(amplitude * hw, q, out=q)
+    np.multiply(dd, q, out=dd)
+    np.multiply(d, 2.0 * hw, out=d)
+    np.multiply(d, q, out=d)
+    np.divide(hw * hw, den, out=den)
+    q[:] = 1.0
+    return jac
 
 
 def _deterministic_init(x, y) -> LorentzianFit:
@@ -243,6 +255,9 @@ def fit_lorentzian(
 ) -> LorentzianFit:
     """Least-squares offset-Lorentzian fit with deterministic initialization.
 
+    Samples are fitted in frequency order: samples already in that order
+    through views of their two columns, others after a stable sort, so
+    samples of equal frequency keep their input order.
     Initialization (when init is None): offset = median of the outer
     quartiles, center = argmax sample, gamma = full width at half of
     (max - offset), amplitude = max - offset.  Refinement is MINPACK's
@@ -260,8 +275,10 @@ def fit_lorentzian(
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ParameterError("samples must be an (N, 2) array of (frequency, psd)")
-    order = np.argsort(arr[:, 0])
-    x, y = arr[order, 0], arr[order, 1]
+    x, y = arr[:, 0], arr[:, 1]
+    if not (x[1:] >= x[:-1]).all():
+        order = np.argsort(x, kind="stable")
+        x, y = x[order], y[order]
     if x.size < 8:
         raise ParameterError(f"need >= 8 samples, got {x.size}")
     if init is None:
@@ -345,26 +362,53 @@ def write_spectrum_csv(path, samples):
             w.writerow([f"{f:.17g}", f"{s:.17g}"])
 
 
+def _loadtxt_body(path, fh) -> Optional[np.ndarray]:
+    r"""The rows after the header line of the file open as fh, parsed by
+    np.loadtxt, or None unless they are all two finite numbers.
+
+    loadtxt skips blank lines, accepts nan and warns on no data, so the
+    lines after fh's position are counted first, blank ones included:
+    reading with newline="" splits them at \n, \r\n and \r, and a read never
+    ends between \r and \n.  loadtxt then reads the file by its path, which
+    lets its C reader take the file in chunks rather than line by line.
+    """
+    lines, blank, last = 0, True, "\n"
+    for chunk in iter(partial(fh.read, 1 << 16), ""):
+        lines += chunk.count("\n")
+        if "\r" in chunk:
+            lines += chunk.count("\r") - chunk.count("\r\n")
+        blank = blank and not chunk.strip()
+        last = chunk[-1]
+    lines += last not in "\r\n"
+    if blank:
+        return None
+    try:
+        samples = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, skiprows=1)
+    except ValueError:
+        return None
+    return samples if samples.shape == (lines, 2) and np.isfinite(samples).all() else None
+
+
 def read_spectrum_csv(path) -> np.ndarray:
     """Read a two-column sideband spectrum CSV written by write_spectrum_csv.
 
-    A row that is not two finite numbers raises ParameterError naming the
-    path and line.
+    np.loadtxt parses the body from the file, so the reader holds little
+    more than the array it returns.  A row that is not two finite numbers
+    raises ParameterError naming the path and line; only that error path,
+    and an input that cannot seek (a pipe), read the rows into memory
+    through csv.reader.
     """
     with open(path, newline="") as fh:
-        header, body = next(csv.reader([fh.readline()]), []), fh.read()
-    if tuple(header) != CSV_HEADER:
-        raise ParameterError(f"{path}: expected header {','.join(CSV_HEADER)}")
-    # loadtxt skips blank lines, accepts nan, warns on no data: check all three
-    lines = body.count("\n") + (not body.endswith("\n"))
-    try:
-        if body.strip():
-            samples = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2, comments=None)
-            if samples.shape == (lines, 2) and np.isfinite(samples).all():
+        header = next(csv.reader([fh.readline()]), [])
+        if tuple(header) != CSV_HEADER:
+            raise ParameterError(f"{path}: expected header {','.join(CSV_HEADER)}")
+        if fh.seekable():
+            body = fh.tell()
+            samples = _loadtxt_body(path, fh)
+            if samples is not None:
                 return samples
-    except ValueError:
-        pass
-    rows = list(csv.reader(io.StringIO(body, newline="")))
+            fh.seek(body)
+        rows = list(csv.reader(fh))
     for lineno, row in enumerate(rows, start=2):
         try:
             values = [float(v) for v in row]

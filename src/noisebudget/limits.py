@@ -52,8 +52,15 @@ def sql_psd(rho):
     """Dimensionless SQL added-noise PSD, |chi_m(rho)| = 1/sqrt(1 + rho^2).
 
     Multiply by S_sql(omega_m) = 2 x_zp^2 / gamma for absolute units.
+    Where rho^2 overflows float64 (|rho| above about 1.34e154) the value is
+    1/|rho|, which sqrt(1 + rho^2) = |rho| makes exact there.
     """
-    return 1.0 / np.sqrt(1.0 + np.asarray(rho) ** 2)
+    rho = np.asarray(rho)
+    with np.errstate(over="ignore"):
+        psd = np.asarray(1.0 / np.sqrt(1.0 + rho**2))
+    huge = psd == 0  # exactly where rho^2 overflowed, or rho is infinite
+    psd[huge] = 1.0 / np.abs(rho[huge])
+    return psd[()]
 
 
 def phi_opt(rho, p, det: Detection):

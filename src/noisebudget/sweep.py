@@ -4,15 +4,20 @@ The config format is a flat key = value text document (UTF-8, '#' comments).
 The keys are the fields of SweepSpec, each parsed by its declared type:
 
     rho_min, rho_max      grid bounds (log-symmetric: bounds on |rho|, > 0)
-    rho_count             number of grid points (>= 2)
+    rho_count             number of grid points (>= 2); rho_count times the
+                          number of powers times the candidate angles
+                          (angles_deg for homodyne, stitch_angles_deg for
+                          stitched, else 1) must not exceed MAX_GRID_POINTS
     powers                comma-separated normalized powers, each > 0
     rho_spacing           linear (default) | log-symmetric
-    angles_deg            comma-separated homodyne angles in degrees
+    angles_deg            comma-separated homodyne angles in degrees, each
+                          strictly between 0 and 180
     epsilon               quantum efficiency (default 1)
     n_th                  thermal occupation (default 0)
     readout               homodyne (default) | synodyne | variational | stitched
     beta, synodyne_phi_deg   synodyne LO ratio and phase
-    stitch_angles_deg     candidate angles for stitched readout
+    stitch_angles_deg     candidate angles for stitched readout, each
+                          strictly between 0 and 180 degrees
     c_aa, c_pp            fractional classical noise (default 0)
     kappa_hz, omega_m_hz, gamma_hz   cavity/mode frequencies in Hz (> 0),
                           required only when classical noise is nonzero;
@@ -77,6 +82,9 @@ COLUMNS = (
 READOUTS = ("homodyne", "synodyne", "variational", "stitched")
 SPACINGS = ("linear", "log-symmetric")
 BLOCK_ROWS = 4096  # rows emit_table formats per writelines call
+# rho_count * powers * candidate angles a sweep may evaluate: about 0.5 GB of
+# float64 working arrays at the cap
+MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -136,6 +144,22 @@ class SweepSpec:
             raise ParameterError("synodyne readout needs beta")
         if self.readout == "stitched" and len(self.stitch_angles_deg) < 2:
             raise ParameterError("stitched readout needs >= 2 stitch_angles_deg")
+        for key in ("angles_deg", "stitch_angles_deg"):
+            for angle in getattr(self, key):
+                if not 0 < angle < 180:
+                    raise ParameterError(
+                        f"{key} must lie strictly between 0 and 180 degrees, got {angle}"
+                    )
+        candidates = {
+            "homodyne": len(self.angles_deg), "stitched": len(self.stitch_angles_deg)
+        }.get(self.readout, 1)
+        points = self.rho_count * len(self.powers) * candidates
+        if points > MAX_GRID_POINTS:
+            raise ParameterError(
+                f"rho_count * powers * candidate angles = {self.rho_count} * "
+                f"{len(self.powers)} * {candidates} = {points} grid points, above "
+                f"MAX_GRID_POINTS = {MAX_GRID_POINTS}; lower rho_count"
+            )
         for key in ("kappa_hz", "omega_m_hz", "gamma_hz"):
             value = getattr(self, key)
             if value is not None and not value > 0:
@@ -275,7 +299,8 @@ class SpectrumTable:
     """Evaluated spectrum, stored by column.
 
     columns maps each name in COLUMNS to a finite 1-D float64 array, all of
-    one length; rows is a read-only view that materialises one Row per index.
+    one length (a constant column may be a read-only zero-stride view); rows
+    is a read-only view that materialises one Row per index.
     """
 
     metadata: dict
@@ -297,9 +322,17 @@ class SpectrumTable:
 
 def spectrum_columns(rho, phi_used, p, comps: SpectrumComponents) -> dict:
     """Table columns from arrays that broadcast together, flattened in C
-    order; total and total_over_sql are derived from the five terms."""
-    parts = np.broadcast_arrays(rho, phi_used, p, *comps.terms)
-    columns = dict(zip(COLUMNS, (np.array(a, dtype=float).ravel() for a in parts)))
+    order; total and total_over_sql are derived from the five terms.  A
+    column given as a scalar is kept as a read-only zero-stride view of it,
+    not copied out to the table's length."""
+    values = (rho, phi_used, p, *comps.terms)
+    parts = np.broadcast_arrays(*values)
+    n = parts[0].size
+    columns = {
+        name: np.broadcast_to(np.float64(v), (n,)) if np.ndim(v) == 0
+        else np.array(a, dtype=float).ravel()
+        for name, v, a in zip(COLUMNS, values, parts)
+    }
     total = SpectrumComponents(*(columns[c] for c in COLUMNS[3:8])).total
     columns["total"] = total
     columns["total_over_sql"] = total / sql_psd(columns["rho"])

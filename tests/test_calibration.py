@@ -1,6 +1,7 @@
 """Sideband thermometry, coupling calibration, and Lorentzian fitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,31 @@ def test_lorentzian_jacobian_matches_central_differences(
         rounding = 8 * np.finfo(float).eps * np.abs([f_hi, f_lo]).max() / (hi[k] - lo[k])
         bound = JACOBIAN_RTOL * np.abs(row).max() + rounding
         np.testing.assert_array_less(np.abs(row - central), bound)
+
+
+def test_lorentzian_jacobian_allocates_only_its_result():
+    x = np.linspace(F_M_HZ - 25e3, F_M_HZ + 25e3, 100_001)
+    theta = np.array([F_M_HZ, F_GAMMA_HZ, 0.5, 1.0])
+    _lorentzian_jacobian(theta, x)
+    tracemalloc.start()
+    try:
+        jac = _lorentzian_jacobian(theta, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jac.shape == (4, x.size)
+    assert peak < 1.5 * jac.nbytes, f"{peak / 1e6:.1f} MB"
+
+
+def test_fit_lorentzian_on_shuffled_samples_equals_fit_on_sorted():
+    # sorted samples are fitted through views of their columns, others after
+    # a sort: both paths must see the same arrays
+    truth = LorentzianFit(F_M_HZ, F_GAMMA_HZ, 0.5, 1.0, 0.0)
+    grid = np.linspace(F_M_HZ - 25e3, F_M_HZ + 25e3, 2001)
+    data = synth_sideband_spectrum(truth, grid, noise_sigma=0.01, seed=7)
+    shuffled = data[np.random.default_rng(7).permutation(len(data))]
+    assert fit_lorentzian(shuffled) == fit_lorentzian(data)
+    assert fit_lorentzian(data[::-1]) == fit_lorentzian(data)
 
 
 def _finite_difference_fit(samples):

@@ -369,6 +369,8 @@ TINY_CONFIG = (
 HUGE_GRID_CONFIG = (
     "rho_min = -1e200\nrho_max = 1e200\nrho_count = 5\npowers = 1\nangles_deg = 90\n"
 )
+# the SQL is 1e-200 at the grid ends and s_ii 5e299, so total_over_sql overflows
+HUGE_RATIO_CONFIG = HUGE_GRID_CONFIG.replace("powers = 1", "powers = 1e-300")
 HUGE_BETA_CONFIG = TINY_CONFIG + "beta = 1e200\n"
 # (kappa/2)^2 overflows float64; it used to raise OverflowError, exit 1
 HUGE_KAPPA_CONFIG = (
@@ -378,6 +380,13 @@ HUGE_KAPPA_CONFIG = (
 )
 KAPPA_LINE = "domain error: column s_ln overflows float64 for this config\n"
 OVERFLOW_LINE = "domain error: column total_over_sql overflows float64 for this config\n"
+QL_OVERFLOW_LINE = "domain error: column s_ii overflows float64 for this config\n"
+HUGE_COUNT_CONFIG = TINY_CONFIG.replace("rho_count = 5", "rho_count = 1000000000000")
+GRID_CAP_LINE = (
+    "error: rho_count * powers * candidate angles = 1000000000000 * 1 * 1 = "
+    "1000000000000 grid points, above MAX_GRID_POINTS = 10000000; lower rho_count\n"
+)
+ANGLE_LINE = "error: angles_deg must lie strictly between 0 and 180 degrees, got 221.0\n"
 BETA_LINE = "domain error: beta = 1e+200: the LO power (1 + beta^2)/2 overflows float64\n"
 
 # (config text or None, argv with {cfg} and {tmp}, exit code, stderr or None)
@@ -386,8 +395,15 @@ PROCESS_CASES = {
     "version": (None, ["--version"], 0, ""),
     "usage": (None, ["no-such-command"], 2, None),
     "config": (TINY_CONFIG + "mystery = 1\n", ["--config", "{cfg}", "spectrum"], 2, None),
-    "spectrum-overflow": (HUGE_GRID_CONFIG, ["--config", "{cfg}", "spectrum"], 3, OVERFLOW_LINE),
-    "limits-overflow": (HUGE_GRID_CONFIG, ["--config", "{cfg}", "limits"], 3, OVERFLOW_LINE),
+    "spectrum-overflow": (HUGE_RATIO_CONFIG, ["--config", "{cfg}", "spectrum"], 3, OVERFLOW_LINE),
+    "spectrum-huge-rho": (HUGE_GRID_CONFIG, ["--config", "{cfg}", "spectrum"], 0, ""),
+    # ql_added_noise squares rho, which overflows here
+    "limits-overflow": (HUGE_GRID_CONFIG, ["--config", "{cfg}", "limits"], 3, QL_OVERFLOW_LINE),
+    "grid-cap": (HUGE_COUNT_CONFIG, ["--config", "{cfg}", "spectrum"], 2, GRID_CAP_LINE),
+    "angle-range": (
+        TINY_CONFIG.replace("angles_deg = 90", "angles_deg = 221"),
+        ["--config", "{cfg}", "spectrum"], 2, ANGLE_LINE,
+    ),
     "synodyne-beta": (HUGE_BETA_CONFIG, ["--config", "{cfg}", "synodyne"], 3, BETA_LINE),
     "classical-noise-kappa": (HUGE_KAPPA_CONFIG, ["--config", "{cfg}", "spectrum"], 3, KAPPA_LINE),
     "out-dir": (TINY_CONFIG, ["--config", "{cfg}", "--out", "{tmp}/no/such.csv", "spectrum"], 4, None),

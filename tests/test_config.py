@@ -16,6 +16,7 @@ from noisebudget import (
     synth_sideband_spectrum,
 )
 from noisebudget.calibration import write_spectrum_csv
+from noisebudget.sweep import MAX_GRID_POINTS
 from noisebudget.cli import main as cli_main
 
 MINIMAL = "rho_min = -10\nrho_max = 10\nrho_count = 21\npowers = 14\nangles_deg = 90\n"
@@ -92,6 +93,52 @@ def test_non_positive_frequency_is_rejected(tmp_path, capsys, key, value):
     code, err = _exit_and_stderr(tmp_path, capsys, text)
     assert code == 2
     assert f"{key} must be > 0" in err
+
+
+@pytest.mark.parametrize(
+    "key, text, value",
+    [
+        ("angles_deg", MINIMAL.replace("angles_deg = 90", "angles_deg = 45,221"), "221.0"),
+        ("angles_deg", MINIMAL.replace("angles_deg = 90", "angles_deg = -30"), "-30.0"),
+        ("angles_deg", MINIMAL.replace("angles_deg = 90", "angles_deg = 0"), "0.0"),
+        ("stitch_angles_deg", MINIMAL + "stitch_angles_deg = 45,180\n", "180.0"),
+        ("stitch_angles_deg", MINIMAL + "readout = stitched\nstitch_angles_deg = 1e200,90\n",
+         "1e+200"),
+    ],
+    ids=("221", "negative", "zero", "180-unused", "huge"),
+)
+def test_angle_outside_0_to_180_degrees_is_rejected(tmp_path, capsys, key, text, value):
+    # checked for every readout, whether it uses the key or not
+    code, err = _exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2
+    assert err == f"error: {key} must lie strictly between 0 and 180 degrees, got {value}\n"
+
+
+def test_angles_just_inside_0_and_180_degrees_are_accepted():
+    spec = parse_config(MINIMAL.replace("angles_deg = 90", "angles_deg = 1e-300,179.99999999999997"))
+    assert spec.angles_deg == (1e-300, 179.99999999999997)
+
+
+@pytest.mark.parametrize(
+    "readout, candidates",
+    (("homodyne", 2), ("stitched", 4), ("variational", 1), ("synodyne", 1)),
+)
+def test_grid_is_capped_before_any_array_is_allocated(readout, candidates):
+    spec = dict(
+        rho_min=-1.0, rho_max=1.0, powers=(1.0, 2.0, 3.0), readout=readout, beta=1.0,
+        angles_deg=(45.0, 90.0), stitch_angles_deg=(30.0, 60.0, 90.0, 120.0),
+    )
+    largest = MAX_GRID_POINTS // (3 * candidates)
+    assert SweepSpec(rho_count=largest, **spec).rho_count == largest
+    # 10**12 grid points would take 8 TB per array: the check must come first
+    for count in (largest + 1, 10**12):
+        points = count * 3 * candidates
+        message = (
+            f"rho_count * powers * candidate angles = {count} * 3 * {candidates} = "
+            f"{points} grid points, above MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+        )
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            SweepSpec(rho_count=count, **spec)
 
 
 def _sideband_csvs(tmp_path) -> dict:

@@ -35,6 +35,19 @@ def test_sql_psd_values():
     np.testing.assert_allclose(sql_psd(np.array([-3.0, 3.0])), 1.0 / math.sqrt(10.0))
 
 
+def test_sql_psd_stays_finite_where_rho_squared_overflows():
+    # rho**2 overflows above |rho| ~ 1.34e154, where sqrt(1 + rho^2) = |rho|
+    assert sql_psd(1e200) == 1e-200
+    assert sql_psd(-1e200) == 1e-200
+    assert type(sql_psd(1e200)) is np.float64
+    finite, huge = np.array([0.0, 3.0, 1e154, -1.3e154]), np.array([1.35e154, -1e300, 1.7e308])
+    with np.errstate(over="ignore"):
+        assert np.isfinite(finite**2).all() and np.isinf(huge**2).all()
+    # bit for bit the plain expression wherever rho**2 is finite
+    expected = np.concatenate([1.0 / np.sqrt(1.0 + finite**2), 1.0 / np.abs(huge)])
+    np.testing.assert_array_equal(sql_psd(np.concatenate([finite, huge])), expected)
+
+
 def test_sql_is_minimum_of_uncorrelated_readout(ideal_det, zero_mode):
     # grid minimum over power of the phase-quadrature added noise touches
     # the SQL curve

@@ -246,9 +246,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     # 2: missing config
     assert cli_main(["spectrum"]) == 2
-    # 3: domain error (divergent quadrature)
+    # 2: a quadrature angle of 0 (where the readout diverges) is rejected as
+    # a config value
     div = _write_config(tmp_path, MINIMAL.replace("angles_deg = 90", "angles_deg = 0"))
-    assert cli_main(["--config", str(div), "spectrum"]) == 3
+    assert cli_main(["--config", str(div), "spectrum"]) == 2
+    assert "angles_deg must lie strictly between 0 and 180 degrees" in capsys.readouterr().err
+    # 3: domain error (the LO power overflows)
+    div = _write_config(tmp_path, MINIMAL + "beta = 1e200\n")
+    assert cli_main(["--config", str(div), "synodyne"]) == 3
     # 2: unknown keys are rejected, and there is no --strict flag
     odd = _write_config(tmp_path, MINIMAL + "mystery = 1\n")
     assert cli_main(["--config", str(odd), "spectrum"]) == 2

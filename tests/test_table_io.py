@@ -1,10 +1,12 @@
 """Table text I/O: CSV and JSON-lines emission, the finite-table invariant,
 and the sideband spectrum CSV reader, each checked against a plain reference."""
 
+import argparse
 import csv
 import hashlib
 import json
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -15,8 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from noisebudget import DivergenceError, ParameterError, load_table_csv
-from noisebudget.calibration import CSV_HEADER, read_spectrum_csv
-from noisebudget.cli import main as cli_main
+from noisebudget.calibration import CSV_HEADER, read_spectrum_csv, write_spectrum_csv
+from noisebudget.cli import _cmd_limits, main as cli_main
 from noisebudget.sweep import (
     BLOCK_ROWS, COLUMNS, SpectrumTable, emit_table, table_to_string,
 )
@@ -107,6 +109,38 @@ def test_emit_memory_does_not_grow_with_rows(tmp_path, fmt):
     assert peak < 5e6, f"{peak / 1e6:.1f} MB"
 
 
+def test_read_spectrum_csv_memory_stays_near_the_array(tmp_path):
+    # the reader used to hold the body as a str, then as a UCS-4 StringIO copy
+    # (about 15 MB at its peak for this file)
+    path = tmp_path / "spectrum.csv"
+    grid = np.linspace(1.5e6, 1.7e6, 100_001)
+    write_spectrum_csv(path, np.column_stack([grid, 1.0 + np.sin(grid)]))
+    read_spectrum_csv(path)  # one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        samples = read_spectrum_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.shape == (100_001, 2)
+    assert peak < 3 * samples.nbytes, f"{peak / 1e6:.1f} MB"
+
+
+def test_read_spectrum_csv_reads_a_pipe_like_a_file(tmp_path):
+    # a pipe cannot seek back to count its lines first: it takes the csv path
+    path = tmp_path / "spectrum.csv"
+    grid = np.linspace(-1000.0, 1000.0, 64)
+    write_spectrum_csv(path, np.column_stack([grid, np.cos(grid)]))
+    r, w = os.pipe()
+    try:
+        os.write(w, path.read_bytes())  # fits in the pipe's buffer
+        os.close(w)
+        from_pipe = read_spectrum_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert from_pipe.tobytes() == read_spectrum_csv(path).tobytes()
+
+
 LIMITS_CONFIG = (
     "rho_min = 1e-6\nrho_max = 1e6\nrho_count = 41\nrho_spacing = log-symmetric\n"
     "powers = 14\nangles_deg = 90\nepsilon = 0.35\nn_th = 1.29\n"
@@ -126,6 +160,27 @@ def test_limits_output_golden_sha256(tmp_path, capsys, fmt):
     assert cli_main(["--config", str(cfg), "--format", fmt, "limits"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == LIMITS_SHA256[fmt]
+
+
+# columns that come from a scalar in each limits table
+LIMITS_CONSTANT = {
+    "sql": {"phi_used", "p", "s_m", "s_ff", "s_corr", "s_ln"},
+    "ql": {"phi_used", "p", "s_ff", "s_corr", "s_ln"},
+}
+
+
+@pytest.mark.parametrize("fmt", ("csv", "jsonl"))
+def test_limits_constant_columns_are_zero_stride_views(tmp_path, fmt):
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text(LIMITS_CONFIG)
+    tables = _cmd_limits(argparse.Namespace(config=cfg))
+    assert tables.keys() == LIMITS_CONSTANT.keys()
+    for name, table in tables.items():
+        constant = {c for c, col in table.columns.items() if col.strides == (0,)}
+        assert constant == LIMITS_CONSTANT[name]
+        assert not any(table.columns[c].flags.writeable for c in constant)
+        copied = SpectrumTable(table.metadata, {c: col.copy() for c, col in table.columns.items()})
+        assert table_to_string(table, fmt) == table_to_string(copied, fmt)
 
 
 STITCHED_CONFIG = (
