@@ -105,12 +105,23 @@ def p_opt(rho: float, det: Detection) -> OptimalPower:
 
 
 def ql_added_noise(rho, det: Detection):
-    """Probe-added noise at the QL: sqrt(1/eps + (1-eps)/eps rho^2) |chi_m|^2."""
+    """Probe-added noise at the QL: sqrt(1/eps + (1-eps)/eps rho^2) |chi_m|^2.
+
+    Where (1-eps)/eps rho^2 overflows float64 the value is its asymptote
+    sqrt((1-eps)/eps) / |rho|; at eps = 1, where that term is 0, it is
+    |chi_m|^2, which the formula gives everywhere else.
+    """
     check_finite("rho", rho)
     eps = det.epsilon
     rho = np.asarray(rho)
-    chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
-    return np.sqrt(1.0 / eps + (1.0 - eps) / eps * rho**2) * chim2
+    chim2 = np.asarray(np.abs(chi_m_dimensionless(rho)) ** 2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        added = np.asarray(np.sqrt(1.0 / eps + (1.0 - eps) / eps * rho**2) * chim2)
+        huge = ~np.isfinite(added)  # inf * |chi_m|^2, or 0 * inf at eps = 1
+        added[huge] = (
+            math.sqrt((1.0 - eps) / eps) / np.abs(rho[huge]) if eps < 1 else chim2[huge]
+        )
+    return added[()]
 
 
 def ql_psd(rho, det: Detection, mode: MechanicalMode):
@@ -146,12 +157,21 @@ def fixed_angle_spectrum(
     )
 
 
+def quadrature_order(phi):
+    """Indices that sort candidate angles phi (radians) by distance from 90
+    degrees, stably: the order in which pick_quadrature searches them."""
+    return np.argsort(np.abs(np.asarray(phi) - math.pi / 2.0), kind="stable")
+
+
 def pick_quadrature(phi, totals):
     """Per point, the index along the last axis of totals of the candidate
-    angle (phi, radians) with the lowest total.  Candidates are searched by
-    distance from 90 degrees and np.argmin keeps the first minimum, so a tie
-    goes to the angle nearest phase quadrature."""
-    order = np.argsort(np.abs(np.asarray(phi) - math.pi / 2.0), kind="stable")
+    angle (phi, radians) with the lowest total.  Candidates are searched in
+    quadrature_order and np.argmin keeps the first minimum, so a tie goes to
+    the angle nearest phase quadrature.  Candidates given in that order are
+    searched in place, without a reordered copy of totals."""
+    order = quadrature_order(phi)
+    if (order == np.arange(order.size)).all():
+        return np.argmin(totals, axis=-1)
     return order[np.argmin(totals[..., order], axis=-1)]
 
 

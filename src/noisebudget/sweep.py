@@ -3,7 +3,8 @@
 The config format is a flat key = value text document (UTF-8, '#' comments).
 The keys are the fields of SweepSpec, each parsed by its declared type:
 
-    rho_min, rho_max      grid bounds (log-symmetric: bounds on |rho|, > 0)
+    rho_min, rho_max      grid bounds (log-symmetric: bounds on |rho|, > 0;
+                          linear: rho_max - rho_min must not overflow)
     rho_count             number of grid points (>= 2); rho_count times the
                           number of powers times the candidate angles
                           (angles_deg for homodyne, stitch_angles_deg for
@@ -50,7 +51,7 @@ from .core import (
     omega_from_rho,
 )
 from .errors import DivergenceError, ParameterError
-from .limits import phi_opt, pick_quadrature, sql_psd
+from .limits import phi_opt, pick_quadrature, quadrature_order, sql_psd
 from .spectra import (
     ClassicalNoise,
     SpectrumComponents,
@@ -81,7 +82,7 @@ COLUMNS = (
 
 READOUTS = ("homodyne", "synodyne", "variational", "stitched")
 SPACINGS = ("linear", "log-symmetric")
-BLOCK_ROWS = 4096  # rows emit_table formats per writelines call
+BLOCK_ROWS = 1024  # rows emit_table formats per writelines call
 # rho_count * powers * candidate angles a sweep may evaluate: about 0.5 GB of
 # float64 working arrays at the cap
 MAX_GRID_POINTS = 10_000_000
@@ -123,6 +124,11 @@ class SweepSpec:
             )
         if self.rho_spacing == "linear" and not self.rho_min < self.rho_max:
             raise ParameterError("rho_min must be < rho_max")
+        if self.rho_spacing == "linear" and math.isinf(self.rho_max - self.rho_min):
+            raise ParameterError(
+                f"rho_max - rho_min overflows float64 (rho_min = {self.rho_min}, "
+                f"rho_max = {self.rho_max}); narrow the span"
+            )
         if self.rho_spacing == "log-symmetric" and not 0 < self.rho_min < self.rho_max:
             raise ParameterError(
                 "log-symmetric grids need 0 < rho_min < rho_max (bounds on |rho|)"
@@ -298,16 +304,20 @@ class Row(NamedTuple):
 class SpectrumTable:
     """Evaluated spectrum, stored by column.
 
-    columns maps each name in COLUMNS to a finite 1-D float64 array, all of
-    one length (a constant column may be a read-only zero-stride view); rows
-    is a read-only view that materialises one Row per index.
+    columns maps each name in COLUMNS to a read-only view of a finite 1-D
+    float64 array, all of one length; a column may share its memory with
+    another table's (limits' rho), with the array it was evaluated in, or
+    with one value (a zero-stride constant).  rows is a read-only view that
+    materialises one Row per index.
     """
 
     metadata: dict
     columns: Dict[str, np.ndarray]
 
     def __post_init__(self):
-        self.columns = {c: np.asarray(self.columns[c], dtype=float) for c in COLUMNS}
+        self.columns = {c: np.asarray(self.columns[c], dtype=float).view() for c in COLUMNS}
+        for values in self.columns.values():
+            values.flags.writeable = False
         if {col.shape for col in self.columns.values()} != {self.columns["rho"].shape[:1]}:
             raise ParameterError("table columns must be 1-D arrays of one length")
         for name, values in self.columns.items():
@@ -323,15 +333,17 @@ class SpectrumTable:
 def spectrum_columns(rho, phi_used, p, comps: SpectrumComponents) -> dict:
     """Table columns from arrays that broadcast together, flattened in C
     order; total and total_over_sql are derived from the five terms.  A
-    column given as a scalar is kept as a read-only zero-stride view of it,
-    not copied out to the table's length."""
-    values = (rho, phi_used, p, *comps.terms)
-    parts = np.broadcast_arrays(*values)
-    n = parts[0].size
+    value that already holds one float64 per row in C order becomes its
+    column as a view: a scalar as a zero-stride view, a contiguous array of
+    the table's length as itself.  Only broadcast values are copied out."""
+    values = [np.asarray(v, dtype=float) for v in (rho, phi_used, p, *comps.terms)]
+    shape = np.broadcast_shapes(*(v.shape for v in values))
+    n = math.prod(shape)
     columns = {
-        name: np.broadcast_to(np.float64(v), (n,)) if np.ndim(v) == 0
-        else np.array(a, dtype=float).ravel()
-        for name, v, a in zip(COLUMNS, values, parts)
+        name: np.broadcast_to(v, (n,)) if v.ndim == 0
+        else v.reshape(n) if v.size == n and v.flags.c_contiguous
+        else np.broadcast_to(v, shape).ravel()
+        for name, v in zip(COLUMNS, values)
     }
     total = SpectrumComponents(*(columns[c] for c in COLUMNS[3:8])).total
     columns["total"] = total
@@ -380,12 +392,19 @@ def run_sweep(spec: SweepSpec) -> SpectrumTable:
     else:  # homodyne, or stitched: one candidate angle kept per point
         stitched = spec.readout == "stitched"
         phi_deg = np.array(spec.stitch_angles_deg if stitched else spec.angles_deg)
+        if stitched:  # in search order, so pick_quadrature needs no reordered copy
+            phi_deg = phi_deg[quadrature_order(np.radians(phi_deg))]
         phi = np.radians(phi_deg)
         comps = homodyne_terms(rho, p, phi, eps, n_th, s_ln(phi))
         if stitched:
-            pick = pick_quadrature(phi, comps.total)[..., None]
+            totals = comps.s_m + comps.s_ii  # one buffer, added in comps.total's order
+            for term in comps.terms[2:]:
+                totals += term
+            pick = pick_quadrature(phi, totals)[..., None]
+            del totals
             comps = SpectrumComponents(*(np.take_along_axis(t, pick, 2) for t in comps.terms))
             phi_deg = phi_deg[pick]
+            del pick  # not held while the columns are built
 
     return SpectrumTable(spec.metadata(), spectrum_columns(rho, phi_deg, p, comps))
 

@@ -380,7 +380,11 @@ HUGE_KAPPA_CONFIG = (
 )
 KAPPA_LINE = "domain error: column s_ln overflows float64 for this config\n"
 OVERFLOW_LINE = "domain error: column total_over_sql overflows float64 for this config\n"
-QL_OVERFLOW_LINE = "domain error: column s_ii overflows float64 for this config\n"
+SPAN_CONFIG = HUGE_GRID_CONFIG.replace("1e200", "1e308")
+SPAN_LINE = (
+    "error: rho_max - rho_min overflows float64 (rho_min = -1e+308, rho_max = 1e+308); "
+    "narrow the span\n"
+)
 HUGE_COUNT_CONFIG = TINY_CONFIG.replace("rho_count = 5", "rho_count = 1000000000000")
 GRID_CAP_LINE = (
     "error: rho_count * powers * candidate angles = 1000000000000 * 1 * 1 = "
@@ -397,8 +401,11 @@ PROCESS_CASES = {
     "config": (TINY_CONFIG + "mystery = 1\n", ["--config", "{cfg}", "spectrum"], 2, None),
     "spectrum-overflow": (HUGE_RATIO_CONFIG, ["--config", "{cfg}", "spectrum"], 3, OVERFLOW_LINE),
     "spectrum-huge-rho": (HUGE_GRID_CONFIG, ["--config", "{cfg}", "spectrum"], 0, ""),
-    # ql_added_noise squares rho, which overflows here
-    "limits-overflow": (HUGE_GRID_CONFIG, ["--config", "{cfg}", "limits"], 3, QL_OVERFLOW_LINE),
+    # rho**2 overflows here; ql_added_noise takes its asymptote there
+    "limits-overflow": (HUGE_GRID_CONFIG, ["--config", "{cfg}", "limits"], 0, ""),
+    # np.linspace over an infinite span would make nan points
+    "spectrum-span": (SPAN_CONFIG, ["--config", "{cfg}", "spectrum"], 2, SPAN_LINE),
+    "limits-span": (SPAN_CONFIG, ["--config", "{cfg}", "limits"], 2, SPAN_LINE),
     "grid-cap": (HUGE_COUNT_CONFIG, ["--config", "{cfg}", "spectrum"], 2, GRID_CAP_LINE),
     "angle-range": (
         TINY_CONFIG.replace("angles_deg = 90", "angles_deg = 221"),

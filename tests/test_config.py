@@ -141,6 +141,18 @@ def test_grid_is_capped_before_any_array_is_allocated(readout, candidates):
             SweepSpec(rho_count=count, **spec)
 
 
+def test_linear_span_that_overflows_is_rejected_naming_both_bounds():
+    spec = dict(rho_count=5, powers=(1.0,), angles_deg=(90.0,))
+    # the widest span that fits float64 gives a finite grid
+    widest = SweepSpec(rho_min=-8.9e307, rho_max=8.9e307, **spec)
+    assert np.isfinite(widest.rho_grid()).all()
+    with pytest.raises(ParameterError, match=r"rho_max - rho_min overflows .*rho_min = .*rho_max = "):
+        SweepSpec(rho_min=-1e308, rho_max=1e308, **spec)
+    # log-symmetric bounds are on |rho| and never subtracted
+    log = SweepSpec(rho_min=1e-308, rho_max=1e308, rho_spacing="log-symmetric", **spec)
+    assert np.isfinite(log.rho_grid()).all()
+
+
 def _sideband_csvs(tmp_path) -> dict:
     grid = np.linspace(-1600.0, 1600.0, 400)
     paths = {}

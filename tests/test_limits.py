@@ -48,6 +48,26 @@ def test_sql_psd_stays_finite_where_rho_squared_overflows():
     np.testing.assert_array_equal(sql_psd(np.concatenate([finite, huge])), expected)
 
 
+@pytest.mark.parametrize("eps", (0.35, 1.0))
+def test_ql_added_noise_stays_finite_where_rho_squared_overflows(eps):
+    det = Detection(eps)
+    rho = np.array([0.0, 3.0, 1e153, -1.3e153, 1e154, 1.35e154, -1e300, 1.7e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
+        plain = np.sqrt(1.0 / eps + (1.0 - eps) / eps * rho**2) * chim2
+    # (1-eps)/eps rho^2 overflows from |rho| ~ 1e154 at eps = 0.35 (rho^2 alone
+    # from 1.34e154), and the plain expression is then inf or nan
+    huge = ~np.isfinite(plain)
+    assert huge.tolist() == [False] * 4 + [eps < 1] + [True] * 3
+    added = ql_added_noise(rho, det)
+    # bit for bit the plain expression wherever it is finite
+    np.testing.assert_array_equal(added[~huge], plain[~huge])
+    # elsewhere the asymptote sqrt((1-eps)/eps) / |rho|; |chi_m|^2 (here 0) at eps = 1
+    asymptote = math.sqrt((1.0 - eps) / eps) / np.abs(rho[huge]) if eps < 1 else chim2[huge]
+    np.testing.assert_array_equal(added[huge], asymptote)
+    assert type(ql_added_noise(1e200, det)) is np.float64
+
+
 def test_sql_is_minimum_of_uncorrelated_readout(ideal_det, zero_mode):
     # grid minimum over power of the phase-quadrature added noise touches
     # the SQL curve

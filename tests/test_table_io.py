@@ -20,7 +20,7 @@ from noisebudget import DivergenceError, ParameterError, load_table_csv
 from noisebudget.calibration import CSV_HEADER, read_spectrum_csv, write_spectrum_csv
 from noisebudget.cli import _cmd_limits, main as cli_main
 from noisebudget.sweep import (
-    BLOCK_ROWS, COLUMNS, SpectrumTable, emit_table, table_to_string,
+    BLOCK_ROWS, COLUMNS, SpectrumTable, emit_table, parse_config, run_sweep, table_to_string,
 )
 
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-5, 1e-4, 14.0, -3.0, 1.0)
@@ -79,8 +79,9 @@ def test_csv_matches_per_cell_format(columns):
 
 
 @pytest.mark.parametrize("fmt", ("csv", "jsonl"))
+# row counts one below, at and one above a multiple of the block size
 @pytest.mark.parametrize(
-    "n", (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
+    "n", (0, 1, 4 * BLOCK_ROWS - 1, 4 * BLOCK_ROWS, 4 * BLOCK_ROWS + 1, 8 * BLOCK_ROWS + 1)
 )
 @pytest.mark.parametrize("varying", (True, False), ids=("mixed", "all-constant"))
 def test_emit_row_blocks(fmt, n, varying):
@@ -106,7 +107,31 @@ def test_emit_memory_does_not_grow_with_rows(tmp_path, fmt):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5e6, f"{peak / 1e6:.1f} MB"
+    # about 0.7 MB with BLOCK_ROWS = 1024 (2.6 MB with 4096)
+    assert peak < 1e6, f"{peak / 1e6:.2f} MB"
+
+
+# the benchmark's stitched workload: 20,001 rho x 2 powers x 4 candidate angles
+STITCHED_WORKLOAD = (
+    "rho_min = -20\nrho_max = 20\nrho_count = 20001\npowers = 14,28\nepsilon = 0.35\n"
+    "n_th = 1.29\nreadout = stitched\nstitch_angles_deg = 45,60,75,90\n"
+)
+
+
+def test_stitched_sweep_memory_stays_near_its_table():
+    # it peaked at 1.85 times the table when the candidate totals were copied
+    # into search order and every full-length term was copied into its column
+    spec = parse_config(STITCHED_WORKLOAD)
+    run_sweep(spec)  # one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        table = run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(col.nbytes for col in table.columns.values())
+    assert nbytes == len(COLUMNS) * 40_002 * 8
+    assert peak < 1.3 * nbytes, f"{peak / 1e6:.2f} MB for a {nbytes / 1e6:.2f} MB table"
 
 
 def test_read_spectrum_csv_memory_stays_near_the_array(tmp_path):
@@ -181,6 +206,30 @@ def test_limits_constant_columns_are_zero_stride_views(tmp_path, fmt):
         assert not any(table.columns[c].flags.writeable for c in constant)
         copied = SpectrumTable(table.metadata, {c: col.copy() for c, col in table.columns.items()})
         assert table_to_string(table, fmt) == table_to_string(copied, fmt)
+
+
+def test_limits_tables_share_one_rho_column(tmp_path):
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text(LIMITS_CONFIG)
+    sql, ql = (table.columns for table in _cmd_limits(argparse.Namespace(config=cfg)).values())
+    assert np.shares_memory(sql["rho"], ql["rho"])
+
+
+def test_every_table_column_is_read_only(tmp_path):
+    # a column may be a view of an evaluated term or of another table's
+    # column, so writing through it would change what it shares
+    given = np.linspace(0.0, 1.0, 3)
+    tables = [SpectrumTable({}, dict.fromkeys(COLUMNS, given))]
+    assert given.flags.writeable  # the table's view is read-only, not the array
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text(LIMITS_CONFIG)
+    tables += _cmd_limits(argparse.Namespace(config=cfg)).values()
+    tables.append(run_sweep(parse_config(STITCHED_CONFIG)))
+    for table in tables:
+        for name, values in table.columns.items():
+            assert not values.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
 
 
 STITCHED_CONFIG = (
