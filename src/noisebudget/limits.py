@@ -163,16 +163,12 @@ def quadrature_order(phi):
     return np.argsort(np.abs(np.asarray(phi) - math.pi / 2.0), kind="stable")
 
 
-def pick_quadrature(phi, totals):
+def pick_quadrature(totals):
     """Per point, the index along the last axis of totals of the candidate
-    angle (phi, radians) with the lowest total.  Candidates are searched in
-    quadrature_order and np.argmin keeps the first minimum, so a tie goes to
-    the angle nearest phase quadrature.  Candidates given in that order are
-    searched in place, without a reordered copy of totals."""
-    order = quadrature_order(phi)
-    if (order == np.arange(order.size)).all():
-        return np.argmin(totals, axis=-1)
-    return order[np.argmin(totals[..., order], axis=-1)]
+    with the lowest total.  The candidates are given in quadrature_order and
+    np.argmin keeps the first minimum, so a tie goes to the angle nearest
+    phase quadrature."""
+    return np.argmin(totals, axis=-1)
 
 
 def stitch_quadratures(curves: Sequence[LimitCurve]) -> StitchedSpectrum:
@@ -190,9 +186,10 @@ def stitch_quadratures(curves: Sequence[LimitCurve]) -> StitchedSpectrum:
                     f"stitched spectra disagree on {key}: "
                     f"{c.params.get(key)} vs {ref.params.get(key)}"
                 )
+    curves = [curves[i] for i in quadrature_order([c.params["phi"] for c in curves])]
     phis = np.array([c.params["phi"] for c in curves])
     totals = np.stack([c.values for c in curves], axis=-1)
-    pick = pick_quadrature(phis, totals)
+    pick = pick_quadrature(totals)
     return StitchedSpectrum(
         grid=ref.grid.copy(),
         chosen_phi=phis[pick],

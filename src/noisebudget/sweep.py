@@ -392,7 +392,7 @@ def run_sweep(spec: SweepSpec) -> SpectrumTable:
     else:  # homodyne, or stitched: one candidate angle kept per point
         stitched = spec.readout == "stitched"
         phi_deg = np.array(spec.stitch_angles_deg if stitched else spec.angles_deg)
-        if stitched:  # in search order, so pick_quadrature needs no reordered copy
+        if stitched:  # in the order pick_quadrature searches them
             phi_deg = phi_deg[quadrature_order(np.radians(phi_deg))]
         phi = np.radians(phi_deg)
         comps = homodyne_terms(rho, p, phi, eps, n_th, s_ln(phi))
@@ -400,7 +400,7 @@ def run_sweep(spec: SweepSpec) -> SpectrumTable:
             totals = comps.s_m + comps.s_ii  # one buffer, added in comps.total's order
             for term in comps.terms[2:]:
                 totals += term
-            pick = pick_quadrature(phi, totals)[..., None]
+            pick = pick_quadrature(totals)[..., None]
             del totals
             comps = SpectrumComponents(*(np.take_along_axis(t, pick, 2) for t in comps.terms))
             phi_deg = phi_deg[pick]

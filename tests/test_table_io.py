@@ -81,7 +81,9 @@ def test_csv_matches_per_cell_format(columns):
 @pytest.mark.parametrize("fmt", ("csv", "jsonl"))
 # row counts one below, at and one above a multiple of the block size
 @pytest.mark.parametrize(
-    "n", (0, 1, 4 * BLOCK_ROWS - 1, 4 * BLOCK_ROWS, 4 * BLOCK_ROWS + 1, 8 * BLOCK_ROWS + 1)
+    "n",
+    (0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+     4 * BLOCK_ROWS - 1, 4 * BLOCK_ROWS, 4 * BLOCK_ROWS + 1, 8 * BLOCK_ROWS + 1),
 )
 @pytest.mark.parametrize("varying", (True, False), ids=("mixed", "all-constant"))
 def test_emit_row_blocks(fmt, n, varying):
