@@ -13,39 +13,25 @@ from .core import (  # noqa: F401
     MechanicalMode,
     OpticalCavity,
     chi_c,
-    chi_m,
     chi_m_dimensionless,
-    normalized_power,
     omega_from_rho,
-    pi_minus,
-    pi_plus,
-    rho_from_omega,
-    sql_photon_number,
 )
 from .errors import (  # noqa: F401
     DivergenceError,
     DomainError,
     NoiseBudgetError,
     ParameterError,
-    UnsupportedConfigError,
 )
 from .spectra import (  # noqa: F401
     ClassicalNoise,
-    ExternalForce,
     SpectrumComponents,
     classical_noise_psd,
     displacement_psd,
-    displacement_psd_cavity,
     light_psd,
-    mechanical_psd_full,
-    squashing_ratio,
 )
 from .limits import (  # noqa: F401
     LimitCurve,
     StitchedSpectrum,
-    force_psd,
-    force_psd_opt,
-    force_sql,
     p_opt,
     phi_opt,
     psd_at_phi_opt,
@@ -70,7 +56,6 @@ from .calibration import (  # noqa: F401
     fit_lorentzian,
     g_from_blue_sideband,
     n_th_from_sidebands,
-    rescale_occupation,
     synth_sideband_spectrum,
 )
 from .sweep import (  # noqa: F401

@@ -1,6 +1,6 @@
 """Parameter-extraction chain: sideband thermometry, coupling calibration,
-occupation rescaling, quantum-efficiency composition, and Lorentzian fits
-against synthetic sideband spectra.
+quantum-efficiency composition, and Lorentzian fits against synthetic
+sideband spectra.
 
 Sideband spectra are modeled as offset Lorentzians in shot-noise units; any
 electronic-noise floor is folded into the offset.  Spectra travel as
@@ -11,19 +11,21 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import leastsq
 
-from .core import Detection, MechanicalMode, OpticalCavity, chi_c
+from .core import Detection, OpticalCavity, chi_c
 from .errors import (
     FitConvergenceError,
     NonphysicalAsymmetryError,
     NoPeakError,
     ParameterError,
+    decode_utf8,
 )
 
 CSV_HEADER = ("frequency_hz", "psd_shotnoise_units")
@@ -159,28 +161,6 @@ def blue_sideband_amplitude(
     """Forward model for g_from_blue_sideband (round-trip identity on g)."""
     chic = abs(chi_c(omega_m, cav))
     return g**2 * n_damp_photons * det.epsilon * cav.kappa * chic * 4.0 * n_th / gamma
-
-
-def coupling_from_damping_series(n_damp, g2_n_damp) -> float:
-    """Coupling g from the slope of g^2 N_damp versus N_damp (fit through
-    the origin)."""
-    n_damp = np.asarray(n_damp, dtype=float)
-    y = np.asarray(g2_n_damp, dtype=float)
-    if n_damp.size < 2 or n_damp.size != y.size:
-        raise ParameterError("need >= 2 matched (N_damp, g^2 N_damp) points")
-    slope = float(np.dot(n_damp, y) / np.dot(n_damp, n_damp))
-    if slope <= 0:
-        raise ParameterError("series slope is non-positive; no coupling")
-    return math.sqrt(slope)
-
-
-def rescale_occupation(n0_gamma0: float, gamma: float, n_ba: float) -> float:
-    """Occupation at a new damping level: n_th = n0*gamma0/gamma + n_ba."""
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
-    if n_ba < 0:
-        raise ParameterError(f"n_ba must be >= 0, got {n_ba}")
-    return n0_gamma0 / gamma + n_ba
 
 
 def compose_efficiency(budget: EfficiencyBudget) -> float:
@@ -383,14 +363,18 @@ def _loadtxt_body(path, fh) -> Optional[np.ndarray]:
     if blank:
         return None
     try:
-        samples = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, skiprows=1)
+        samples = np.loadtxt(
+            path, delimiter=",", ndmin=2, comments=None, skiprows=1, encoding="utf-8"
+        )
     except ValueError:
         return None
     return samples if samples.shape == (lines, 2) and np.isfinite(samples).all() else None
 
 
 def read_spectrum_csv(path) -> np.ndarray:
-    """Read a two-column sideband spectrum CSV written by write_spectrum_csv.
+    """Read a two-column sideband spectrum CSV written by write_spectrum_csv,
+    as UTF-8 text; a byte that is not UTF-8 is a ParameterError naming the
+    path and, for a regular file, the byte's offset.
 
     np.loadtxt parses the body from the file, so the reader holds little
     more than the array it returns.  A row that is not two finite numbers
@@ -398,17 +382,24 @@ def read_spectrum_csv(path) -> np.ndarray:
     and an input that cannot seek (a pipe), read the rows into memory
     through csv.reader.
     """
-    with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]), [])
-        if tuple(header) != CSV_HEADER:
-            raise ParameterError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        if fh.seekable():
-            body = fh.tell()
-            samples = _loadtxt_body(path, fh)
-            if samples is not None:
-                return samples
-            fh.seek(body)
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader([fh.readline()]), [])
+            if tuple(header) != CSV_HEADER:
+                raise ParameterError(f"{path}: expected header {','.join(CSV_HEADER)}")
+            if fh.seekable():
+                body = fh.tell()
+                samples = _loadtxt_body(path, fh)
+                if samples is not None:
+                    return samples
+                fh.seek(body)
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        if os.path.isfile(path):  # read again for the offset; a pipe cannot be
+            with open(path, "rb") as raw:
+                decode_utf8(path, raw.read())
+        byte = exc.object[exc.start]
+        raise ParameterError(f"{path}: byte 0x{byte:02x} is not UTF-8") from None
     for lineno, row in enumerate(rows, start=2):
         try:
             values = [float(v) for v in row]

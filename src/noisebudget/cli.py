@@ -43,7 +43,7 @@ from .calibration import (
     read_spectrum_csv,
 )
 from .core import Detection
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, decode_utf8
 from .figures import FIGURE_IDS, reproduce_figure
 from .limits import ql_added_noise, sql_psd
 from .spectra import thermal_term
@@ -185,7 +185,7 @@ FORK_MIN_ROWS = 10_000
 def _read_config(args) -> str:
     if args.config is None:
         raise ParameterError("this command needs --config <path>")
-    return args.config.read_text(encoding="utf-8")
+    return decode_utf8(args.config, args.config.read_bytes())
 
 
 def _row_ranges(n_rows: int, n: int) -> list:

@@ -2,8 +2,8 @@
 
 ParameterError covers invalid inputs and malformed configuration (CLI exit
 code 2); DomainError covers configurations the model rejects, such as
-measuring at a divergent quadrature or off-resonance probing where a formula
-assumes a resonant probe (CLI exit code 3).
+measuring at a divergent quadrature or sidebands that imply a negative
+occupation (CLI exit code 3).  decode_utf8 turns input bytes into text.
 """
 
 
@@ -23,10 +23,6 @@ class DivergenceError(DomainError):
     """The requested configuration has a divergent result (e.g. phi = 0)."""
 
 
-class UnsupportedConfigError(DomainError):
-    """A formula precondition (e.g. resonant probe, Delta = 0) is violated."""
-
-
 class BranchPoleError(DomainError):
     """Evaluation exactly at the synodyne branch-crossover pole."""
 
@@ -39,10 +35,6 @@ class NoPeakError(DomainError):
     """Spectrum data contains no resolvable peak to fit."""
 
 
-class GridRangeError(DomainError):
-    """A requested frequency lies outside the evaluation grid."""
-
-
 class FitConvergenceError(DomainError):
     """Iterative fit did not converge; carries the best fit found so far."""
 
@@ -50,3 +42,14 @@ class FitConvergenceError(DomainError):
         super().__init__(message)
         self.best_fit = best_fit
         self.residual_rms = residual_rms
+
+
+def decode_utf8(path, data: bytes) -> str:
+    """data, the bytes read from path, as UTF-8 text.  A byte that is not
+    UTF-8 is a ParameterError naming the path and the byte's offset."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(
+            f"{path}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
+        ) from None

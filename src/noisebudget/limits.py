@@ -1,4 +1,4 @@
-"""SQL and QL references, variational readout, stitching, and force sensitivity.
+"""SQL and QL references, variational readout, and stitching.
 
 The SQL here is the added measurement noise with uncorrelated imprecision and
 backaction, 1/sqrt(1 + rho^2) in dimensionless units; the QL is the deeper
@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import Detection, MechanicalMode, check_finite, chi_m_dimensionless, cot
 from .errors import ParameterError
-from .spectra import displacement_psd, homodyne_terms, point_view, thermal_term
+from .spectra import homodyne_terms, point_view, thermal_term
 
 P_CAP = 1e9
 
@@ -107,9 +107,12 @@ def p_opt(rho: float, det: Detection) -> OptimalPower:
 def ql_added_noise(rho, det: Detection):
     """Probe-added noise at the QL: sqrt(1/eps + (1-eps)/eps rho^2) |chi_m|^2.
 
-    Where (1-eps)/eps rho^2 overflows float64 the value is its asymptote
-    sqrt((1-eps)/eps) / |rho|; at eps = 1, where that term is 0, it is
-    |chi_m|^2, which the formula gives everywhere else.
+    Where that expression overflows float64 the value is, at eps = 1,
+    |chi_m|^2, which the formula gives everywhere else; below eps = 2^-53,
+    where 1 - eps rounds to 1 and 1/eps itself may overflow, sql_psd(rho) /
+    sqrt(eps), at most 1/sqrt(5e-324) = 4.5e161; and at any other eps the
+    asymptote sqrt((1-eps)/eps) / |rho|, since the overflow then needs
+    |rho| > 1e146.
     """
     check_finite("rho", rho)
     eps = det.epsilon
@@ -118,9 +121,12 @@ def ql_added_noise(rho, det: Detection):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         added = np.asarray(np.sqrt(1.0 / eps + (1.0 - eps) / eps * rho**2) * chim2)
         huge = ~np.isfinite(added)  # inf * |chi_m|^2, or 0 * inf at eps = 1
-        added[huge] = (
-            math.sqrt((1.0 - eps) / eps) / np.abs(rho[huge]) if eps < 1 else chim2[huge]
-        )
+        if eps == 1.0:
+            added[huge] = chim2[huge]
+        elif 1.0 - eps == 1.0:
+            added[huge] = sql_psd(rho[huge]) / math.sqrt(eps)
+        else:
+            added[huge] = math.sqrt((1.0 - eps) / eps) / np.abs(rho[huge])
     return added[()]
 
 
@@ -195,37 +201,3 @@ def stitch_quadratures(curves: Sequence[LimitCurve]) -> StitchedSpectrum:
         chosen_phi=phis[pick],
         values=totals[np.arange(ref.grid.size), pick],
     )
-
-
-@point_view
-def force_psd(
-    rho: float, p: float, phi: float, det: Detection, mode: MechanicalMode
-) -> float:
-    """Dimensionless force PSD, |chi_m|^-2 times the displacement PSD.
-
-    Absolute units: multiply by S_sql_f(omega_m) = p_zp^2 gamma / 2 with
-    p_zp = hbar / (2 x_zp).
-    """
-    chim2 = abs(chi_m_dimensionless(rho)) ** 2
-    return displacement_psd(rho, p, phi, det, mode).total / chim2
-
-
-def force_sql(rho):
-    """Force SQL relative to its on-resonance value: sqrt(1 + rho^2)."""
-    return np.sqrt(1.0 + np.asarray(rho) ** 2)
-
-
-@point_view
-def force_psd_opt(
-    rho: float,
-    det: Detection,
-    mode: MechanicalMode,
-    p: Optional[float] = None,
-) -> float:
-    """Force PSD at the optimal quadrature (and optimal power when p is None):
-    psd_at_phi_opt, or ql_psd when p is None, over |chi_m|^2.
-
-    At p_opt: 2 (n_th + 1/2) + sqrt(1/eps + (1-eps)/eps rho^2).
-    """
-    psd = ql_psd(rho, det, mode) if p is None else psd_at_phi_opt(rho, p, det, mode)
-    return psd / abs(chi_m_dimensionless(rho)) ** 2

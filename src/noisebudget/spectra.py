@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,15 +26,10 @@ from .core import (
     check_finite,
     check_finite_fields,
     chi_c,
-    chi_m,
     chi_m_dimensionless,
     cot,
-    pi_minus,
-    pi_plus,
-    rho_from_omega,
-    _require_resonant_probe,
 )
-from .errors import DivergenceError, GridRangeError, ParameterError
+from .errors import DivergenceError, ParameterError
 
 _SIN_FLOOR = 1e-12
 
@@ -85,23 +79,6 @@ class ClassicalNoise:
     @property
     def is_zero(self) -> bool:
         return self.c_aa == 0.0 and self.c_pp == 0.0
-
-
-@dataclass(frozen=True)
-class ExternalForce:
-    """Coherent external force drive at a single frequency.
-
-    amplitude is in newtons; phi_f matters only for synodyne readout.
-    """
-
-    amplitude: float
-    omega_f: float
-    phi_f: float = 0.0
-
-    def __post_init__(self):
-        check_finite_fields(self)
-        if self.amplitude < 0:
-            raise ParameterError("force amplitude must be >= 0")
 
 
 def _values(x):
@@ -212,26 +189,6 @@ def displacement_psd(
     return homodyne_terms(rho, p, phi, det.epsilon, mode.n_th, s_ln)
 
 
-def displacement_psd_cavity(
-    omega: float,
-    p: float,
-    phi: float,
-    det: Detection,
-    mode: MechanicalMode,
-    cav: OpticalCavity,
-    s_ln: float = 0.0,
-) -> SpectrumComponents:
-    """Displacement PSD retaining the cavity's weak frequency dependence:
-    displacement_psd at the power p |chi_c_tilde(omega)|^2 the cavity passes,
-    so the imprecision scales as 1/|chi_c_tilde|^2 and the backaction as
-    |chi_c_tilde|^2, with chi_c_tilde unity at omega_m.  Resonant probe only.
-    """
-    _require_resonant_probe(cav, "displacement_psd_cavity")
-    chict2 = abs(chi_c(omega, cav)) ** 2 / abs(chi_c(mode.omega_m, cav)) ** 2
-    rho = float(rho_from_omega(omega, mode))
-    return displacement_psd(rho, p * chict2, phi, det, mode, s_ln=s_ln)
-
-
 def light_terms(rho, phi, p: float, epsilon: float, n_th: float):
     """Shot-noise-normalized light PSD, S_phi = 2 eps p sin^2(phi) S_xx, as
     terms that broadcast over rho and phi.
@@ -302,113 +259,3 @@ def classical_noise_displacement(
     _check_p(p)
     s_ln = classical_noise_psd(omega, phi, det, cav, noise)
     return s_ln / (2.0 * det.epsilon * p * np.sin(phi) ** 2)
-
-
-def squashing_ratio(
-    omega: float,
-    phi: float,
-    cav: OpticalCavity,
-    mode: MechanicalMode,
-    noise: ClassicalNoise,
-) -> float:
-    """Signed classical-noise/mechanics cross-correlation (squashing) term.
-
-    Returned in units of the on-resonance SQL PSD:
-    -(cot(phi) c_aa + c_ap) * Im[kappa chi_c(omega) chi_m_tilde(omega)].
-    The quantum efficiency cancels in this normalization.  Resonant probe
-    only; can be negative, squashing the apparent PSD.
-    """
-    _require_resonant_probe(cav, "squashing_ratio")
-    _check_phi(phi)
-    rho = float(rho_from_omega(omega, mode))
-    kernel = (cav.kappa * chi_c(omega, cav) * chi_m_dimensionless(rho)).imag
-    return -(cot(phi) * noise.c_aa + noise.c_ap) * float(kernel)
-
-
-def mechanical_psd(
-    omega: float,
-    g: float,
-    n_photons: float,
-    mode: MechanicalMode,
-    cav: OpticalCavity,
-    noise: Optional[ClassicalNoise] = None,
-) -> float:
-    """Smooth part of the resonator displacement PSD <x x>(omega).
-
-    Displacement in zero-point units, PSD in s/rad; contains the thermal +
-    zero-point term, the backaction drive, and (optionally) the classical
-    intensity/phase noise drive.  No external force (see mechanical_psd_full).
-    Broadcasts over omega.
-    """
-    if n_photons < 0:
-        raise ParameterError("photon number must be >= 0")
-    chim2 = abs(chi_m(omega, mode)) ** 2
-    g2a2 = g * g * n_photons
-    cm2 = abs(chi_c(-omega, cav)) ** 2
-    cp2 = abs(chi_c(omega, cav)) ** 2
-    out = mode.gamma * (mode.n_th + 0.5) * chim2
-    out += g2a2 * chim2 * (cav.kappa / 2.0) * (cm2 + cp2)
-    if noise is not None and not noise.is_zero:
-        cross = (chi_c(-omega, cav) * chi_c(omega, cav)).imag
-        out += (
-            g2a2
-            * chim2
-            * (cav.kappa / 2.0)
-            * (
-                abs(pi_plus(omega, cav)) ** 2 * noise.c_aa
-                + abs(pi_minus(omega, cav)) ** 2 * noise.c_pp
-                - 4.0 * cross * noise.c_ap
-            )
-        )
-    return out
-
-
-def _bin_widths(grid: np.ndarray) -> np.ndarray:
-    edges = np.empty(grid.size + 1)
-    edges[1:-1] = 0.5 * (grid[1:] + grid[:-1])
-    edges[0] = grid[0] - 0.5 * (grid[1] - grid[0])
-    edges[-1] = grid[-1] + 0.5 * (grid[-1] - grid[-2])
-    return np.diff(edges)
-
-
-def bin_index(grid: np.ndarray, omega: float) -> int:
-    """Index of the grid bin containing omega; error when out of range."""
-    if omega < grid[0] or omega > grid[-1]:
-        raise GridRangeError(
-            f"frequency {omega} outside evaluation grid "
-            f"[{grid[0]}, {grid[-1]}]"
-        )
-    return int(np.argmin(np.abs(grid - omega)))
-
-
-def mechanical_psd_full(
-    grid: np.ndarray,
-    g: float,
-    n_photons: float,
-    mode: MechanicalMode,
-    cav: OpticalCavity,
-    noise: Optional[ClassicalNoise] = None,
-    force: Optional[ExternalForce] = None,
-    p_zp: Optional[float] = None,
-) -> np.ndarray:
-    """Resonator displacement PSD over a frequency grid, with optional force.
-
-    The delta-function force line is discretized as bin mass divided by bin
-    width, assigned to the grid bin containing omega_f.  p_zp (the zero-point
-    momentum hbar/(2 x_zp)) is required when a force is given, to convert
-    newtons to the dimensionless drive (F / 4 p_zp)^2.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ParameterError("grid must be a sorted 1-D array of >= 2 points")
-    out = mechanical_psd(grid, g, n_photons, mode, cav, noise)
-    if force is not None:
-        if p_zp is None or not p_zp > 0:
-            raise ParameterError("p_zp must be given (> 0) with an external force")
-        i = bin_index(grid, force.omega_f)
-        width = _bin_widths(grid)[i]
-        mass = (force.amplitude / (4.0 * p_zp)) ** 2 * abs(
-            chi_m(force.omega_f, mode)
-        ) ** 2
-        out[i] += mass / width
-    return out

@@ -3,7 +3,7 @@
 The LO carries tones split by twice the mechanical frequency, which
 demodulates the mechanical resonance to DC; the dimensionless detuning rho
 used throughout this module is therefore measured from the *shifted*
-resonance.  Use rho_demodulated to convert an angular offset from omega_m.
+resonance: an angular offset d from omega_m sits at rho = 2 d / gamma.
 
 With balanced sidebands (beta = 1) synodyne reduces exactly to homodyne
 detection without the cross-correlation term; a slight imbalance turns the
@@ -18,22 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Detection, MechanicalMode, OpticalCavity, check_finite_fields, chi_c,
-    chi_m_dimensionless,
-)
+from .core import Detection, MechanicalMode, check_finite_fields, chi_m_dimensionless
 from .errors import BranchPoleError, DivergenceError, ParameterError
 from .limits import OptimalPower, P_CAP
-from .spectra import (
-    ExternalForce,
-    SpectrumComponents,
-    _bin_widths,
-    _check_p,
-    bin_index,
-    budget_terms,
-    point_view,
-    thermal_term,
-)
+from .spectra import SpectrumComponents, _check_p, budget_terms, point_view, thermal_term
 
 _ALPHA_P_FLOOR = 1e-300
 
@@ -66,31 +54,6 @@ def lo_coefficients(lo: SynodyneLO):
     alpha_a = 0.5 * (em + lo.beta * ep)
     alpha_p = -0.5j * (em - lo.beta * ep)
     return alpha_a, alpha_p
-
-
-def rho_demodulated(delta_omega, mode: MechanicalMode):
-    """Dimensionless detuning from the demodulated (DC) resonance."""
-    return 2.0 * np.asarray(delta_omega) / mode.gamma
-
-
-def check_cavity_symmetry(
-    cav: OpticalCavity, mode: MechanicalMode, delta_omega_max: float
-):
-    """Assert |chi_c(omega_m + d)|^2 ~ |chi_c(omega_m - d)|^2 over the band.
-
-    Synodyne splits the signal into sidebands around omega_m; the model
-    requires the cavity response to be symmetric across the band to a
-    relative 1e-3.
-    """
-    d = abs(delta_omega_max)
-    hi = abs(chi_c(mode.omega_m + d, cav)) ** 2
-    lo_ = abs(chi_c(mode.omega_m - d, cav)) ** 2
-    asym = abs(hi - lo_) / max(hi, lo_)
-    if asym >= 1e-3:
-        raise ParameterError(
-            "cavity response asymmetric across the synodyne band: "
-            f"relative asymmetry {asym:.2e} >= 1e-3"
-        )
 
 
 def _checked_lo(lo: SynodyneLO):
@@ -183,13 +146,6 @@ def beta_opt(
     raise ParameterError(f"unknown branch {branch!r}")
 
 
-def lo_opt(rho: float, p: float, det: Detection) -> SynodyneLO:
-    """Optimal LO (branch angle and ratio) for the given detuning and power."""
-    x = det.epsilon * p * abs(chi_m_dimensionless(rho)) ** 2
-    phi = 0.0 if x > 1.0 else math.pi / 2.0
-    return SynodyneLO(beta=beta_opt(rho, p, det), phi=phi)
-
-
 def synodyne_variational(
     rho: float, p: float, det: Detection, mode: MechanicalMode
 ) -> float:
@@ -238,44 +194,3 @@ def synodyne_ql(rho, det: Detection, mode: MechanicalMode):
     return thermal_term(rho, mode.n_th) + np.sqrt(
         (1.0 - eps) / eps + rho**2 / eps
     ) * chim2
-
-
-def synodyne_force_response(
-    force: ExternalForce,
-    lo: SynodyneLO,
-    mode: MechanicalMode,
-    grid: np.ndarray,
-    p_zp: float,
-) -> np.ndarray:
-    """Per-bin displacement PSD from a coherent force, synodyne readout.
-
-    grid holds demodulated angular frequencies (resonance at 0).  The force
-    at omega_f produces delta lines at +/-(omega_f - omega_m); on resonance
-    the two lines coincide and interfere, making the response depend on the
-    force phase relative to arg(alpha_p) (single-quadrature sensitivity);
-    off resonance the lines land in distinct bins and the response is phase
-    independent.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ParameterError("grid must be a sorted 1-D array of >= 2 points")
-    if not p_zp > 0:
-        raise ParameterError(f"p_zp must be positive, got {p_zp}")
-    _, alpha_p, ap2 = _checked_lo(lo)
-    widths = _bin_widths(grid)
-    offset = force.omega_f - mode.omega_m
-    amp2 = (force.amplitude / (4.0 * p_zp)) ** 2
-    out = np.zeros_like(grid)
-    i_plus = bin_index(grid, offset)
-    i_minus = bin_index(grid, -offset)
-    term_plus = alpha_p * cmath.exp(-1j * force.phi_f)
-    term_minus = alpha_p.conjugate() * cmath.exp(1j * force.phi_f)
-    if i_plus == i_minus:
-        lines = [(i_plus, term_plus + term_minus)]
-    else:
-        lines = [(i_plus, term_plus), (i_minus, term_minus)]
-    for i, term in lines:
-        weight = abs(term) ** 2 / (2.0 * ap2)
-        chim2 = abs(chi_m_dimensionless(rho_demodulated(grid[i], mode))) ** 2
-        out[i] += amp2 * chim2 * weight / widths[i]
-    return out

@@ -102,17 +102,12 @@ def uncertainty_product(phi, p, eps):
     return (1.0 + c * c) / (2.0 * eps * p) * (0.5 * p), 0.25 + 0.25 * c * c
 
 
-def force_psd_opt(rho, eps, n_th, p=None):
-    """Force PSD at the optimal angle, at power p or at the optimal power,
-    as its additive terms."""
-    if p is None:
-        return 2.0 * (n_th + 0.5), math.sqrt(1.0 / eps + (1.0 - eps) / eps * rho * rho)
-    x2 = chim2(rho)
-    return (
-        2.0 * (n_th + 0.5),
-        1.0 / (2.0 * eps * p * x2),
-        0.5 * p * (1.0 + (1.0 - eps) * rho * rho) * x2,
-    )
+def lo_opt(rho, p, eps):
+    """(beta, phi) of the optimal two-tone LO: with x = eps p |chi_m|^2 the
+    ratio (1 + x) / |1 - x|, on the phase branch (phi = pi/2) for x < 1 and
+    the amplitude branch (phi = 0) above."""
+    x = eps * p * chim2(rho)
+    return (1.0 + x) / abs(1.0 - x), (0.0 if x > 1.0 else math.pi / 2.0)
 
 
 def classical_noise_displacement(omega, phi, p, kappa, c_aa, c_pp):

@@ -1,6 +1,7 @@
 """Sideband thermometry, coupling calibration, and Lorentzian fitting."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,6 @@ from noisebudget import (
     fit_lorentzian,
     g_from_blue_sideband,
     n_th_from_sidebands,
-    rescale_occupation,
     synth_sideband_spectrum,
 )
 from noisebudget import calibration
@@ -30,7 +30,6 @@ from noisebudget.calibration import (
     _lorentzian,
     _lorentzian_jacobian,
     blue_sideband_amplitude,
-    coupling_from_damping_series,
     fit_sidebands,
     read_spectrum_csv,
     write_spectrum_csv,
@@ -77,33 +76,6 @@ def test_g_round_trip():
         g_from_blue_sideband(0.0, GAMMA, 1.29, det, cav, OMEGA_M, n_damp)
     with pytest.raises(ParameterError):
         g_from_blue_sideband(a_blue, GAMMA, -1.0, det, cav, OMEGA_M, n_damp)
-
-
-def test_coupling_slope_fit_with_noise():
-    g_true = 2.0 * math.pi * 35.0
-    rng = np.random.default_rng(11)
-    n_damp = np.linspace(1e4, 2e5, 12)
-    y = g_true**2 * n_damp * (1.0 + rng.normal(0.0, 0.05, size=n_damp.size))
-    g_fit = coupling_from_damping_series(n_damp, y)
-    assert abs(g_fit / g_true - 1.0) < 0.15
-    with pytest.raises(ParameterError):
-        coupling_from_damping_series([1.0], [1.0])
-    with pytest.raises(ParameterError):
-        coupling_from_damping_series([1.0, 2.0], [-1.0, -2.0])
-
-
-def test_rescale_occupation():
-    # unchanged damping returns the original occupation
-    n0_gamma0 = (1.34 - 0.16) * 325.0
-    assert rescale_occupation(n0_gamma0, 325.0, 0.16) == pytest.approx(1.34)
-    # the deployed damping level
-    assert rescale_occupation(n0_gamma0, 340.0, 0.16) == pytest.approx(1.288, abs=2e-3)
-    # infinite damping leaves only the backaction floor
-    assert rescale_occupation(n0_gamma0, 1e30, 0.16) == pytest.approx(0.16)
-    with pytest.raises(ParameterError):
-        rescale_occupation(1.0, 0.0, 0.1)
-    with pytest.raises(ParameterError):
-        rescale_occupation(1.0, 1.0, -0.1)
 
 
 def test_compose_efficiency():
@@ -373,3 +345,20 @@ def test_read_spectrum_csv_names_bad_line(tmp_path, capsys, body):
     cfg.write_text(f"sideband_csv = {path}\n")
     assert cli_main(["--config", str(cfg), "calibrate"]) == 2
     assert f"{path}: line 3" in capsys.readouterr().err
+
+
+def test_read_spectrum_csv_names_a_byte_that_is_not_utf8(tmp_path):
+    data = b"frequency_hz,psd_shotnoise_units\n1,2\n3,\xe94\n"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParameterError, match=r"latin1\.csv: byte 0xe9 at offset 39 is not UTF-8"):
+        read_spectrum_csv(path)
+    # a pipe cannot be read again for the offset
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    try:
+        with pytest.raises(ParameterError, match=rf"^/dev/fd/{r}: byte 0xe9 is not UTF-8$"):
+            read_spectrum_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)

@@ -393,7 +393,15 @@ GRID_CAP_LINE = (
 ANGLE_LINE = "error: angles_deg must lie strictly between 0 and 180 degrees, got 221.0\n"
 BETA_LINE = "domain error: beta = 1e+200: the LO power (1 + beta^2)/2 overflows float64\n"
 
-# (config text or None, argv with {cfg} and {tmp}, exit code, stderr or None)
+LATIN1_CONFIG = TINY_CONFIG.encode() + b"# waist 50 \xb5m\n"  # a Latin-1 micro sign
+LATIN1_LINE = f"error: {{cfg}}: byte 0xb5 at offset {len(TINY_CONFIG) + 11} is not UTF-8\n"
+LATIN1_CSV = b"frequency_hz,psd_shotnoise_units\n1.0,2.0\n\xff3.0,4.0\n"
+LATIN1_CSV_LINE = "error: {tmp}/s.csv: byte 0xff at offset 41 is not UTF-8\n"
+# 1/epsilon overflows; the QL added noise is at most 1/sqrt(5e-324) = 4.5e161
+SUBNORMAL_EPS_CONFIG = TINY_CONFIG + "epsilon = 5e-324\n"
+
+# (config text or bytes, a dict of such by file name, or None; argv with
+# {cfg} and {tmp}; exit code; stderr with {cfg} and {tmp}, or None)
 PROCESS_CASES = {
     "table": (TINY_CONFIG, ["--config", "{cfg}", "spectrum"], 0, ""),
     "version": (None, ["--version"], 0, ""),
@@ -414,15 +422,23 @@ PROCESS_CASES = {
     "synodyne-beta": (HUGE_BETA_CONFIG, ["--config", "{cfg}", "synodyne"], 3, BETA_LINE),
     "classical-noise-kappa": (HUGE_KAPPA_CONFIG, ["--config", "{cfg}", "spectrum"], 3, KAPPA_LINE),
     "out-dir": (TINY_CONFIG, ["--config", "{cfg}", "--out", "{tmp}/no/such.csv", "spectrum"], 4, None),
+    "config-not-utf8": (LATIN1_CONFIG, ["--config", "{cfg}", "spectrum"], 2, LATIN1_LINE),
+    "sideband-csv-not-utf8": (
+        {"c.cfg": "sideband_csv = {tmp}/s.csv\n", "s.csv": LATIN1_CSV},
+        ["--config", "{cfg}", "calibrate"], 2, LATIN1_CSV_LINE,
+    ),
+    "limits-subnormal-epsilon": (SUBNORMAL_EPS_CONFIG, ["--config", "{cfg}", "limits"], 0, ""),
 }
 
 
 @pytest.mark.parametrize("case", PROCESS_CASES)
 def test_cli_process_matches_main_in_process(tmp_path, capsys, case):
-    text, argv, code, stderr = PROCESS_CASES[case]
+    files, argv, code, stderr = PROCESS_CASES[case]
     cfg = tmp_path / "c.cfg"
-    if text is not None:
-        cfg.write_text(text)
+    files = files if isinstance(files, dict) else {} if files is None else {cfg.name: files}
+    for name, body in files.items():
+        body = body if isinstance(body, bytes) else body.format(tmp=tmp_path).encode()
+        (tmp_path / name).write_bytes(body)
     argv = [a.format(cfg=cfg, tmp=tmp_path) for a in argv]
     try:
         in_process = cli_main(argv)
@@ -438,7 +454,7 @@ def test_cli_process_matches_main_in_process(tmp_path, capsys, case):
     assert proc.stdout == out.encode()
     assert proc.stderr.decode() == err
     if stderr is not None:
-        assert err == stderr
+        assert err == stderr.format(cfg=cfg, tmp=tmp_path)
 
 
 # float64 edge values: signed zeros, subnormals, and magnitudes whose
@@ -543,3 +559,30 @@ def test_any_config_text_gives_a_documented_exit_and_finite_tables(tmp_path, dat
     if code == 0:
         numbers = _table_values(out.getvalue(), fmt)
         assert numbers and all(isinstance(v, float) and math.isfinite(v) for v in numbers)
+
+
+@st.composite
+def config_bytes(draw, command: str) -> bytes:
+    """Raw config bytes: config text for command with a few byte strings
+    inserted, which are mostly not UTF-8, or arbitrary bytes."""
+    text = _config_text(draw(config_values(command))).encode()
+    inserts = st.tuples(st.integers(0, len(text)), st.binary(min_size=1, max_size=4))
+    for at, chunk in draw(st.lists(inserts, min_size=1, max_size=3)):
+        text = text[:at] + chunk + text[at:]
+    return draw(st.one_of(st.just(text), st.binary(max_size=200)))
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.data(),
+    st.sampled_from(("spectrum", "limits", "variational", "synodyne")),
+    st.sampled_from(("csv", "jsonl")),
+)
+def test_any_config_bytes_give_a_documented_exit(tmp_path, data, command, fmt):
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_bytes(data.draw(config_bytes(command)))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(["--config", str(cfg), "--format", fmt, command])
+    assert code in (0, 2, 3, 4)

@@ -30,8 +30,6 @@ from noisebudget import (
     SweepSpec,
     chi_m_dimensionless,
     displacement_psd,
-    force_psd,
-    force_psd_opt,
     light_psd,
     omega_from_rho,
     parse_config,
@@ -241,10 +239,6 @@ def test_point_views_match_oracles():
         want_lhs, want_rhs = oracles.uncertainty_product(phi, p, eps)
         _assert_view_matches(lhs, want_lhs, (want_lhs,))
         _assert_view_matches(rhs, want_rhs, (want_rhs,))
-        for power in (None, p):
-            terms = oracles.force_psd_opt(rho, eps, n_th, power)
-            got = force_psd_opt(rho, det, mode, p=power)
-            _assert_view_matches(got, math.fsum(terms), terms)
 
 
 def test_kernel_totals_match_full_model_in_broadband_limit():
@@ -280,12 +274,6 @@ VIEWS = {
         rho, p, SynodyneLO(beta, phi), Detection(eps), _mode(n_th)),
     "uncertainty_product": lambda rho, p, phi, eps, n_th, beta: uncertainty_product(
         phi, p, Detection(eps)),
-    "force_psd": lambda rho, p, phi, eps, n_th, beta: force_psd(
-        rho, p, phi, Detection(eps), _mode(n_th)),
-    "force_psd_opt": lambda rho, p, phi, eps, n_th, beta: force_psd_opt(
-        rho, Detection(eps), _mode(n_th), p=p),
-    "force_psd_opt at p_opt": lambda rho, p, phi, eps, n_th, beta: force_psd_opt(
-        rho, Detection(eps), _mode(n_th)),
     "psd_at_phi_opt": lambda rho, p, phi, eps, n_th, beta: psd_at_phi_opt(
         rho, p, Detection(eps), _mode(n_th)),
     "light_psd": lambda rho, p, phi, eps, n_th, beta: light_psd(

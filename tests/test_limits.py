@@ -1,4 +1,4 @@
-"""SQL/QL curves, variational readout, stitching, and force sensitivity."""
+"""SQL/QL curves, variational readout, and stitching."""
 
 import math
 
@@ -13,9 +13,6 @@ from noisebudget import (
     ParameterError,
     chi_m_dimensionless,
     displacement_psd,
-    force_psd,
-    force_psd_opt,
-    force_sql,
     p_opt,
     phi_opt,
     psd_at_phi_opt,
@@ -66,6 +63,23 @@ def test_ql_added_noise_stays_finite_where_rho_squared_overflows(eps):
     asymptote = math.sqrt((1.0 - eps) / eps) / np.abs(rho[huge]) if eps < 1 else chim2[huge]
     np.testing.assert_array_equal(added[huge], asymptote)
     assert type(ql_added_noise(1e200, det)) is np.float64
+
+
+@pytest.mark.parametrize("eps", (5e-324, 1e-310, 5.5e-309, 5.6e-309, 1e-306, 1e-300))
+def test_ql_added_noise_stays_finite_and_exact_at_tiny_eps(eps):
+    # 1 - eps rounds to 1, so the value is 1 / (sqrt(eps) sqrt(1 + rho^2)):
+    # finite, at most 1/sqrt(5e-324) = 4.5e161 at rho = 0, also where 1/eps
+    # (the first three eps) or 1/eps rho^2 overflows float64
+    rho = np.array([0.0, 3.0, -40.0, 1e5, 1e200, -1.7e308])
+    added = ql_added_noise(rho, Detection(eps))
+    want = [1.0 / (math.sqrt(eps) * math.hypot(1.0, r)) for r in rho]
+    np.testing.assert_allclose(added, want, rtol=4e-16)
+    assert np.isfinite(added).all() and added[0] <= 4.5e161
+    chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = np.sqrt(1.0 / eps + (1.0 - eps) / eps * rho**2) * chim2
+    finite = np.isfinite(plain)
+    np.testing.assert_array_equal(added[finite], plain[finite])
 
 
 def test_sql_is_minimum_of_uncorrelated_readout(ideal_det, zero_mode):
@@ -231,29 +245,6 @@ def test_stitch_quadratures(exp_det, exp_mode):
     other_p = fixed_angle_spectrum(grid, 15.0, angles[0], exp_det, exp_mode)
     with pytest.raises(ParameterError):
         stitch_quadratures([curves[0], other_p])
-
-
-def test_force_psd(exp_det, exp_mode, ideal_det, zero_mode):
-    rho, p, phi = 5.0, 14.0, math.pi / 4.0
-    chim2 = abs(chi_m_dimensionless(rho)) ** 2
-    want = displacement_psd(rho, p, phi, exp_det, exp_mode).total / chim2
-    assert force_psd(rho, p, phi, exp_det, exp_mode) == pytest.approx(
-        want, rel=1e-12
-    )
-    np.testing.assert_allclose(
-        force_sql(np.array([0.0, 3.0])), [1.0, math.sqrt(10.0)], rtol=1e-12
-    )
-    # flat-band force sensitivity at the fully optimized readout
-    assert force_psd_opt(0.0, exp_det, exp_mode) == pytest.approx(
-        2.0 * 1.79 + 1.0 / math.sqrt(0.35), rel=1e-9
-    )
-    # ideal detector: force QL is flat at 2(n_th + 1/2) + 1
-    for rho in (0.0, 4.0, 15.0):
-        assert force_psd_opt(rho, ideal_det, zero_mode) == pytest.approx(2.0)
-    # fixed power never beats the optimal-power value
-    assert force_psd_opt(3.0, exp_det, exp_mode, p=5.0) >= force_psd_opt(
-        3.0, exp_det, exp_mode
-    )
 
 
 def test_homodyne_synodyne_variational_crossover(ideal_det, zero_mode):

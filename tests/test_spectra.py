@@ -12,25 +12,12 @@ from noisebudget import (
     Detection,
     DivergenceError,
     MechanicalMode,
-    OpticalCavity,
     ParameterError,
     SpectrumComponents,
-    UnsupportedConfigError,
-    chi_m,
     displacement_psd,
-    displacement_psd_cavity,
     light_psd,
-    mechanical_psd_full,
-    squashing_ratio,
 )
-from noisebudget.spectra import (
-    ExternalForce,
-    bin_index,
-    classical_noise_displacement,
-    classical_noise_psd,
-    mechanical_psd,
-)
-from noisebudget.errors import GridRangeError
+from noisebudget.spectra import classical_noise_displacement, classical_noise_psd
 
 # upper bounds on the laser's fractional amplitude/phase noise
 C_AA_EXP = 0.004
@@ -101,35 +88,6 @@ def test_divergent_configurations_rejected(ideal_det, zero_mode):
         displacement_psd(0.0, -1.0, math.pi / 2.0, ideal_det, zero_mode)
 
 
-def test_cavity_correction_magnitude(exp_det, exp_mode, exp_cav):
-    rho = 12.0
-    omega = OMEGA_M + rho * GAMMA / 2.0
-    flat = displacement_psd(rho, 14.0, math.pi / 2.0, exp_det, exp_mode)
-    filt = displacement_psd_cavity(
-        omega, 14.0, math.pi / 2.0, exp_det, exp_mode, exp_cav
-    )
-    chict2 = (
-        abs(oracles.chi_c(omega, KAPPA)) ** 2
-        / abs(oracles.chi_c(OMEGA_M, KAPPA)) ** 2
-    )
-    assert filt.s_ii == pytest.approx(flat.s_ii / chict2, rel=1e-9)
-    assert filt.s_ff == pytest.approx(flat.s_ff * chict2, rel=1e-9)
-    assert filt.s_m == pytest.approx(flat.s_m, rel=1e-9)
-    assert filt.s_corr == pytest.approx(flat.s_corr, rel=1e-9)
-    # at this narrow cavity the correction is small but resolvable
-    rel = abs(filt.s_ii / flat.s_ii - 1.0)
-    assert 1e-4 < rel < 5e-3
-    assert rel == pytest.approx(abs(1.0 / chict2 - 1.0), rel=1e-9)
-
-
-def test_cavity_correction_rejects_detuned_probe(exp_det, exp_mode):
-    detuned = OpticalCavity(KAPPA, delta=0.1 * KAPPA)
-    with pytest.raises(UnsupportedConfigError):
-        displacement_psd_cavity(
-            OMEGA_M, 1.0, math.pi / 2.0, exp_det, exp_mode, detuned
-        )
-
-
 def test_light_psd_shot_noise_limits(ideal_det, zero_mode):
     # zero power leaves pure shot noise at any quadrature, including the
     # amplitude quadrature where the displacement picture diverges
@@ -196,92 +154,6 @@ def test_classical_noise_displacement_scaling(exp_det, exp_cav):
     assert disp == pytest.approx(
         raw / (2.0 * EPS_EXP * p * math.sin(phi) ** 2), rel=1e-12
     )
-
-
-def test_squashing_ratio(exp_mode, exp_cav, exp_det):
-    assert squashing_ratio(
-        OMEGA_M, 1.0, exp_cav, exp_mode, ClassicalNoise()
-    ) == 0.0
-    # at the phase quadrature pure phase noise cannot squash
-    assert squashing_ratio(
-        OMEGA_M, math.pi / 2.0, exp_cav, exp_mode, ClassicalNoise(c_pp=0.04)
-    ) == pytest.approx(0.0, abs=1e-15)
-    # at the experimental noise bounds the squashing stays at least an order
-    # of magnitude below the quantum terms off resonance
-    rho = 10.0
-    omega = OMEGA_M + rho * GAMMA / 2.0
-    sq = squashing_ratio(
-        omega, math.pi / 4.0, exp_cav, exp_mode, ClassicalNoise(C_AA_EXP, C_PP_EXP)
-    )
-    quantum = displacement_psd(rho, 14.0, math.pi / 4.0, exp_det, exp_mode).total
-    assert abs(sq) < 0.1 * quantum
-    with pytest.raises(UnsupportedConfigError):
-        squashing_ratio(
-            OMEGA_M, 1.0, OpticalCavity(KAPPA, delta=1.0), exp_mode,
-            ClassicalNoise(c_aa=0.1),
-        )
-
-
-def test_mechanical_psd_thermal_limit(exp_mode, exp_cav):
-    # without light only the thermal + zero-point drive remains
-    omega = OMEGA_M + 3.0 * GAMMA
-    got = mechanical_psd(omega, 2.0 * math.pi * 39.0, 0.0, exp_mode, exp_cav)
-    want = GAMMA * (NTH_EXP + 0.5) * abs(oracles.chi_m(omega, GAMMA, OMEGA_M)) ** 2
-    assert got == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ParameterError):
-        mechanical_psd(omega, 1.0, -1.0, exp_mode, exp_cav)
-
-
-def test_mechanical_psd_matches_dimensionless_on_resonance(
-    exp_mode, exp_cav, exp_det
-):
-    # bridge: the dimensionless (s_m + s_ff) on resonance equals
-    # (gamma/2) <xx>(omega_m) once p is converted to photons
-    g = 2.0 * math.pi * 39.0
-    p = 14.0
-    n = p * GAMMA / (4.0 * KAPPA * g**2 * abs(oracles.chi_c(OMEGA_M, KAPPA)) ** 2)
-    xx = mechanical_psd(OMEGA_M, g, n, exp_mode, exp_cav)
-    comps = displacement_psd(0.0, p, math.pi / 2.0, exp_det, exp_mode)
-    assert (GAMMA / 2.0) * xx == pytest.approx(
-        comps.s_m + comps.s_ff, rel=1e-9
-    )
-
-
-def test_mechanical_psd_full_force_line(exp_mode, exp_cav):
-    g = 2.0 * math.pi * 39.0
-    grid = np.linspace(OMEGA_M - 20.0 * GAMMA, OMEGA_M + 20.0 * GAMMA, 401)
-    omega_f = OMEGA_M + 5.0 * GAMMA
-    p_zp = 1e-28
-    force = ExternalForce(amplitude=1e-16, omega_f=omega_f)
-    base = mechanical_psd_full(grid, g, 1e5, exp_mode, exp_cav)
-    with_f = mechanical_psd_full(
-        grid, g, 1e5, exp_mode, exp_cav, force=force, p_zp=p_zp
-    )
-    i = bin_index(grid, omega_f)
-    delta = with_f - base
-    assert np.count_nonzero(delta) == 1
-    width = grid[1] - grid[0]
-    want = (
-        (force.amplitude / (4.0 * p_zp)) ** 2
-        * abs(oracles.chi_m(omega_f, GAMMA, OMEGA_M)) ** 2
-        / width
-    )
-    assert delta[i] == pytest.approx(want, rel=1e-9)
-    # doubling the amplitude quadruples the line mass
-    double = mechanical_psd_full(
-        grid, g, 1e5, exp_mode, exp_cav,
-        force=ExternalForce(2e-16, omega_f), p_zp=p_zp,
-    )
-    assert (double - base)[i] == pytest.approx(4.0 * delta[i], rel=1e-9)
-    with pytest.raises(GridRangeError):
-        mechanical_psd_full(
-            grid, g, 1e5, exp_mode, exp_cav,
-            force=ExternalForce(1e-16, grid[-1] + GAMMA), p_zp=p_zp,
-        )
-    with pytest.raises(ParameterError):
-        mechanical_psd_full(
-            grid, g, 1e5, exp_mode, exp_cav, force=force, p_zp=None
-        )
 
 
 def test_components_additivity():

@@ -1,18 +1,15 @@
 """Two-tone local-oscillator readout."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from conftest import GAMMA, KAPPA, OMEGA_M
+import oracles
 from noisebudget import (
     Detection,
     DivergenceError,
-    MechanicalMode,
-    OpticalCavity,
     ParameterError,
     SynodyneLO,
     beta_opt,
@@ -24,16 +21,7 @@ from noisebudget import (
     synodyne_variational,
 )
 from noisebudget.errors import BranchPoleError
-from noisebudget.spectra import ExternalForce
-from noisebudget.synodyne import (
-    check_cavity_symmetry,
-    lo_opt,
-    rho_demodulated,
-    synodyne_components,
-    synodyne_force_response,
-    synodyne_p_opt,
-    synodyne_terms,
-)
+from noisebudget.synodyne import synodyne_components, synodyne_p_opt, synodyne_terms
 
 
 def test_lo_coefficients_values():
@@ -111,9 +99,6 @@ def test_overflowing_lo_power_names_beta(ideal_det, zero_mode):
         synodyne_psd(0.0, 1.0, lo, ideal_det, zero_mode)
     with pytest.raises(DivergenceError, match=r"beta = 1e\+200"):
         synodyne_terms(np.zeros(3), 1.0, lo, 1.0, 0.0)
-    grid = np.linspace(-1.0, 1.0, 5)
-    with pytest.raises(DivergenceError, match=r"beta = 1e\+200"):
-        synodyne_force_response(ExternalForce(1.0, 1.0, 0.0), lo, zero_mode, grid, 1.0)
     assert math.isfinite(synodyne_psd(0.0, 1.0, SynodyneLO(1e150, 0.0), ideal_det, zero_mode))
 
 
@@ -170,15 +155,10 @@ def test_beta_opt_matches_numerical_minimum(ideal_det, zero_mode):
     assert betas[int(np.argmin(vals))] == pytest.approx(want, abs=2e-4)
 
 
-def test_lo_opt_branch_angle(ideal_det):
-    assert lo_opt(0.0, 100.0, ideal_det).phi == 0.0
-    assert lo_opt(0.0, 0.5, ideal_det).phi == pytest.approx(math.pi / 2.0)
-
-
 def test_synodyne_variational_is_local_optimum(ideal_det, zero_mode):
     rho, p = 0.0, 100.0
     best = synodyne_variational(rho, p, ideal_det, zero_mode)
-    lo = lo_opt(rho, p, ideal_det)
+    lo = SynodyneLO(*oracles.lo_opt(rho, p, ideal_det.epsilon))
     assert synodyne_psd(rho, p, lo, ideal_det, zero_mode) == pytest.approx(
         best, rel=1e-12
     )
@@ -223,72 +203,3 @@ def test_synodyne_p_opt(ideal_det, zero_mode):
         (1.0 + rho) * np.abs(chi_m_dimensionless(rho)) ** 2,
         rtol=1e-12,
     )
-
-
-def test_rho_demodulated(exp_mode):
-    assert float(rho_demodulated(GAMMA / 2.0, exp_mode)) == pytest.approx(1.0)
-    assert float(rho_demodulated(0.0, exp_mode)) == 0.0
-
-
-def test_check_cavity_symmetry(exp_mode):
-    # a band of one mechanical linewidth is symmetric enough at the
-    # experimental cavity
-    check_cavity_symmetry(OpticalCavity(KAPPA), exp_mode, GAMMA)
-    # a broadband cavity is symmetric over a much wider band
-    check_cavity_symmetry(OpticalCavity(1e4 * OMEGA_M), exp_mode, 50.0 * GAMMA)
-    # a wide band at the real cavity (resonance a fair fraction of kappa)
-    # violates the symmetry assumption and is rejected
-    with pytest.raises(ParameterError):
-        check_cavity_symmetry(OpticalCavity(KAPPA), exp_mode, 50.0 * GAMMA)
-
-
-def test_force_response_on_resonance_phase_sensitivity(exp_mode):
-    lo = SynodyneLO(1.02, 0.0)
-    grid = np.linspace(-20.0, 20.0, 401) * GAMMA / 2.0
-    p_zp = 1e-28
-    _, alpha_p = lo_coefficients(lo)
-    phase0 = cmath.phase(alpha_p)
-    i0 = int(np.argmin(np.abs(grid)))
-    width = grid[1] - grid[0]
-    amp2 = (1e-16 / (4.0 * p_zp)) ** 2
-    aligned = synodyne_force_response(
-        ExternalForce(1e-16, OMEGA_M, phase0), lo, exp_mode, grid, p_zp
-    )
-    # coherent constructive interference of the two lines: weight 2
-    assert aligned[i0] == pytest.approx(2.0 * amp2 / width, rel=1e-9)
-    assert np.count_nonzero(aligned) == 1
-    # the orthogonal force phase is invisible (single-quadrature detection)
-    quad = synodyne_force_response(
-        ExternalForce(1e-16, OMEGA_M, phase0 + math.pi / 2.0),
-        lo, exp_mode, grid, p_zp,
-    )
-    assert quad[i0] < 1e-20 * aligned[i0]
-    # halfway between: weight 2 cos^2(pi/4) = 1
-    mid = synodyne_force_response(
-        ExternalForce(1e-16, OMEGA_M, phase0 + math.pi / 4.0),
-        lo, exp_mode, grid, p_zp,
-    )
-    assert mid[i0] == pytest.approx(0.5 * aligned[i0], rel=1e-9)
-
-
-def test_force_response_off_resonance_phase_independent(exp_mode):
-    lo = SynodyneLO(1.02, 0.0)
-    grid = np.linspace(-20.0, 20.0, 401) * GAMMA / 2.0
-    p_zp = 1e-28
-    omega_f = OMEGA_M + 5.0 * GAMMA
-    a = synodyne_force_response(
-        ExternalForce(1e-16, omega_f, 0.0), lo, exp_mode, grid, p_zp
-    )
-    b = synodyne_force_response(
-        ExternalForce(1e-16, omega_f, 1.234), lo, exp_mode, grid, p_zp
-    )
-    np.testing.assert_allclose(a, b, rtol=1e-12)
-    # two lines, mirrored about the demodulated origin
-    assert np.count_nonzero(a) == 2
-    i_plus = int(np.argmin(np.abs(grid - 5.0 * GAMMA)))
-    i_minus = int(np.argmin(np.abs(grid + 5.0 * GAMMA)))
-    assert a[i_plus] > 0.0 and a[i_minus] > 0.0
-    with pytest.raises(ParameterError):
-        synodyne_force_response(
-            ExternalForce(1e-16, omega_f), lo, exp_mode, grid, 0.0
-        )
