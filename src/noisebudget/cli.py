@@ -33,8 +33,6 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .calibration import (
     SidebandFit,
@@ -42,15 +40,12 @@ from .calibration import (
     n_th_from_sidebands,
     read_spectrum_csv,
 )
-from .core import Detection
 from .errors import DomainError, ParameterError, decode_utf8
 from .figures import FIGURE_IDS, reproduce_figure
-from .limits import ql_added_noise, sql_psd
-from .spectra import thermal_term
 from .sweep import (
     SpectrumTable,
+    curve_columns,
     emit_table,
-    limit_columns,
     parse_config,
     read_key_values,
     run_sweep,
@@ -279,20 +274,16 @@ def _cmd_sweep(args, readout_override=None) -> dict:
     return {"sweep": run_sweep(spec)}
 
 
-@np.errstate(all="ignore")  # SpectrumTable turns an overflow into a DivergenceError
 def _cmd_limits(args) -> dict:
     spec = parse_config(_read_config(args))
     grid = spec.rho_grid()
     meta = spec.metadata()
-    ql_thermal = thermal_term(grid, spec.n_th)
-    ql_added = ql_added_noise(grid, Detection(spec.epsilon))
     return {
-        "sql": SpectrumTable(
-            dict(meta, curve="sql"), limit_columns(grid, sql_psd(grid), 0.0, 0.0, 0.0)
-        ),
-        "ql": SpectrumTable(
-            dict(meta, curve="ql"), limit_columns(grid, ql_added, ql_thermal, 0.0, 0.0)
-        ),
+        kind: SpectrumTable(
+            dict(meta, curve=kind),
+            curve_columns(kind, grid, 0.0, 0.0, spec.epsilon, spec.n_th),
+        )
+        for kind in ("sql", "ql")
     }
 
 

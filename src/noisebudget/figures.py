@@ -2,14 +2,9 @@
 
 Each figure id maps to one or more SpectrumTables (data only, never images).
 Experimental data points cannot be regenerated, so the 2/3-series ids carry a
-'-model' suffix and emit theory curves only.
-
-Column conventions for non-sweep curves: limit curves (SQL/QL) report the
-probe-added noise in the s_ii column and the thermal + zero-point part in
-s_m; light-PSD curves (id 1d) report the shot-noise floor of 1 in s_ii and
-the mechanically induced terms scaled into light units.  In all cases
-total = sum of the components, so every row re-validates the additivity
-invariant on re-ingestion.
+'-model' suffix and emit theory curves only.  Each curve is one
+sweep.curve_columns call, whose docstring gives the column conventions of
+each kind of curve.
 """
 
 from __future__ import annotations
@@ -19,15 +14,8 @@ from typing import Dict
 
 import numpy as np
 
-from .core import Detection
 from .errors import ParameterError
-from .limits import phi_opt, ql_added_noise, sql_psd
-from .spectra import homodyne_terms, light_terms, thermal_term
-from .sweep import (
-    NORMALIZATION_STATEMENT, SpectrumTable, SweepSpec, limit_columns, run_sweep,
-    spectrum_columns,
-)
-from .synodyne import SynodyneLO, synodyne_added_noise, synodyne_terms
+from .sweep import NORMALIZATION_STATEMENT, SpectrumTable, curve_columns
 from . import __version__
 
 # reference parameter sets for the figure data
@@ -37,43 +25,6 @@ _STITCH_ANGLES = (45.0, 60.0, 75.0, 90.0)
 _GRID = np.linspace(-20.0, 20.0, 401)  # rho
 _P_GRID = np.logspace(-1.0, 3.0, 121)
 _PHI_GRID_DEG = np.linspace(1.0, 179.0, 179)
-
-
-def _columns(kind: str, epsilon: float, n_th: float, rho, p, phi_deg=0.0, beta=None):
-    """Table columns of one curve; rho, p or (light only) phi_deg may be a grid.
-
-    stitched takes its candidate angles as phi_deg and a linear rho grid.
-    The limit kinds (synodyne_variational, ql, sql) use phi_deg only as
-    their angle column, and ql and sql use p only as their power column.
-    """
-    det = Detection(epsilon)
-    thermal = thermal_term(rho, n_th)
-    if kind == "homodyne":
-        comps = homodyne_terms(rho, p, np.radians(phi_deg), epsilon, n_th)
-    elif kind == "variational":
-        phi = phi_opt(rho, p, det)
-        phi_deg = np.degrees(phi)
-        comps = homodyne_terms(rho, p, phi, epsilon, n_th)
-    elif kind == "stitched":
-        spec = SweepSpec(
-            rho_min=float(rho[0]), rho_max=float(rho[-1]), rho_count=rho.size,
-            powers=(p,), epsilon=epsilon, n_th=n_th, readout="stitched",
-            stitch_angles_deg=phi_deg,
-        )
-        return run_sweep(spec).columns
-    elif kind == "light":
-        comps = light_terms(rho, np.radians(phi_deg), p, epsilon, n_th)
-    elif kind == "synodyne":
-        lo = SynodyneLO(beta, np.radians(phi_deg))
-        comps = synodyne_terms(rho, p, lo, epsilon, n_th)
-    elif kind == "synodyne_variational":
-        added = synodyne_added_noise(rho, p, det)
-        return limit_columns(rho, added, thermal, phi_deg, p)
-    elif kind == "ql":
-        return limit_columns(rho, ql_added_noise(rho, det), thermal, phi_deg, p)
-    else:  # sql
-        return limit_columns(rho, sql_psd(rho), thermal, phi_deg, p)
-    return spectrum_columns(rho, phi_deg, p, comps)
 
 
 def _power_sweeps(rhos, angles, key="rho{rho:g}_phi{phi:g}") -> list:
@@ -96,27 +47,27 @@ def _insets(p: float, angles, **extra) -> list:
 
 # power-optimized SQL (plus zero point) and ideal-detector QL over the grid
 _BROADBAND_LIMITS = [
-    ("sql", "sql", (_GRID, 0.0, 90.0), {"power_optimized": True, "include_zpm": True}),
-    ("ql", "ql", (_GRID, 0.0), dict(_IDEAL, power_optimized=True)),
+    ("sql", "sql_zpm", (_GRID, 0.0, 90.0), {"power_optimized": True, "include_zpm": True}),
+    ("ql", "ql", (_GRID, 0.0, 0.0), dict(_IDEAL, power_optimized=True)),
 ]
 
 # Per figure id, its curves in output order as (name, kind, inputs, metadata
-# params).  inputs are _columns' (rho, p[, phi_deg[, beta]]); epsilon and n_th
-# come from params, so the metadata names what was evaluated, and default to
-# an ideal detector in the ground state where params name neither (the SQL).
+# params).  inputs are curve_columns' (rho, p, phi_deg[, beta]); epsilon and
+# n_th come from params, so the metadata names what was evaluated, and default
+# to an ideal detector in the ground state where params name neither (the SQL).
 _FIGURES = {
     "1a": [
         ("phi90", "homodyne", (_GRID, 50.0, 90.0), dict(_IDEAL, p=50.0)),
         ("phi25", "homodyne", (_GRID, 50.0, 25.0), dict(_IDEAL, p=50.0)),
-        ("variational", "variational", (_GRID, 50.0), dict(_IDEAL, p=50.0)),
+        ("variational", "variational", (_GRID, 50.0, None), dict(_IDEAL, p=50.0)),
         *_BROADBAND_LIMITS,
     ],
     "1b": [
         ("phi90", "homodyne", (5.0, _P_GRID, 90.0), dict(_IDEAL, rho=5.0)),
         ("phi25", "homodyne", (5.0, _P_GRID, 25.0), dict(_IDEAL, rho=5.0)),
-        ("variational", "variational", (5.0, _P_GRID), dict(_IDEAL, rho=5.0)),
-        ("ql", "ql", (5.0, 0.0), dict(_IDEAL, rho=5.0)),
-        ("sql", "sql", (5.0, 0.0, 90.0), dict(rho=5.0, include_zpm=True)),
+        ("variational", "variational", (5.0, _P_GRID, None), dict(_IDEAL, rho=5.0)),
+        ("ql", "ql", (5.0, 0.0, 0.0), dict(_IDEAL, rho=5.0)),
+        ("sql", "sql_zpm", (5.0, 0.0, 90.0), dict(rho=5.0, include_zpm=True)),
     ],
     "1d": [
         ("light_psd", "light", (5.0, 6.0, _PHI_GRID_DEG),
@@ -126,7 +77,7 @@ _FIGURES = {
     "2b-model": _power_sweeps((5.0, -5.0), (90.0, 45.0)) + _insets(14.0, (90.0, 45.0)),
     "3a-model": _power_sweeps((5.0, -5.0), _STITCH_ANGLES),
     "3b-model": [
-        ("stitched", "stitched", (_GRID, 14.0, _STITCH_ANGLES),
+        ("stitched", "stitched", (_GRID[:, None], 14.0, _STITCH_ANGLES),
          dict(_EXP, p=14.0, angles_deg=list(_STITCH_ANGLES))),
         ("phi90", "homodyne", (_GRID, 14.0, 90.0), dict(_EXP, p=14.0)),
         *_insets(28.0, _STITCH_ANGLES,
@@ -141,8 +92,8 @@ _FIGURES = {
          dict(_IDEAL, p=100.0, phi_deg=90.0)),
     ],
     "S2b": [
-        ("homodyne_variational", "variational", (_GRID, 100.0), dict(_IDEAL, p=100.0)),
-        ("synodyne_variational", "synodyne_variational", (_GRID, 100.0),
+        ("homodyne_variational", "variational", (_GRID, 100.0, None), dict(_IDEAL, p=100.0)),
+        ("synodyne_variational", "synodyne_variational", (_GRID, 100.0, 0.0),
          dict(_IDEAL, p=100.0)),
         *_BROADBAND_LIMITS,
     ],
@@ -160,9 +111,9 @@ def reproduce_figure(fig_id: str) -> Dict[str, SpectrumTable]:
     return {
         curve: SpectrumTable(
             dict(meta, figure=fig_id, curve=curve, params=copy.deepcopy(params)),
-            _columns(
-                kind, params.get("epsilon", 1.0), params.get("n_th", 0.0), *inputs
+            curve_columns(
+                kind, rho, p, phi_deg, params.get("epsilon", 1.0), params.get("n_th", 0.0), *beta
             ),
         )
-        for curve, kind, inputs, params in _FIGURES[fig_id]
+        for curve, kind, (rho, p, phi_deg, *beta), params in _FIGURES[fig_id]
     }

@@ -47,18 +47,20 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    HIGH_Q_THRESHOLD, Detection, MechanicalMode, OpticalCavity, check_finite_fields,
-    omega_from_rho,
+    HIGH_Q_THRESHOLD, Detection, MechanicalMode, OpticalCavity, check_finite,
+    check_finite_fields, omega_from_rho,
 )
 from .errors import DivergenceError, ParameterError
-from .limits import phi_opt, pick_quadrature, quadrature_order, sql_psd
+from .limits import phi_opt, pick_quadrature, ql_added_noise, quadrature_order, sql_psd
 from .spectra import (
     ClassicalNoise,
     SpectrumComponents,
     classical_noise_displacement,
     homodyne_terms,
+    light_terms,
+    thermal_term,
 )
-from .synodyne import SynodyneLO, synodyne_terms
+from .synodyne import SynodyneLO, synodyne_added_noise, synodyne_terms
 
 NORMALIZATION_STATEMENT = (
     "dimensionless displacement PSD: zero-point motion contributes 1 on "
@@ -200,6 +202,7 @@ class SweepSpec:
             n_th=self.n_th,
         )
 
+    @np.errstate(over="ignore")  # an infinite point is rejected, naming rho, by the kernels
     def rho_grid(self) -> np.ndarray:
         if self.rho_spacing == "linear":
             return np.linspace(self.rho_min, self.rho_max, self.rho_count)
@@ -351,62 +354,91 @@ def spectrum_columns(rho, phi_used, p, comps: SpectrumComponents) -> dict:
     return columns
 
 
-def limit_columns(rho, added, thermal, phi_deg: float, p: float) -> dict:
-    """Columns of a reference curve: probe-added noise in s_ii, thermal +
-    zero-point motion in s_m, the other terms zero."""
-    comps = SpectrumComponents(thermal, added, 0.0, 0.0)
-    return spectrum_columns(rho, phi_deg, p, comps)
-
-
 @np.errstate(all="ignore")
-def run_sweep(spec: SweepSpec) -> SpectrumTable:
-    """Evaluate the sweep, rho-major then power then angle, deterministically.
+def curve_columns(kind, rho, p, phi_deg, epsilon, n_th, beta=None, s_ln=None) -> dict:
+    """Table columns of one curve of kind, through spectrum_columns; rho, p
+    and phi_deg broadcast together.  The kinds:
 
-    Each readout is one vectorized pass over the broadcast (rho, power,
-    angle) grid.  Stitched readout keeps, per (rho, power), the candidate
-    angle with the lowest total, classical noise included, as chosen by
-    pick_quadrature: ties go to the angle nearest phase quadrature.  It runs
-    with float64 warnings off: a value that overflows on the way is caught
-    by SpectrumTable's finite check as a DivergenceError.
+      homodyne at the angles phi_deg; variational at phi_opt per point,
+        which fills the angle column (phi_deg is not read); stitched, per
+        point the candidate on the last axis of the 1-D phi_deg with the
+        lowest total, as pick_quadrature picks it in quadrature_order, so a
+        tie goes to the angle nearest 90 degrees.  These three add s_ln,
+        None or a function from an angle in radians to the classical-noise
+        term.
+      synodyne: a two-tone LO of sideband ratio beta and phase phi_deg.
+      light: the shot-noise-normalized light PSD at phi_deg, with the
+        shot-noise floor of 1 in s_ii and the mechanical terms in light units.
+      sql, sql_zpm, ql, synodyne_variational: reference curves, with the
+        probe-added noise (SQL, SQL, QL, synodyne at the optimal ratio and
+        power p) in s_ii and the thermal + zero-point term in s_m, which sql
+        leaves 0 (as limits writes it) and sql_zpm keeps (the figures'
+        include_zpm).  phi_deg only fills their angle column, and p, but for
+        synodyne_variational, their power column.
+
+    total is the sum of the five terms, so every row re-checks additivity on
+    re-ingestion.  Float64 warnings are off: a value that overflows on the
+    way is a DivergenceError from SpectrumTable's finite check.
     """
-    eps, n_th = spec.epsilon, spec.n_th
-    rho = spec.rho_grid()[:, None, None]
-    p = np.array(spec.powers)[None, :, None]
-    noise = ClassicalNoise(spec.c_aa, spec.c_pp)
-
-    def s_ln(phi):
-        if noise.is_zero:
-            return 0.0
-        cav = OpticalCavity(kappa=2 * math.pi * spec.kappa_hz)
-        omega = omega_from_rho(rho, spec.mode())
-        return classical_noise_displacement(omega, phi, p, Detection(eps), cav, noise)
-
-    if spec.readout == "synodyne":
-        lo = SynodyneLO(spec.beta, math.radians(spec.synodyne_phi_deg))
-        phi_deg = spec.synodyne_phi_deg
-        comps = synodyne_terms(rho, p, lo, eps, n_th)
-    elif spec.readout == "variational":
-        phi = phi_opt(rho, p, Detection(eps))
-        phi_deg = np.degrees(phi)
-        comps = homodyne_terms(rho, p, phi, eps, n_th, s_ln(phi))
-    else:  # homodyne, or stitched: one candidate angle kept per point
-        stitched = spec.readout == "stitched"
-        phi_deg = np.array(spec.stitch_angles_deg if stitched else spec.angles_deg)
-        if stitched:  # in the order pick_quadrature searches them
-            phi_deg = phi_deg[quadrature_order(np.radians(phi_deg))]
-        phi = np.radians(phi_deg)
-        comps = homodyne_terms(rho, p, phi, eps, n_th, s_ln(phi))
-        if stitched:
+    det = Detection(epsilon)
+    if kind in ("homodyne", "variational", "stitched"):
+        if kind == "stitched":  # candidates in the order pick_quadrature searches them
+            phi_deg = np.asarray(phi_deg, dtype=float)
+            phi_deg = phi_deg[..., quadrature_order(np.radians(phi_deg))]
+        if kind == "variational":
+            phi = phi_opt(rho, p, det)
+            phi_deg = np.degrees(phi)
+        else:
+            phi = np.radians(phi_deg)
+        comps = homodyne_terms(rho, p, phi, epsilon, n_th, 0.0 if s_ln is None else s_ln(phi))
+        if kind == "stitched":
             totals = comps.s_m + comps.s_ii  # one buffer, added in comps.total's order
             for term in comps.terms[2:]:
                 totals += term
             pick = pick_quadrature(totals)[..., None]
             del totals
-            comps = SpectrumComponents(*(np.take_along_axis(t, pick, 2) for t in comps.terms))
+            # only the angle-dependent terms are gathered; without noise s_ln stays 0.0
+            s_ii, s_corr = (np.take_along_axis(t, pick, -1) for t in (comps.s_ii, comps.s_corr))
+            ln = 0.0 if s_ln is None else np.take_along_axis(comps.s_ln, pick, -1)
+            comps = SpectrumComponents(comps.s_m[..., :1], s_ii, comps.s_ff[..., :1], s_corr, ln)
             phi_deg = phi_deg[pick]
             del pick  # not held while the columns are built
+    elif kind == "synodyne":
+        comps = synodyne_terms(rho, p, SynodyneLO(beta, np.radians(phi_deg)), epsilon, n_th)
+    elif kind == "light":
+        comps = light_terms(rho, np.radians(phi_deg), p, epsilon, n_th)
+    elif kind in ("sql", "sql_zpm", "ql", "synodyne_variational"):
+        check_finite("rho", rho)
+        added = (
+            ql_added_noise(rho, det) if kind == "ql"
+            else synodyne_added_noise(rho, p, det) if kind == "synodyne_variational"
+            else sql_psd(rho)
+        )
+        thermal = 0.0 if kind == "sql" else thermal_term(rho, n_th)
+        comps = SpectrumComponents(thermal, added, 0.0, 0.0)
+    else:
+        raise ParameterError(f"unknown curve kind {kind!r}")
+    return spectrum_columns(rho, phi_deg, p, comps)
 
-    return SpectrumTable(spec.metadata(), spectrum_columns(rho, phi_deg, p, comps))
+
+def run_sweep(spec: SweepSpec) -> SpectrumTable:
+    """Evaluate the sweep, rho-major then power then angle, deterministically:
+    one curve_columns call over the broadcast (rho, power, angle) grid."""
+    rho = spec.rho_grid()[:, None, None]
+    p = np.array(spec.powers)[None, :, None]
+    noise, s_ln = ClassicalNoise(spec.c_aa, spec.c_pp), None
+    if not noise.is_zero:
+        det, mode = Detection(spec.epsilon), spec.mode()
+        cav = OpticalCavity(kappa=2 * math.pi * spec.kappa_hz)
+
+        def s_ln(phi):  # omega may overflow: called under curve_columns' errstate
+            omega = omega_from_rho(rho, mode)
+            return classical_noise_displacement(omega, phi, p, det, cav, noise)
+
+    readout_angles = {"homodyne": spec.angles_deg, "stitched": spec.stitch_angles_deg}
+    angles = readout_angles.get(spec.readout, spec.synodyne_phi_deg)  # in degrees
+    columns = curve_columns(spec.readout, rho, p, angles, spec.epsilon, spec.n_th, spec.beta, s_ln)
+    return SpectrumTable(spec.metadata(), columns)
 
 
 def emit_table(table: SpectrumTable, fmt: str, destination, rows: Optional[range] = None):

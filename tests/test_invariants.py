@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisebudget import ClassicalNoise, Detection, OpticalCavity, chi_m_dimensionless
-from noisebudget.limits import uncertainty_product
-from noisebudget.spectra import classical_noise_psd, homodyne_terms
-from noisebudget.sweep import spectrum_columns
+from noisebudget import (
+    ClassicalNoise, Detection, MechanicalMode, OpticalCavity, chi_m_dimensionless, omega_from_rho,
+)
+from noisebudget.limits import quadrature_order, uncertainty_product
+from noisebudget.spectra import classical_noise_displacement, classical_noise_psd, homodyne_terms
+from noisebudget.sweep import COLUMNS, curve_columns, spectrum_columns
 from noisebudget.synodyne import SynodyneLO, synodyne_terms
 
 points = st.tuples(
@@ -84,3 +86,48 @@ def noisy_points(draw):
 def test_classical_noise_is_never_negative(point):
     omega, phi, det, cav, noise = point
     assert classical_noise_psd(omega, phi, det, cav, noise) >= 0.0
+
+
+@st.composite
+def stitch_cases(draw):
+    """(rho column, p, candidate angles in degrees, epsilon, n_th, s_ln): the
+    angles are distinct and often mirror each other about 90 degrees, which
+    ties them exactly at rho = 0 without classical noise."""
+    rho = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), min_size=1, max_size=20
+    )))[:, None]
+    p = draw(st.floats(0.1, 100.0))
+    angles = np.array(draw(st.lists(
+        st.one_of(st.floats(1.0, 179.0), st.sampled_from((30.0, 60.0, 90.0, 120.0, 150.0))),
+        min_size=2, max_size=4, unique=True,
+    )))
+    eps, n_th = draw(st.floats(1e-2, 1.0)), draw(st.floats(0.0, 100.0))
+    s_ln = None
+    if draw(st.booleans()):
+        noise = ClassicalNoise(draw(st.floats(0.0, 1.0)), draw(st.floats(1e-4, 1.0)))
+        cav = OpticalCavity(2 * math.pi * draw(st.floats(1e5, 1e8)))
+        mode = MechanicalMode(2 * math.pi * draw(st.floats(1e6, 1e8)), 2 * math.pi * 340.0)
+
+        def s_ln(phi):
+            omega = omega_from_rho(rho, mode)
+            return classical_noise_displacement(omega, phi, p, Detection(eps), cav, noise)
+
+    return rho, p, angles, eps, n_th, s_ln
+
+
+@settings(max_examples=300, deadline=None)
+@given(stitch_cases())
+def test_stitched_is_the_pointwise_minimum_over_its_angles(case):
+    rho, p, angles, eps, n_th, s_ln = case
+    stitched = curve_columns("stitched", rho, p, angles, eps, n_th, s_ln=s_ln)
+    fixed = curve_columns("homodyne", rho, p, angles, eps, n_th, s_ln=s_ln)
+    fixed = {c: fixed[c].reshape(len(rho), len(angles)) for c in COLUMNS}
+    order = quadrature_order(np.radians(angles))
+    for i in range(len(rho)):
+        totals = fixed["total"][i]
+        assert stitched["total"][i] == totals.min()
+        # the first angle in quadrature_order whose total is the minimum
+        chosen = next(k for k in order if totals[k] == totals.min())
+        assert stitched["phi_used"][i] == angles[chosen]
+        for c in COLUMNS:
+            assert stitched[c][i] == fixed[c][i, chosen], c

@@ -238,17 +238,61 @@ STITCHED_CONFIG = (
     "rho_min = -10\nrho_max = 10\nrho_count = 21\npowers = 0.7,14\n"
     "readout = stitched\nstitch_angles_deg = 90,60,120\nepsilon = 0.35\nn_th = 1.29\n"
 )
-# sha256 of `noisebudget --config <STITCHED_CONFIG> spectrum` on stdout,
-# recorded from the writer that formatted every cell of every row
-STITCHED_CSV_SHA256 = "0bd8e9f34d6d06a41b2eabe8810c5ed5cef5b72625d460f3f2de6f0bd76fe193"
+CLASSICAL_NOISE = (
+    "c_aa = 0.004\nc_pp = 0.04\nkappa_hz = 2.5e6\nomega_m_hz = 1.596e6\ngamma_hz = 340\n"
+)
+_SWEEP = "rho_min = -10\nrho_max = 10\nrho_count = 21\npowers = 0.7,14\nepsilon = 0.35\nn_th = 1.29\n"
+# one config per evaluator branch of run_sweep
+SPECTRUM_CONFIGS = {
+    "stitched": STITCHED_CONFIG,
+    "homodyne-linear": _SWEEP + "angles_deg = 90,45\n",
+    "homodyne-log-symmetric": (
+        "rho_min = 1e-3\nrho_max = 1e3\nrho_count = 21\nrho_spacing = log-symmetric\n"
+        "powers = 14\nangles_deg = 90,45\nepsilon = 0.35\nn_th = 1.29\n"
+    ),
+    "variational": _SWEEP + "readout = variational\n",
+    "synodyne": _SWEEP + "readout = synodyne\nbeta = 1.02\nsynodyne_phi_deg = 10\n",
+    "stitched-noise": STITCHED_CONFIG + CLASSICAL_NOISE,
+}
+# sha256 of `noisebudget --config <config> --format <fmt> spectrum` on
+# stdout; stitched csv was recorded from the writer that formatted every cell
+# of every row, the others from the evaluator that each readout had before
+# sweeps, limits and figures shared sweep.curve_columns
+SPECTRUM_SHA256 = {
+    ("stitched", "csv"): "0bd8e9f34d6d06a41b2eabe8810c5ed5cef5b72625d460f3f2de6f0bd76fe193",
+    ("stitched", "jsonl"): "4fc30165faa5d2d2c049b84bb9411ce30d09753bc93e925fa4af01bb3cd51e50",
+    ("homodyne-linear", "csv"): "19eaaf2fb4eae08cd52e8092d2549e194d0623141e7952bac4686e536f7126ed",
+    ("homodyne-linear", "jsonl"): "1618dd60ce50cb6e028f83e30af741df12be2aa6087345e0fe85fd88d2a9714f",
+    ("homodyne-log-symmetric", "csv"): "752ebf653fd2a0243d837633584ab810cc37078443742ccf119569db4ea11321",
+    ("homodyne-log-symmetric", "jsonl"): "dc20bc92bb77e22a077389c6dc5006198a81f1fb7361e5449f00aed466e751c5",
+    ("variational", "csv"): "2e4a90976e02e6b444f5b685edb787ab3b64ec2a1e7e7372cf92560e7a472d05",
+    ("variational", "jsonl"): "a71a395c2b6e529a88dc6f0c2f4c6a93ca91c5e87051d5a0045ef806a0560c74",
+    ("synodyne", "csv"): "702ffc3e6ec1e0d245a368aa7d8e14ad11659c489caa4e35aea4edaad3104473",
+    ("synodyne", "jsonl"): "2b9ddc7c70ae5ed266e2987c48f2f02bfbab7a25bde8a222db7157586670b706",
+    ("stitched-noise", "csv"): "9094a22215cadc27473e38115cb9ff560d253c0445cfa17896731ab9e162fceb",
+    ("stitched-noise", "jsonl"): "5fdfcc01b30396844fd7f2d4eae28f3aae0d28907f0142608a2bc40d4740ee07",
+}
 
 
-def test_stitched_spectrum_csv_golden_sha256(tmp_path, capsys):
-    cfg = tmp_path / "stitched.cfg"
-    cfg.write_text(STITCHED_CONFIG)
-    assert cli_main(["--config", str(cfg), "spectrum"]) == 0
+@pytest.mark.parametrize(
+    "config, fmt", sorted(SPECTRUM_SHA256), ids=[f"{c}-{f}" for c, f in sorted(SPECTRUM_SHA256)]
+)
+def test_spectrum_output_golden_sha256(tmp_path, capsys, config, fmt):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SPECTRUM_CONFIGS[config])
+    assert cli_main(["--config", str(cfg), "--format", fmt, "spectrum"]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == STITCHED_CSV_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_SHA256[config, fmt]
+
+
+@pytest.mark.parametrize("noise", ("", CLASSICAL_NOISE), ids=("without-noise", "with-noise"))
+def test_stitched_s_ln_is_a_constant_column_only_without_noise(noise):
+    table = run_sweep(parse_config(STITCHED_CONFIG + noise))
+    s_ln = table.columns["s_ln"]
+    if noise:
+        assert s_ln.strides == (8,) and (s_ln > 0).all()
+    else:
+        assert s_ln.strides == (0,) and s_ln[0] == 0.0
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
