@@ -27,17 +27,11 @@ from .spectra import (  # noqa: F401
     SpectrumComponents,
     classical_noise_psd,
     displacement_psd,
-    light_psd,
 )
 from .limits import (  # noqa: F401
-    LimitCurve,
-    StitchedSpectrum,
-    p_opt,
     phi_opt,
     psd_at_phi_opt,
-    ql_psd,
     sql_psd,
-    stitch_quadratures,
     uncertainty_product,
 )
 from .synodyne import (  # noqa: F401
@@ -45,7 +39,6 @@ from .synodyne import (  # noqa: F401
     beta_opt,
     lo_coefficients,
     synodyne_psd,
-    synodyne_ql,
     synodyne_variational,
 )
 from .calibration import (  # noqa: F401

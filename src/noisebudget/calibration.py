@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import leastsq
 
-from .core import Detection, OpticalCavity, chi_c
+from .core import Detection, OpticalCavity, check_positive, chi_c
 from .errors import (
     FitConvergenceError,
     NonphysicalAsymmetryError,
@@ -59,8 +59,7 @@ class SidebandFit:
     residual_rms: float
 
     def __post_init__(self):
-        if not self.gamma_fit > 0:
-            raise ParameterError(f"gamma_fit must be positive, got {self.gamma_fit}")
+        check_positive("gamma_fit", self.gamma_fit)
         if not self.a_red >= self.a_blue >= 0:
             raise NonphysicalAsymmetryError(
                 "thermal-state sidebands require a_red >= a_blue >= 0, got "
@@ -113,8 +112,7 @@ def n_th_from_sidebands(a_red: float, a_blue: float) -> float:
 
     Scale invariant: only the amplitude ratio enters.
     """
-    if not a_blue > 0:
-        raise ParameterError(f"a_blue must be positive, got {a_blue}")
+    check_positive("a_blue", a_blue)
     if not a_red > a_blue:
         raise NonphysicalAsymmetryError(
             "sideband asymmetry requires a_red > a_blue, got "
@@ -142,8 +140,7 @@ def g_from_blue_sideband(
         ("n_th", n_th),
         ("n_damp_photons", n_damp_photons),
     ):
-        if not v > 0:
-            raise ParameterError(f"{name} must be positive, got {v}")
+        check_positive(name, v)
     chic = abs(chi_c(omega_m, cav))
     g2 = a_blue * gamma / (det.epsilon * cav.kappa * chic * 4.0 * n_th * n_damp_photons)
     return math.sqrt(g2)
@@ -230,15 +227,13 @@ def _deterministic_init(x, y) -> LorentzianFit:
     )
 
 
-def fit_lorentzian(
-    samples, init: Optional[LorentzianFit] = None
-) -> LorentzianFit:
+def fit_lorentzian(samples) -> LorentzianFit:
     """Least-squares offset-Lorentzian fit with deterministic initialization.
 
     Samples are fitted in frequency order: samples already in that order
     through views of their two columns, others after a stable sort, so
     samples of equal frequency keep their input order.
-    Initialization (when init is None): offset = median of the outer
+    Initialization: offset = median of the outer
     quartiles, center = argmax sample, gamma = full width at half of
     (max - offset), amplitude = max - offset.  Refinement is MINPACK's
     Levenberg-Marquardt (lmder, through scipy's leastsq) with the analytic
@@ -261,8 +256,7 @@ def fit_lorentzian(
         x, y = x[order], y[order]
     if x.size < 8:
         raise ParameterError(f"need >= 8 samples, got {x.size}")
-    if init is None:
-        init = _deterministic_init(x, y)
+    init = _deterministic_init(x, y)
     if (x[-1] - x[0]) < 3.0 * init.gamma:
         raise ParameterError(
             "samples must span >= 3 linewidths; span "
@@ -332,16 +326,6 @@ def synth_sideband_spectrum(
     return np.column_stack([grid, y])
 
 
-def write_spectrum_csv(path, samples):
-    """Write (frequency_hz, psd) samples as two-column CSV with header."""
-    arr = np.asarray(samples, dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for f, s in arr:
-            w.writerow([f"{f:.17g}", f"{s:.17g}"])
-
-
 def _loadtxt_body(path, fh) -> Optional[np.ndarray]:
     r"""The rows after the header line of the file open as fh, parsed by
     np.loadtxt, or None unless they are all two finite numbers.
@@ -372,9 +356,11 @@ def _loadtxt_body(path, fh) -> Optional[np.ndarray]:
 
 
 def read_spectrum_csv(path) -> np.ndarray:
-    """Read a two-column sideband spectrum CSV written by write_spectrum_csv,
-    as UTF-8 text; a byte that is not UTF-8 is a ParameterError naming the
-    path and, for a regular file, the byte's offset.
+    """Read a sideband spectrum CSV as an (N, 2) array: the header line
+    frequency_hz,psd_shotnoise_units, then one row of two finite numbers,
+    frequency and PSD, per line.  The file is UTF-8 text; a byte that is not
+    UTF-8 is a ParameterError naming the path and, for a regular file, the
+    byte's offset.
 
     np.loadtxt parses the body from the file, so the reader holds little
     more than the array it returns.  A row that is not two finite numbers

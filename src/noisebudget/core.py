@@ -29,6 +29,12 @@ def check_finite(name: str, x):
         raise ParameterError(f"{name} must be finite, got {np.asarray(x)[~finite].flat[0]}")
 
 
+def check_positive(name: str, x):
+    """ParameterError naming the argument unless every value of x is > 0."""
+    if not np.all(np.asarray(x) > 0):
+        raise ParameterError(f"{name} must be positive, got {x}")
+
+
 def check_finite_fields(obj):
     """check_finite on each float field of dataclass obj, and each tuple of floats."""
     for f in fields(obj):
@@ -59,10 +65,8 @@ class MechanicalMode:
 
     def __post_init__(self):
         check_finite_fields(self)
-        if not self.omega_m > 0:
-            raise ParameterError(f"omega_m must be positive, got {self.omega_m}")
-        if not self.gamma > 0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
+        check_positive("omega_m", self.omega_m)
+        check_positive("gamma", self.gamma)
         if self.n_th < 0:
             raise ParameterError(f"n_th must be >= 0, got {self.n_th}")
 
@@ -75,15 +79,13 @@ class MechanicalMode:
 
 @dataclass(frozen=True)
 class OpticalCavity:
-    """Optical cavity: linewidth kappa and probe detuning delta (rad/s)."""
+    """Optical cavity of linewidth kappa (rad/s), probed on resonance."""
 
     kappa: float
-    delta: float = 0.0
 
     def __post_init__(self):
         check_finite_fields(self)
-        if not self.kappa > 0:
-            raise ParameterError(f"kappa must be positive, got {self.kappa}")
+        check_positive("kappa", self.kappa)
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,8 @@ def chi_m_dimensionless(rho):
 
 
 def chi_c(omega, cav: OpticalCavity):
-    """Cavity susceptibility chi_c(omega) = 1/(kappa/2 - i(omega + delta))."""
-    return 1.0 / (cav.kappa / 2.0 - 1j * (np.asarray(omega) + cav.delta))
+    """Cavity susceptibility chi_c(omega) = 1/(kappa/2 - i omega)."""
+    return 1.0 / (cav.kappa / 2.0 - 1j * np.asarray(omega))
 
 
 def cot(phi):

@@ -4,29 +4,22 @@ The SQL here is the added measurement noise with uncorrelated imprecision and
 backaction, 1/sqrt(1 + rho^2) in dimensionless units; the QL is the deeper
 bound from mechanical quadrature non-commutation, reached by measuring at the
 correlation-optimal quadrature and power.  sql_psd and ql_added_noise are the
-added noise alone; ql_psd adds the mode's thermal + zero-point term.
+added noise alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Detection, MechanicalMode, check_finite, chi_m_dimensionless, cot
+from .core import (
+    Detection, MechanicalMode, check_finite, check_positive, chi_m_dimensionless, cot,
+)
 from .errors import ParameterError
 from .spectra import homodyne_terms, point_view, thermal_term
-
-P_CAP = 1e9
-
-
-class OptimalPower(NamedTuple):
-    """Optimal normalized power; saturated marks the p > P_CAP guard."""
-
-    p: float
-    saturated: bool
 
 
 @dataclass(frozen=True)
@@ -69,8 +62,7 @@ def phi_opt(rho, p, det: Detection):
     Lies in (0, pi); greater than 90 degrees for rho < 0.  Broadcasts over
     rho and p.
     """
-    if not np.all(np.asarray(p) > 0):
-        raise ParameterError(f"p must be positive, got {p}")
+    check_positive("p", p)
     c = det.epsilon * p * rho * np.abs(chi_m_dimensionless(rho)) ** 2
     return np.arctan2(1.0, c)
 
@@ -84,8 +76,7 @@ def psd_at_phi_opt(
     2 (n_th + 1/2) |chi_m|^2 + 1/(2 eps p)
       + (p/2) (1 + (1 - eps) rho^2) |chi_m|^4
     """
-    if not p > 0:
-        raise ParameterError(f"p must be positive, got {p}")
+    check_positive("p", p)
     check_finite("rho", rho)
     eps = det.epsilon
     chim2 = abs(chi_m_dimensionless(rho)) ** 2
@@ -94,14 +85,6 @@ def psd_at_phi_opt(
         + 1.0 / (2.0 * eps * p)
         + 0.5 * p * (1.0 + (1.0 - eps) * rho**2) * chim2**2
     )
-
-
-def p_opt(rho: float, det: Detection) -> OptimalPower:
-    """Power minimizing psd_at_phi_opt; capped at P_CAP with a flag."""
-    eps = det.epsilon
-    chim2 = abs(chi_m_dimensionless(rho)) ** 2
-    p = 1.0 / (math.sqrt(eps * (1.0 + (1.0 - eps) * rho**2)) * chim2)
-    return OptimalPower(min(p, P_CAP), p > P_CAP)
 
 
 def ql_added_noise(rho, det: Detection):
@@ -130,11 +113,6 @@ def ql_added_noise(rho, det: Detection):
     return added[()]
 
 
-def ql_psd(rho, det: Detection, mode: MechanicalMode):
-    """QL total PSD: thermal + zero-point term plus the optimal added noise."""
-    return thermal_term(rho, mode.n_th) + ql_added_noise(rho, det)
-
-
 @point_view
 def uncertainty_product(phi: float, p: float, det: Detection):
     """(S_II * S_FF, 1/4 + S_IF^2) for the probe uncertainty relation.
@@ -143,8 +121,7 @@ def uncertainty_product(phi: float, p: float, det: Detection):
     S_IF = -cot(phi) / 2.  lhs >= rhs, with equality iff eps = 1.  phi = 0
     or pi is a DivergenceError, as in displacement_psd.
     """
-    if not p > 0:
-        raise ParameterError(f"p must be positive, got {p}")
+    check_positive("p", p)
     comps = homodyne_terms(0.0, p, phi, det.epsilon, 0.0)
     return comps.s_ii * comps.s_ff, 0.25 + (-0.5 * cot(phi)) ** 2
 
@@ -165,21 +142,15 @@ def fixed_angle_spectrum(
 
 def quadrature_order(phi):
     """Indices that sort candidate angles phi (radians) by distance from 90
-    degrees, stably: the order in which pick_quadrature searches them."""
+    degrees, stably.  Stitching searches the candidates in this order and
+    keeps the first minimum (np.argmin), so a tie goes to the angle nearest
+    90 degrees."""
     return np.argsort(np.abs(np.asarray(phi) - math.pi / 2.0), kind="stable")
-
-
-def pick_quadrature(totals):
-    """Per point, the index along the last axis of totals of the candidate
-    with the lowest total.  The candidates are given in quadrature_order and
-    np.argmin keeps the first minimum, so a tie goes to the angle nearest
-    phase quadrature."""
-    return np.argmin(totals, axis=-1)
 
 
 def stitch_quadratures(curves: Sequence[LimitCurve]) -> StitchedSpectrum:
     """Minimum envelope over fixed-angle spectra sharing grid and
-    parameters; pick_quadrature chooses the angle at each point."""
+    parameters, searched in quadrature_order at each point."""
     if len(curves) < 2:
         raise ParameterError("stitching needs at least two fixed-angle spectra")
     ref = curves[0]
@@ -195,7 +166,7 @@ def stitch_quadratures(curves: Sequence[LimitCurve]) -> StitchedSpectrum:
     curves = [curves[i] for i in quadrature_order([c.params["phi"] for c in curves])]
     phis = np.array([c.params["phi"] for c in curves])
     totals = np.stack([c.values for c in curves], axis=-1)
-    pick = pick_quadrature(totals)
+    pick = np.argmin(totals, axis=-1)
     return StitchedSpectrum(
         grid=ref.grid.copy(),
         chosen_phi=phis[pick],

@@ -73,10 +73,6 @@ class ClassicalNoise:
                 raise ParameterError(f"{key} must be >= 0, got {getattr(self, key)}")
 
     @property
-    def c_ap(self) -> float:
-        return math.sqrt(self.c_aa * self.c_pp)
-
-    @property
     def is_zero(self) -> bool:
         return self.c_aa == 0.0 and self.c_pp == 0.0
 
@@ -211,12 +207,6 @@ def light_terms(rho, phi, p: float, epsilon: float, n_th: float):
         s_ff=scale * 0.5 * p * chim2,
         s_corr=-2.0 * epsilon * p * np.sin(phi) * np.cos(phi) * rho * chim2,
     )
-
-
-@point_view
-def light_psd(rho, phi, p, det: Detection, mode: MechanicalMode) -> float:
-    """Total light PSD of light_terms at one point (ponderomotive squeezing < 1)."""
-    return light_terms(rho, phi, p, det.epsilon, mode.n_th).total
 
 
 def classical_noise_psd(

@@ -3,8 +3,9 @@
 The config format is a flat key = value text document (UTF-8, '#' comments).
 The keys are the fields of SweepSpec, each parsed by its declared type:
 
-    rho_min, rho_max      grid bounds (log-symmetric: bounds on |rho|, > 0;
-                          linear: rho_max - rho_min must not overflow)
+    rho_min, rho_max      grid bounds (log-symmetric: bounds on |rho|, > 0,
+                          whose grid end point 10**log10(rho_max) must not
+                          overflow; linear: rho_max - rho_min must not)
     rho_count             number of grid points (>= 2); rho_count times the
                           number of powers times the candidate angles
                           (angles_deg for homodyne, stitch_angles_deg for
@@ -35,7 +36,6 @@ this boundary; everything below works in angular units.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -51,7 +51,7 @@ from .core import (
     check_finite_fields, omega_from_rho,
 )
 from .errors import DivergenceError, ParameterError
-from .limits import phi_opt, pick_quadrature, ql_added_noise, quadrature_order, sql_psd
+from .limits import phi_opt, ql_added_noise, quadrature_order, sql_psd
 from .spectra import (
     ClassicalNoise,
     SpectrumComponents,
@@ -131,10 +131,21 @@ class SweepSpec:
                 f"rho_max - rho_min overflows float64 (rho_min = {self.rho_min}, "
                 f"rho_max = {self.rho_max}); narrow the span"
             )
-        if self.rho_spacing == "log-symmetric" and not 0 < self.rho_min < self.rho_max:
-            raise ParameterError(
-                "log-symmetric grids need 0 < rho_min < rho_max (bounds on |rho|)"
-            )
+        if self.rho_spacing == "log-symmetric":
+            if not 0 < self.rho_min < self.rho_max:
+                raise ParameterError(
+                    "log-symmetric grids need 0 < rho_min < rho_max (bounds on |rho|)"
+                )
+            # the grid's largest |rho|, 10**log10(bound) as rho_grid computes
+            # it; a grid of one point a side stops at rho_min
+            key = "rho_max" if self.rho_count > 3 else "rho_min"
+            with np.errstate(over="ignore"):
+                end = np.power(10.0, math.log10(getattr(self, key)))
+            if math.isinf(end):
+                raise ParameterError(
+                    f"{key} = {getattr(self, key)} puts the log-symmetric grid's end "
+                    f"point past float64; lower {key}"
+                )
         if not self.powers:
             raise ParameterError("powers must list at least one value")
         if any(p <= 0 for p in self.powers):
@@ -202,7 +213,6 @@ class SweepSpec:
             n_th=self.n_th,
         )
 
-    @np.errstate(over="ignore")  # an infinite point is rejected, naming rho, by the kernels
     def rho_grid(self) -> np.ndarray:
         if self.rho_spacing == "linear":
             return np.linspace(self.rho_min, self.rho_max, self.rho_count)
@@ -214,18 +224,6 @@ class SweepSpec:
         if self.rho_count % 2:
             parts.insert(1, np.zeros(1))
         return np.concatenate(parts)
-
-    def to_text(self) -> str:
-        """Serialize back to the flat key = value format (round-trips
-        through parse_config); unset keys are left out."""
-        lines = []
-        for key, value in self.__dict__.items():
-            if value is None or value == ():
-                continue
-            values = value if isinstance(value, tuple) else (value,)
-            text = ",".join(v if isinstance(v, str) else f"{v:.17g}" for v in values)
-            lines.append(f"{key} = {text}")
-        return "\n".join(lines) + "\n"
 
     def metadata(self) -> dict:
         return {
@@ -362,10 +360,10 @@ def curve_columns(kind, rho, p, phi_deg, epsilon, n_th, beta=None, s_ln=None) ->
       homodyne at the angles phi_deg; variational at phi_opt per point,
         which fills the angle column (phi_deg is not read); stitched, per
         point the candidate on the last axis of the 1-D phi_deg with the
-        lowest total, as pick_quadrature picks it in quadrature_order, so a
-        tie goes to the angle nearest 90 degrees.  These three add s_ln,
-        None or a function from an angle in radians to the classical-noise
-        term.
+        lowest total, searched in quadrature_order, so a tie goes to the
+        angle nearest 90 degrees.  These three add s_ln, None or a function
+        from an angle in radians to the classical-noise term; with None the
+        s_ln column is the one value 0.0.
       synodyne: a two-tone LO of sideband ratio beta and phase phi_deg.
       light: the shot-noise-normalized light PSD at phi_deg, with the
         shot-noise floor of 1 in s_ii and the mechanical terms in light units.
@@ -382,7 +380,7 @@ def curve_columns(kind, rho, p, phi_deg, epsilon, n_th, beta=None, s_ln=None) ->
     """
     det = Detection(epsilon)
     if kind in ("homodyne", "variational", "stitched"):
-        if kind == "stitched":  # candidates in the order pick_quadrature searches them
+        if kind == "stitched":  # candidates in the order np.argmin searches them
             phi_deg = np.asarray(phi_deg, dtype=float)
             phi_deg = phi_deg[..., quadrature_order(np.radians(phi_deg))]
         if kind == "variational":
@@ -391,11 +389,13 @@ def curve_columns(kind, rho, p, phi_deg, epsilon, n_th, beta=None, s_ln=None) ->
         else:
             phi = np.radians(phi_deg)
         comps = homodyne_terms(rho, p, phi, epsilon, n_th, 0.0 if s_ln is None else s_ln(phi))
+        if s_ln is None:  # 0.0 itself, not the broadcast zeros: a zero-stride column
+            comps = SpectrumComponents(*comps.terms[:4])
         if kind == "stitched":
             totals = comps.s_m + comps.s_ii  # one buffer, added in comps.total's order
             for term in comps.terms[2:]:
                 totals += term
-            pick = pick_quadrature(totals)[..., None]
+            pick = np.argmin(totals, axis=-1)[..., None]
             del totals
             # only the angle-dependent terms are gathered; without noise s_ln stays 0.0
             s_ii, s_corr = (np.take_along_axis(t, pick, -1) for t in (comps.s_ii, comps.s_corr))
@@ -489,12 +489,6 @@ def emit_table(table: SpectrumTable, fmt: str, destination, rows: Optional[range
     finally:
         if own:
             fh.close()
-
-
-def table_to_string(table: SpectrumTable, fmt: str) -> str:
-    buf = io.StringIO()
-    emit_table(table, fmt, buf)
-    return buf.getvalue()
 
 
 def _metadata_item(path, lineno: int, line: str) -> tuple:

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Detection, MechanicalMode, check_finite_fields, chi_m_dimensionless
+from .core import (
+    Detection, MechanicalMode, check_finite_fields, check_positive, chi_m_dimensionless,
+)
 from .errors import BranchPoleError, DivergenceError, ParameterError
-from .limits import OptimalPower, P_CAP
-from .spectra import SpectrumComponents, _check_p, budget_terms, point_view, thermal_term
+from .spectra import _check_p, budget_terms, point_view, thermal_term
 
 _ALPHA_P_FLOOR = 1e-300
 
@@ -37,8 +38,7 @@ class SynodyneLO:
 
     def __post_init__(self):
         check_finite_fields(self)
-        if not self.beta > 0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
+        check_positive("beta", self.beta)
 
 
 def lo_coefficients(lo: SynodyneLO):
@@ -78,22 +78,9 @@ def _checked_lo(lo: SynodyneLO):
     return alpha_a, alpha_p, ap2
 
 
-@point_view
-def synodyne_components(
-    rho: float,
-    p: float,
-    lo: SynodyneLO,
-    det: Detection,
-    mode: MechanicalMode,
-) -> SpectrumComponents:
-    """Synodyne displacement PSD components at demodulated detuning rho: the
-    synodyne_terms budget at one point."""
-    return synodyne_terms(rho, p, lo, det.epsilon, mode.n_th)
-
-
 def synodyne_terms(rho, p, lo: SynodyneLO, epsilon: float, n_th: float):
-    """Broadcasting form of synodyne_components over arrays rho and p, with
-    imprecision (|alpha_a|^2 + |alpha_p|^2) / |alpha_p|^2 and correlation
+    """Synodyne displacement-PSD budget at demodulated detuning rho,
+    broadcasting over arrays rho and p: budget_terms with imprecision (|alpha_a|^2 + |alpha_p|^2) / |alpha_p|^2 and correlation
     Im(conj(alpha_a) alpha_p) / |alpha_p|^2."""
     _check_p(p)
     alpha_a, alpha_p, ap2 = _checked_lo(lo)
@@ -102,11 +89,12 @@ def synodyne_terms(rho, p, lo: SynodyneLO, epsilon: float, n_th: float):
     return budget_terms(rho, p, epsilon, n_th, shot, corr)
 
 
+@point_view
 def synodyne_psd(
     rho: float, p: float, lo: SynodyneLO, det: Detection, mode: MechanicalMode
 ) -> float:
-    """Total synodyne displacement PSD (dimensionless)."""
-    return synodyne_components(rho, p, lo, det, mode).total
+    """Total synodyne displacement PSD (dimensionless) at one point."""
+    return synodyne_terms(rho, p, lo, det.epsilon, mode.n_th).total
 
 
 def beta_opt(
@@ -120,8 +108,7 @@ def beta_opt(
     crossover eps p |chi_m|^2 = 1.  "auto" picks the branch whose ratio is
     positive; exactly at the crossover the ratio has a pole and is an error.
     """
-    if not p > 0:
-        raise ParameterError(f"p must be positive, got {p}")
+    check_positive("p", p)
     x = det.epsilon * p * abs(chi_m_dimensionless(rho)) ** 2
     if x == 1.0:
         raise BranchPoleError(
@@ -161,36 +148,7 @@ def synodyne_added_noise(rho, p: float, det: Detection):
 
     1/(2 eps p) + (p/2) ((1 - eps) + rho^2) |chi_m|^4
     """
-    if not p > 0:
-        raise ParameterError(f"p must be positive, got {p}")
+    check_positive("p", p)
     eps = det.epsilon
     chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
     return 1.0 / (2.0 * eps * p) + 0.5 * p * ((1.0 - eps) + rho**2) * chim2**2
-
-
-def synodyne_p_opt(rho: float, det: Detection) -> OptimalPower:
-    """Power minimizing synodyne_variational; diverges at eps=1, rho=0.
-
-    The divergent case returns P_CAP with the saturated flag set; the
-    limiting PSD there is the bare 2 (n_th + 1/2) (added noise -> 0).
-    """
-    eps = det.epsilon
-    radicand = eps * ((1.0 - eps) + rho**2)
-    chim2 = abs(chi_m_dimensionless(rho)) ** 2
-    if radicand == 0.0:
-        return OptimalPower(P_CAP, True)
-    p = 1.0 / (math.sqrt(radicand) * chim2)
-    return OptimalPower(min(p, P_CAP), p > P_CAP)
-
-
-def synodyne_ql(rho, det: Detection, mode: MechanicalMode):
-    """Synodyne PSD at optimal ratio and optimal power.
-
-    2 (n_th + 1/2) |chi_m|^2 + sqrt((1-eps)/eps + rho^2/eps) |chi_m|^2;
-    one zero-point motion on resonance for an ideal detector.
-    """
-    eps = det.epsilon
-    chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
-    return thermal_term(rho, mode.n_th) + np.sqrt(
-        (1.0 - eps) / eps + rho**2 / eps
-    ) * chim2

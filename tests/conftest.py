@@ -1,10 +1,13 @@
-"""Shared fixtures: the experimental parameter set used across the tests."""
+"""Shared fixtures: the experimental parameter set used across the tests,
+and two small writers for test inputs."""
 
+import io
 import math
 
+import numpy as np
 import pytest
 
-from noisebudget import Detection, MechanicalMode, OpticalCavity
+from noisebudget import Detection, MechanicalMode, OpticalCavity, emit_table
 
 # experimental anchor parameters (membrane-in-the-middle system)
 F_M_HZ = 1.596e6
@@ -41,3 +44,19 @@ def ideal_det():
 def zero_mode():
     """High-Q ground-state mode for dimensionless-only tests."""
     return MechanicalMode(omega_m=1.0, gamma=1e-6, n_th=0.0)
+
+
+def write_spectrum_csv(path, samples):
+    """Write (frequency_hz, psd) samples as the two-column sideband CSV that
+    calibrate reads, every value to 17 significant digits."""
+    np.savetxt(
+        path, np.asarray(samples, dtype=float), fmt="%.17g", delimiter=",",
+        header="frequency_hz,psd_shotnoise_units", comments="",
+    )
+
+
+def table_text(table, fmt: str) -> str:
+    """The text emit_table writes for table in fmt."""
+    buf = io.StringIO()
+    emit_table(table, fmt, buf)
+    return buf.getvalue()

@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 
-def chi_c(omega, kappa, delta=0.0):
-    return 1.0 / (kappa / 2.0 - 1j * (omega + delta))
+def chi_c(omega, kappa):
+    return 1.0 / (kappa / 2.0 - 1j * omega)
 
 
 def chi_m(omega, gamma, omega_m):
@@ -124,3 +124,35 @@ def classical_noise_displacement(omega, phi, p, kappa, c_aa, c_pp):
     )
     to_displacement = (kappa / 2.0) ** 2 / (p * math.sin(phi) ** 2)
     return sum(parts) * to_displacement, sum(map(abs, parts)) * to_displacement
+
+
+# --- closed-form optima ------------------------------------------------------
+#
+# Optimal powers and the limits they reach, which the package no longer
+# evaluates itself: the tests check its fixed-power curves against them.
+
+
+def p_opt(rho, eps):
+    """Power minimizing the homodyne PSD at the optimal angle:
+    1 / (sqrt(eps (1 + (1 - eps) rho^2)) |chi_m|^2)."""
+    return 1.0 / (math.sqrt(eps * (1.0 + (1.0 - eps) * rho * rho)) * chim2(rho))
+
+
+def ql_psd(rho, eps, n_th):
+    """The QL total PSD, the homodyne PSD at the optimal angle and p_opt:
+    2 (n_th + 1/2) |chi_m|^2 + sqrt(1/eps + (1 - eps)/eps rho^2) |chi_m|^2."""
+    x2 = 1.0 / (1.0 + np.square(rho))
+    return (2.0 * (n_th + 0.5) + np.sqrt(1.0 / eps + (1.0 - eps) / eps * np.square(rho))) * x2
+
+
+def synodyne_p_opt(rho, eps):
+    """Power minimizing the synodyne PSD at the optimal ratio:
+    1 / (sqrt(eps ((1 - eps) + rho^2)) |chi_m|^2), infinite at eps = 1, rho = 0."""
+    radicand = eps * ((1.0 - eps) + rho * rho)
+    return math.inf if radicand == 0.0 else 1.0 / (math.sqrt(radicand) * chim2(rho))
+
+
+def synodyne_ql(rho, eps, n_th):
+    """The synodyne PSD at the optimal ratio and synodyne_p_opt:
+    2 (n_th + 1/2) |chi_m|^2 + sqrt((1 - eps)/eps + rho^2/eps) |chi_m|^2."""
+    return (2.0 * (n_th + 0.5) + math.sqrt((1.0 - eps) / eps + rho * rho / eps)) * chim2(rho)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
-from conftest import F_GAMMA_HZ, F_M_HZ, GAMMA, KAPPA, NTH_EXP, OMEGA_M
+from conftest import F_GAMMA_HZ, F_M_HZ, GAMMA, KAPPA, NTH_EXP, OMEGA_M, write_spectrum_csv
 from noisebudget import (
     Detection,
     EfficiencyBudget,
@@ -32,7 +32,6 @@ from noisebudget.calibration import (
     blue_sideband_amplitude,
     fit_sidebands,
     read_spectrum_csv,
-    write_spectrum_csv,
 )
 from noisebudget.cli import main as cli_main
 from noisebudget.errors import FitConvergenceError, NonphysicalAsymmetryError, NoPeakError

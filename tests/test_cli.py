@@ -26,9 +26,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import write_spectrum_csv
 import noisebudget
 from noisebudget import LorentzianFit, synth_sideband_spectrum
-from noisebudget.calibration import write_spectrum_csv
 from noisebudget import cli
 from noisebudget.cli import _run_jobs
 from noisebudget.cli import main as cli_main
@@ -385,6 +385,15 @@ SPAN_LINE = (
     "error: rho_max - rho_min overflows float64 (rho_min = -1e+308, rho_max = 1e+308); "
     "narrow the span\n"
 )
+# 10**log10(rho_max) overflows: the grid's end points would be -inf and inf
+LOG_MAX_CONFIG = (
+    "rho_min = 1\nrho_max = 1.7976931348623157e308\nrho_count = 5\n"
+    "rho_spacing = log-symmetric\npowers = 1\nangles_deg = 90\nbeta = 1.02\n"
+)
+LOG_MAX_LINE = (
+    "error: rho_max = 1.7976931348623157e+308 puts the log-symmetric grid's end point "
+    "past float64; lower rho_max\n"
+)
 HUGE_COUNT_CONFIG = TINY_CONFIG.replace("rho_count = 5", "rho_count = 1000000000000")
 GRID_CAP_LINE = (
     "error: rho_count * powers * candidate angles = 1000000000000 * 1 * 1 = "
@@ -414,6 +423,10 @@ PROCESS_CASES = {
     # np.linspace over an infinite span would make nan points
     "spectrum-span": (SPAN_CONFIG, ["--config", "{cfg}", "spectrum"], 2, SPAN_LINE),
     "limits-span": (SPAN_CONFIG, ["--config", "{cfg}", "limits"], 2, SPAN_LINE),
+    **{
+        f"{command}-log-max": (LOG_MAX_CONFIG, ["--config", "{cfg}", command], 2, LOG_MAX_LINE)
+        for command in ("spectrum", "limits", "variational", "synodyne")
+    },
     "grid-cap": (HUGE_COUNT_CONFIG, ["--config", "{cfg}", "spectrum"], 2, GRID_CAP_LINE),
     "angle-range": (
         TINY_CONFIG.replace("angles_deg = 90", "angles_deg = 221"),

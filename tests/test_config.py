@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_spectrum_csv
 from noisebudget import (
     LorentzianFit,
     ParameterError,
@@ -15,7 +16,6 @@ from noisebudget import (
     parse_config,
     synth_sideband_spectrum,
 )
-from noisebudget.calibration import write_spectrum_csv
 from noisebudget.sweep import MAX_GRID_POINTS
 from noisebudget.cli import main as cli_main
 

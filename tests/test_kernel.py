@@ -3,7 +3,7 @@ tests/oracles.py.
 
 The oracles are scalar formulas written term by term on Python floats;
 run_sweep and the *_terms kernels evaluate whole grids at once, and the
-point evaluators (displacement_psd, synodyne_components, ...) are views of
+point evaluators (displacement_psd, synodyne_psd, ...) are views of
 those kernels.  The tolerance is fixed from float64: each term within ULPS
 ulp of the summed magnitudes of every additive part at that point.  The
 oracle writes the classical-noise term s_ln as a sum of three parts that
@@ -30,20 +30,18 @@ from noisebudget import (
     SweepSpec,
     chi_m_dimensionless,
     displacement_psd,
-    light_psd,
     omega_from_rho,
     parse_config,
     psd_at_phi_opt,
     run_sweep,
-    stitch_quadratures,
     synodyne_psd,
     uncertainty_product,
 )
 from noisebudget.cli import main as cli_main
-from noisebudget.limits import fixed_angle_spectrum, phi_opt
-from noisebudget.spectra import SpectrumComponents, homodyne_terms
-from noisebudget.sweep import COLUMNS
-from noisebudget.synodyne import SynodyneLO, synodyne_components, synodyne_terms
+from noisebudget.limits import fixed_angle_spectrum, phi_opt, stitch_quadratures
+from noisebudget.spectra import SpectrumComponents, homodyne_terms, light_terms
+from noisebudget.sweep import COLUMNS, SpectrumTable, curve_columns
+from noisebudget.synodyne import SynodyneLO, synodyne_terms
 
 ULPS = 8
 EPS64 = np.finfo(float).eps
@@ -224,17 +222,19 @@ def test_point_views_match_oracles():
         eps, n_th = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, 100.0))
         beta, lo_phi = float(rng.uniform(0.2, 5.0)), float(rng.uniform(-3.0, 3.0))
         det, mode = Detection(eps), MechanicalMode(1.0, 1e-6, n_th=n_th)
-        views = (
-            (displacement_psd(rho, p, phi, det, mode),
-             oracles.homodyne_terms(rho, p, phi, eps, n_th)),
-            (synodyne_components(rho, p, SynodyneLO(beta, lo_phi), det, mode),
-             oracles.synodyne_terms(rho, p, beta, lo_phi, eps, n_th)),
-        )
-        for comps, terms in views:
-            assert all(type(t) is float for t in comps.terms)
-            for got, want in zip(comps.terms, terms + (0.0,)):
-                _assert_view_matches(got, want, terms)
-            _assert_view_matches(comps.total, math.fsum(terms), terms)
+        comps = displacement_psd(rho, p, phi, det, mode)
+        terms = oracles.homodyne_terms(rho, p, phi, eps, n_th)
+        assert all(type(t) is float for t in comps.terms)
+        for got, want in zip(comps.terms, terms + (0.0,)):
+            _assert_view_matches(got, want, terms)
+        _assert_view_matches(comps.total, math.fsum(terms), terms)
+        lo = SynodyneLO(beta, lo_phi)
+        terms = oracles.synodyne_terms(rho, p, beta, lo_phi, eps, n_th)
+        for got, want in zip(synodyne_terms(rho, p, lo, eps, n_th).terms, terms + (0.0,)):
+            _assert_view_matches(float(got), want, terms)
+        total = synodyne_psd(rho, p, lo, det, mode)
+        assert type(total) is float
+        _assert_view_matches(total, math.fsum(terms), terms)
         lhs, rhs = uncertainty_product(phi, p, det)
         want_lhs, want_rhs = oracles.uncertainty_product(phi, p, eps)
         _assert_view_matches(lhs, want_lhs, (want_lhs,))
@@ -267,6 +267,12 @@ def _mode(n_th):
     return MechanicalMode(1.0, 1e-6, n_th=n_th)
 
 
+def _light_total(rho, p, phi, eps, n_th):
+    """The total of a one-point light curve, as figure 1d evaluates it."""
+    columns = curve_columns("light", rho, p, math.degrees(phi), eps, n_th)
+    return SpectrumTable({}, columns).rows[0].total
+
+
 VIEWS = {
     "displacement_psd": lambda rho, p, phi, eps, n_th, beta: displacement_psd(
         rho, p, phi, Detection(eps), _mode(n_th)).total,
@@ -276,8 +282,7 @@ VIEWS = {
         phi, p, Detection(eps)),
     "psd_at_phi_opt": lambda rho, p, phi, eps, n_th, beta: psd_at_phi_opt(
         rho, p, Detection(eps), _mode(n_th)),
-    "light_psd": lambda rho, p, phi, eps, n_th, beta: light_psd(
-        rho, phi, p, Detection(eps), _mode(n_th)),
+    "light": lambda rho, p, phi, eps, n_th, beta: _light_total(rho, p, phi, eps, n_th),
 }
 
 
@@ -322,14 +327,14 @@ def test_non_finite_power_and_detuning_rejected():
     with pytest.raises(DivergenceError, match="p = inf"):
         uncertainty_product(1.0, math.inf, det)
     with pytest.raises(ParameterError, match="p must be finite"):
-        light_psd(1.0, 1.0, math.nan, det, mode)
+        light_terms(1.0, 1.0, math.nan, 1.0, 0.0)
     for rho in (math.inf, -math.inf, math.nan):
         with pytest.raises(ParameterError, match="rho must be finite"):
             displacement_psd(rho, 1.0, 1.0, det, mode)
         with pytest.raises(ParameterError, match="rho must be finite"):
             homodyne_terms(np.array([0.0, rho]), 1.0, 1.0, 1.0, 0.0)
         with pytest.raises(ParameterError, match="rho must be finite"):
-            light_psd(rho, 1.0, 1.0, det, mode)
+            light_terms(rho, 1.0, 1.0, 1.0, 0.0)
 
 
 def test_synodyne_with_classical_noise_rejected(tmp_path, capsys):

@@ -6,23 +6,21 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import oracles
 from noisebudget import (
     Detection,
     DivergenceError,
-    MechanicalMode,
     ParameterError,
     chi_m_dimensionless,
     displacement_psd,
-    p_opt,
     phi_opt,
     psd_at_phi_opt,
-    ql_psd,
     sql_psd,
-    stitch_quadratures,
     uncertainty_product,
 )
-from noisebudget.limits import P_CAP, fixed_angle_spectrum, ql_added_noise
+from noisebudget.limits import fixed_angle_spectrum, ql_added_noise, stitch_quadratures
 from noisebudget.spectra import homodyne_terms
+from noisebudget.sweep import curve_columns
 from noisebudget.synodyne import synodyne_variational
 
 
@@ -128,12 +126,17 @@ def test_phi_opt_is_global_minimum(exp_det, exp_mode):
         )
 
 
+def _ql_total(rho, eps, n_th):
+    """total of the ql curve kind, as limits and the figures evaluate it."""
+    return curve_columns("ql", rho, 0.0, 0.0, eps, n_th)["total"]
+
+
 def test_p_opt_and_ql(ideal_det, zero_mode):
     # ideal on-resonance case: unit power, added noise one zero-point unit
-    opt = p_opt(0.0, ideal_det)
-    assert opt.p == pytest.approx(1.0) and not opt.saturated
+    assert oracles.p_opt(0.0, 1.0) == pytest.approx(1.0)
     assert float(ql_added_noise(0.0, ideal_det)) == pytest.approx(1.0)
-    assert float(ql_psd(0.0, ideal_det, zero_mode)) == pytest.approx(2.0)
+    assert _ql_total(0.0, 1.0, 0.0)[0] == pytest.approx(2.0)
+    assert psd_at_phi_opt(0.0, 1.0, ideal_det, zero_mode) == pytest.approx(2.0)
     # ideal detector: added noise is |chi|^2 at every detuning
     rho = np.linspace(-10.0, 10.0, 41)
     np.testing.assert_allclose(
@@ -146,9 +149,10 @@ def test_p_opt_and_ql(ideal_det, zero_mode):
 def test_ql_matches_two_parameter_minimization(exp_det, exp_mode):
     # independent 2-D minimization over (phi, p) lands on the closed form
     rho = 5.0
-    want = float(ql_psd(rho, exp_det, exp_mode))
+    want = oracles.ql_psd(rho, 0.35, 1.29)
     added = math.sqrt(1.0 / 0.35 + (0.65 / 0.35) * 25.0) / 26.0
     assert want == pytest.approx(3.58 / 26.0 + added, rel=1e-9)
+    assert _ql_total(rho, 0.35, 1.29)[0] == pytest.approx(want, rel=1e-12)
 
     def objective(theta):
         phi, log_p = theta
@@ -163,14 +167,7 @@ def test_ql_matches_two_parameter_minimization(exp_det, exp_mode):
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
     )
     assert res.fun == pytest.approx(want, rel=1e-8)
-    assert math.exp(res.x[1]) == pytest.approx(p_opt(rho, exp_det).p, rel=1e-4)
-
-
-def test_p_opt_saturation():
-    # epsilon -> 0+ pushes the optimum beyond any realistic power
-    tiny = Detection(1e-25)
-    opt = p_opt(0.0, tiny)
-    assert opt.saturated and opt.p == P_CAP
+    assert math.exp(res.x[1]) == pytest.approx(oracles.p_opt(rho, 0.35), rel=1e-4)
 
 
 def test_uncertainty_product(ideal_det, exp_det):
@@ -198,7 +195,8 @@ def test_sql_zero_point_and_variational_bounds(exp_det, exp_mode):
     p_sql = np.sqrt(1.0 + grid**2)
     sql_zpm = homodyne_terms(grid, p_sql, math.pi / 2.0, 1.0, 0.0).total
     np.testing.assert_allclose(sql_zpm - sql_psd(grid), chim2, rtol=1e-12)
-    ql = ql_psd(grid, exp_det, exp_mode)
+    ql = _ql_total(grid, exp_det.epsilon, exp_mode.n_th)
+    np.testing.assert_allclose(ql, oracles.ql_psd(grid, exp_det.epsilon, exp_mode.n_th), rtol=1e-12)
     var = psd_at_phi_opt(grid, 50.0, exp_det, exp_mode)
     eps, n_th = exp_det.epsilon, exp_mode.n_th
     phase = homodyne_terms(grid, 50.0, math.pi / 2.0, eps, n_th).total
@@ -215,9 +213,9 @@ def test_variational_tangent_to_ql_at_matching_power(ideal_det, zero_mode):
     p = 50.0
     rho_star = math.sqrt(p - 1.0)
     var = psd_at_phi_opt(rho_star, p, ideal_det, zero_mode)
-    ql = float(ql_psd(rho_star, ideal_det, zero_mode))
+    ql = _ql_total(rho_star, 1.0, 0.0)[0]
     assert var == pytest.approx(ql, rel=1e-12)
-    assert p_opt(rho_star, ideal_det).p == pytest.approx(p, rel=1e-12)
+    assert oracles.p_opt(rho_star, 1.0) == pytest.approx(p, rel=1e-12)
 
 
 def test_stitch_quadratures(exp_det, exp_mode):

@@ -17,11 +17,10 @@ from noisebudget import (
     displacement_psd,
     lo_coefficients,
     synodyne_psd,
-    synodyne_ql,
     synodyne_variational,
 )
 from noisebudget.errors import BranchPoleError
-from noisebudget.synodyne import synodyne_components, synodyne_p_opt, synodyne_terms
+from noisebudget.synodyne import synodyne_terms
 
 
 def test_lo_coefficients_values():
@@ -79,10 +78,11 @@ def test_balanced_reduces_to_homodyne_without_correlation(exp_det, exp_mode):
     phi, p = math.pi / 4.0, 14.0
     lo = SynodyneLO(1.0, phi)
     for rho in np.linspace(-10.0, 10.0, 21):
-        syn = synodyne_components(float(rho), p, lo, exp_det, exp_mode)
+        syn = synodyne_terms(float(rho), p, lo, exp_det.epsilon, exp_mode.n_th)
         hom = displacement_psd(float(rho), p, phi, exp_det, exp_mode)
         assert syn.total == pytest.approx(hom.total - hom.s_corr, rel=1e-12)
         assert syn.s_corr == pytest.approx(0.0, abs=1e-12)
+        assert synodyne_psd(float(rho), p, lo, exp_det, exp_mode) == syn.total
 
 
 def test_degenerate_lo_rejected(ideal_det, zero_mode):
@@ -186,20 +186,25 @@ def test_synodyne_variational_matches_two_parameter_minimum(zero_mode):
     )
     want = 1.0 + math.sqrt(0.65 / 0.35)  # zpm + added
     assert res.fun == pytest.approx(want, rel=1e-8)
-    assert float(synodyne_ql(0.0, det, zero_mode)) == pytest.approx(want, rel=1e-12)
+    assert oracles.synodyne_ql(0.0, 0.35, 0.0) == pytest.approx(want, rel=1e-12)
+    p_opt = oracles.synodyne_p_opt(0.0, 0.35)
+    assert synodyne_variational(0.0, p_opt, det, zero_mode) == pytest.approx(want, rel=1e-12)
 
 
 def test_synodyne_p_opt(ideal_det, zero_mode):
     # ideal detector on resonance: the optimum runs away (added noise -> 0)
-    opt = synodyne_p_opt(0.0, ideal_det)
-    assert opt.saturated
-    off = synodyne_p_opt(2.0, ideal_det)
-    assert not off.saturated
-    assert off.p == pytest.approx((1.0 + 4.0) / 2.0 * 1.0, rel=1e-12)  # 1/(rho |chi|^2)
-    # synodyne QL at the ideal detector: rho |chi|^2 added noise
-    rho = np.array([0.5, 2.0, 8.0])
-    np.testing.assert_allclose(
-        synodyne_ql(rho, ideal_det, zero_mode),
-        (1.0 + rho) * np.abs(chi_m_dimensionless(rho)) ** 2,
-        rtol=1e-12,
-    )
+    assert oracles.synodyne_p_opt(0.0, 1.0) == math.inf
+    runaway = [synodyne_variational(0.0, p, ideal_det, zero_mode) for p in (1e2, 1e4, 1e6)]
+    assert runaway == sorted(runaway, reverse=True) and runaway[-1] - 1.0 < 1e-5
+    off = oracles.synodyne_p_opt(2.0, 1.0)
+    assert off == pytest.approx((1.0 + 4.0) / 2.0 * 1.0, rel=1e-12)  # 1/(rho |chi|^2)
+    # synodyne QL at the ideal detector: rho |chi|^2 added noise, reached by
+    # the fixed-power optimum at p_opt and missed on either side of it
+    for rho in (0.5, 2.0, 8.0):
+        p = oracles.synodyne_p_opt(rho, 1.0)
+        best = synodyne_variational(rho, p, ideal_det, zero_mode)
+        want = (1.0 + rho) * abs(chi_m_dimensionless(rho)) ** 2
+        assert best == pytest.approx(want, rel=1e-12)
+        assert oracles.synodyne_ql(rho, 1.0, 0.0) == pytest.approx(want, rel=1e-12)
+        for k in (0.99, 1.01):
+            assert synodyne_variational(rho, k * p, ideal_det, zero_mode) > best

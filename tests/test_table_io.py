@@ -16,11 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import table_text, write_spectrum_csv
 from noisebudget import DivergenceError, ParameterError, load_table_csv
-from noisebudget.calibration import CSV_HEADER, read_spectrum_csv, write_spectrum_csv
+from noisebudget.calibration import CSV_HEADER, read_spectrum_csv
 from noisebudget.cli import _cmd_limits, main as cli_main
 from noisebudget.sweep import (
-    BLOCK_ROWS, COLUMNS, SpectrumTable, emit_table, parse_config, run_sweep, table_to_string,
+    BLOCK_ROWS, COLUMNS, SpectrumTable, emit_table, parse_config, run_sweep,
 )
 
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-5, 1e-4, 14.0, -3.0, 1.0)
@@ -65,7 +66,7 @@ def columns(draw):
 @given(columns())
 def test_jsonl_matches_per_row_json_dumps(columns):
     table = SpectrumTable({"note": "property"}, columns)
-    text = table_to_string(table, "jsonl")
+    text = table_text(table, "jsonl")
     assert text == _reference_text(table, "jsonl")
     for line in text.splitlines()[1:]:
         json.loads(line, parse_constant=_reject_constant)
@@ -75,7 +76,7 @@ def test_jsonl_matches_per_row_json_dumps(columns):
 @given(columns())
 def test_csv_matches_per_cell_format(columns):
     table = SpectrumTable({"note": "property"}, columns)
-    assert table_to_string(table, "csv") == _reference_text(table, "csv")
+    assert table_text(table, "csv") == _reference_text(table, "csv")
 
 
 @pytest.mark.parametrize("fmt", ("csv", "jsonl"))
@@ -93,7 +94,7 @@ def test_emit_row_blocks(fmt, n, varying):
         columns["rho"] = np.linspace(-3.0, 3.0, n)
         columns["total"] = np.arange(n) / 7.0
     table = SpectrumTable({"rows": n}, columns)
-    text = table_to_string(table, fmt)
+    text = table_text(table, fmt)
     assert text == _reference_text(table, fmt)
     assert text.count("\n") == n + (1 if fmt == "jsonl" else 2)
 
@@ -207,7 +208,7 @@ def test_limits_constant_columns_are_zero_stride_views(tmp_path, fmt):
         assert constant == LIMITS_CONSTANT[name]
         assert not any(table.columns[c].flags.writeable for c in constant)
         copied = SpectrumTable(table.metadata, {c: col.copy() for c, col in table.columns.items()})
-        assert table_to_string(table, fmt) == table_to_string(copied, fmt)
+        assert table_text(table, fmt) == table_text(copied, fmt)
 
 
 def test_limits_tables_share_one_rho_column(tmp_path):
@@ -287,12 +288,14 @@ def test_spectrum_output_golden_sha256(tmp_path, capsys, config, fmt):
 
 @pytest.mark.parametrize("noise", ("", CLASSICAL_NOISE), ids=("without-noise", "with-noise"))
 def test_stitched_s_ln_is_a_constant_column_only_without_noise(noise):
-    table = run_sweep(parse_config(STITCHED_CONFIG + noise))
-    s_ln = table.columns["s_ln"]
-    if noise:
-        assert s_ln.strides == (8,) and (s_ln > 0).all()
-    else:
-        assert s_ln.strides == (0,) and s_ln[0] == 0.0
+    # and so in the homodyne and variational sweeps, which share the branch
+    for config in ("stitched", "homodyne-linear", "variational"):
+        table = run_sweep(parse_config(SPECTRUM_CONFIGS[config] + noise))
+        s_ln = table.columns["s_ln"]
+        if noise:
+            assert s_ln.strides == (8,) and (s_ln > 0).all(), config
+        else:
+            assert s_ln.strides == (0,) and s_ln[0] == 0.0, config
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
