@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DivergenceError, ParameterError
 
 HIGH_Q_THRESHOLD = 1e-3
 
@@ -30,9 +30,22 @@ def check_finite(name: str, x):
 
 
 def check_positive(name: str, x):
-    """ParameterError naming the argument unless every value of x is > 0."""
-    if not np.all(np.asarray(x) > 0):
-        raise ParameterError(f"{name} must be positive, got {x}")
+    """ParameterError naming the argument and its first value that is not finite and > 0."""
+    ok = np.isfinite(x) & (np.asarray(x) > 0)
+    if not ok.all():
+        raise ParameterError(f"{name} must be > 0 and finite, got {np.asarray(x)[~ok].flat[0]}")
+
+
+def check_angle(phi):
+    """DivergenceError naming the first homodyne angle phi (rad) outside (0, pi)
+    or with sin(phi) < 1e-12, where the displacement readout diverges."""
+    phi = np.asarray(phi)
+    with np.errstate(invalid="ignore"):  # sin(inf)
+        ok = (0.0 < phi) & (phi < np.pi) & (np.abs(np.sin(phi)) >= 1e-12)
+    if not ok.all():
+        raise DivergenceError(
+            f"displacement measurement diverges at phi = 0 or pi; got phi = {phi[~ok].flat[0]} rad"
+        )
 
 
 def check_finite_fields(obj):

@@ -3,7 +3,10 @@
 ParameterError covers invalid inputs and malformed configuration (CLI exit
 code 2); DomainError covers configurations the model rejects, such as
 measuring at a divergent quadrature or sidebands that imply a negative
-occupation (CLI exit code 3).  decode_utf8 turns input bytes into text.
+occupation (CLI exit code 3).  Of core's input rules, check_finite (rho)
+and check_positive (p, powers, beta, kappa, the *_hz keys) raise
+ParameterError; check_angle (homodyne phi at 0 or pi) raises DivergenceError,
+as does a result that overflows float64.  decode_utf8 reads input bytes.
 """
 
 

@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    Detection, MechanicalMode, check_finite, check_positive, chi_m_dimensionless, cot,
+    Detection, MechanicalMode, check_angle, check_finite, check_positive, chi_m_dimensionless,
+    cot,
 )
 from .errors import ParameterError
 from .spectra import homodyne_terms, point_view, thermal_term
@@ -56,12 +57,14 @@ def sql_psd(rho):
     return psd[()]
 
 
+@point_view
 def phi_opt(rho, p, det: Detection):
     """Correlation-optimal homodyne angle, cot(phi_opt) = eps p rho |chi_m|^2.
 
     Lies in (0, pi); greater than 90 degrees for rho < 0.  Broadcasts over
     rho and p.
     """
+    check_finite("rho", rho)
     check_positive("p", p)
     c = det.epsilon * p * rho * np.abs(chi_m_dimensionless(rho)) ** 2
     return np.arctan2(1.0, c)
@@ -76,8 +79,8 @@ def psd_at_phi_opt(
     2 (n_th + 1/2) |chi_m|^2 + 1/(2 eps p)
       + (p/2) (1 + (1 - eps) rho^2) |chi_m|^4
     """
-    check_positive("p", p)
     check_finite("rho", rho)
+    check_positive("p", p)
     eps = det.epsilon
     chim2 = abs(chi_m_dimensionless(rho)) ** 2
     return (
@@ -122,6 +125,7 @@ def uncertainty_product(phi: float, p: float, det: Detection):
     or pi is a DivergenceError, as in displacement_psd.
     """
     check_positive("p", p)
+    check_angle(phi)
     comps = homodyne_terms(0.0, p, phi, det.epsilon, 0.0)
     return comps.s_ii * comps.s_ff, 0.25 + (-0.5 * cot(phi)) ** 2
 

@@ -23,15 +23,15 @@ from .core import (
     Detection,
     MechanicalMode,
     OpticalCavity,
+    check_angle,
     check_finite,
     check_finite_fields,
+    check_positive,
     chi_c,
     chi_m_dimensionless,
     cot,
 )
 from .errors import DivergenceError, ParameterError
-
-_SIN_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,28 +77,6 @@ class ClassicalNoise:
         return self.c_aa == 0.0 and self.c_pp == 0.0
 
 
-def _values(x):
-    """The distinct values of a scalar or array argument, each checked once."""
-    return np.unique(x).tolist() if isinstance(x, np.ndarray) else (x,)
-
-
-def _check_phi(phi):
-    for value in _values(phi):
-        if not 0.0 < value < math.pi or abs(math.sin(value)) < _SIN_FLOOR:
-            raise DivergenceError(
-                "displacement measurement diverges at phi = 0 or pi; "
-                f"got phi = {value} rad"
-            )
-
-
-def _check_p(p):
-    for value in _values(p):
-        if not 0.0 < value < math.inf:
-            raise DivergenceError(
-                f"imprecision diverges for p <= 0, backaction for p = inf; got p = {value}"
-            )
-
-
 def point_view(evaluate):
     """Decorator for a point evaluator, whose result is SpectrumComponents,
     a tuple or one value; each 0-d value is returned as a Python float.  It
@@ -139,9 +117,9 @@ def budget_terms(rho, p, epsilon, n_th, imprecision, correlation, s_ln=0.0):
     s_corr = -correlation * |chi_m|^2
 
     Every argument broadcasts; the five terms come back as arrays of the
-    common shape.  rho is checked here, p and the angles by the callers.
+    common shape.  Nothing is checked here: the public evaluators check
+    their arguments on entry.
     """
-    check_finite("rho", rho)
     chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
     return SpectrumComponents(
         *np.broadcast_arrays(
@@ -155,13 +133,10 @@ def budget_terms(rho, p, epsilon, n_th, imprecision, correlation, s_ln=0.0):
 
 
 def homodyne_terms(rho, p, phi, epsilon: float, n_th: float, s_ln=0.0):
-    """Broadcasting form of displacement_psd over arrays rho, p and phi.
-
-    Each distinct input value is checked once; s_ln, when given, is a
-    pre-computed classical-noise term broadcastable to the same shape.
+    """Broadcasting form of displacement_psd over arrays rho, p and phi,
+    unchecked; s_ln, when given, is a pre-computed classical-noise term
+    broadcastable to the same shape.
     """
-    _check_phi(phi)
-    _check_p(p)
     c = cot(phi)
     return budget_terms(rho, p, epsilon, n_th, 1.0 + c * c, c * rho, s_ln)
 
@@ -182,6 +157,9 @@ def displacement_psd(
     The optional s_ln slot carries a pre-computed classical-noise
     contribution in the same units (zero by default).
     """
+    check_finite("rho", rho)
+    check_positive("p", p)
+    check_angle(phi)
     return homodyne_terms(rho, p, phi, det.epsilon, mode.n_th, s_ln)
 
 
@@ -194,10 +172,6 @@ def light_terms(rho, phi, p: float, epsilon: float, n_th: float):
     remains).  Components map to the displacement decomposition scaled by
     2 eps p sin^2(phi), with the imprecision term collapsing to exactly 1.
     """
-    if not 0.0 <= p < math.inf:
-        raise ParameterError(f"p must be finite and >= 0, got {p}")
-    check_finite("rho", rho)
-    check_finite("phi", phi)
     chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
     s2 = np.sin(phi) ** 2
     scale = 2.0 * epsilon * p * s2
@@ -245,7 +219,5 @@ def classical_noise_displacement(
 
     Broadcasts over omega, phi and p.
     """
-    _check_phi(phi)
-    _check_p(p)
     s_ln = classical_noise_psd(omega, phi, det, cav, noise)
     return s_ln / (2.0 * det.epsilon * p * np.sin(phi) ** 2)

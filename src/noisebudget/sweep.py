@@ -47,8 +47,8 @@ import numpy as np
 
 from . import __version__
 from .core import (
-    HIGH_Q_THRESHOLD, Detection, MechanicalMode, OpticalCavity, check_finite,
-    check_finite_fields, omega_from_rho,
+    HIGH_Q_THRESHOLD, Detection, MechanicalMode, OpticalCavity, check_angle,
+    check_finite_fields, check_positive, omega_from_rho,
 )
 from .errors import DivergenceError, ParameterError
 from .limits import phi_opt, ql_added_noise, quadrature_order, sql_psd
@@ -148,8 +148,7 @@ class SweepSpec:
                 )
         if not self.powers:
             raise ParameterError("powers must list at least one value")
-        if any(p <= 0 for p in self.powers):
-            raise ParameterError("all powers must be > 0")
+        check_positive("powers", self.powers)
         Detection(self.epsilon)  # checks 0 < epsilon <= 1, naming the key
         if self.n_th < 0:
             raise ParameterError(f"n_th must be >= 0, got {self.n_th}")
@@ -180,9 +179,8 @@ class SweepSpec:
                 f"MAX_GRID_POINTS = {MAX_GRID_POINTS}; lower rho_count"
             )
         for key in ("kappa_hz", "omega_m_hz", "gamma_hz"):
-            value = getattr(self, key)
-            if value is not None and not value > 0:
-                raise ParameterError(f"{key} must be > 0, got {value}")
+            if getattr(self, key) is not None:
+                check_positive(key, getattr(self, key))
         mode = self.mode()
         if mode is not None and not mode.is_high_q:
             raise ParameterError(
@@ -375,8 +373,10 @@ def curve_columns(kind, rho, p, phi_deg, epsilon, n_th, beta=None, s_ln=None) ->
         synodyne_variational, their power column.
 
     total is the sum of the five terms, so every row re-checks additivity on
-    re-ingestion.  Float64 warnings are off: a value that overflows on the
-    way is a DivergenceError from SpectrumTable's finite check.
+    re-ingestion.  The inputs come checked by SweepSpec, or are the figures'
+    constants; only the angle handed to the homodyne budget is checked here.
+    Float64 warnings are off: a value that overflows on the way is a
+    DivergenceError from SpectrumTable's finite check.
     """
     det = Detection(epsilon)
     if kind in ("homodyne", "variational", "stitched"):
@@ -388,6 +388,7 @@ def curve_columns(kind, rho, p, phi_deg, epsilon, n_th, beta=None, s_ln=None) ->
             phi_deg = np.degrees(phi)
         else:
             phi = np.radians(phi_deg)
+        check_angle(phi)
         comps = homodyne_terms(rho, p, phi, epsilon, n_th, 0.0 if s_ln is None else s_ln(phi))
         if s_ln is None:  # 0.0 itself, not the broadcast zeros: a zero-stride column
             comps = SpectrumComponents(*comps.terms[:4])
@@ -408,7 +409,6 @@ def curve_columns(kind, rho, p, phi_deg, epsilon, n_th, beta=None, s_ln=None) ->
     elif kind == "light":
         comps = light_terms(rho, np.radians(phi_deg), p, epsilon, n_th)
     elif kind in ("sql", "sql_zpm", "ql", "synodyne_variational"):
-        check_finite("rho", rho)
         added = (
             ql_added_noise(rho, det) if kind == "ql"
             else synodyne_added_noise(rho, p, det) if kind == "synodyne_variational"

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Detection, MechanicalMode, check_finite_fields, check_positive, chi_m_dimensionless,
+    Detection, MechanicalMode, check_finite, check_finite_fields, check_positive,
+    chi_m_dimensionless,
 )
 from .errors import BranchPoleError, DivergenceError, ParameterError
-from .spectra import _check_p, budget_terms, point_view, thermal_term
+from .spectra import budget_terms, point_view, thermal_term
 
 _ALPHA_P_FLOOR = 1e-300
 
@@ -79,10 +80,9 @@ def _checked_lo(lo: SynodyneLO):
 
 
 def synodyne_terms(rho, p, lo: SynodyneLO, epsilon: float, n_th: float):
-    """Synodyne displacement-PSD budget at demodulated detuning rho,
-    broadcasting over arrays rho and p: budget_terms with imprecision (|alpha_a|^2 + |alpha_p|^2) / |alpha_p|^2 and correlation
-    Im(conj(alpha_a) alpha_p) / |alpha_p|^2."""
-    _check_p(p)
+    """Synodyne displacement-PSD budget at demodulated detuning rho, over arrays
+    rho and p: budget_terms with imprecision (|alpha_a|^2 + |alpha_p|^2) / |alpha_p|^2
+    and correlation Im(conj(alpha_a) alpha_p) / |alpha_p|^2; only the LO is checked."""
     alpha_a, alpha_p, ap2 = _checked_lo(lo)
     shot = (abs(alpha_a) ** 2 + ap2) / ap2
     corr = (alpha_a.conjugate() * alpha_p).imag / ap2
@@ -94,6 +94,8 @@ def synodyne_psd(
     rho: float, p: float, lo: SynodyneLO, det: Detection, mode: MechanicalMode
 ) -> float:
     """Total synodyne displacement PSD (dimensionless) at one point."""
+    check_finite("rho", rho)
+    check_positive("p", p)
     return synodyne_terms(rho, p, lo, det.epsilon, mode.n_th).total
 
 
@@ -108,6 +110,7 @@ def beta_opt(
     crossover eps p |chi_m|^2 = 1.  "auto" picks the branch whose ratio is
     positive; exactly at the crossover the ratio has a pole and is an error.
     """
+    check_finite("rho", rho)
     check_positive("p", p)
     x = det.epsilon * p * abs(chi_m_dimensionless(rho)) ** 2
     if x == 1.0:
@@ -133,6 +136,7 @@ def beta_opt(
     raise ParameterError(f"unknown branch {branch!r}")
 
 
+@point_view
 def synodyne_variational(
     rho: float, p: float, det: Detection, mode: MechanicalMode
 ) -> float:
@@ -140,6 +144,8 @@ def synodyne_variational(
 
     2 (n_th + 1/2) |chi_m|^2 + synodyne_added_noise(rho, p, det)
     """
+    check_finite("rho", rho)
+    check_positive("p", p)
     return thermal_term(rho, mode.n_th) + synodyne_added_noise(rho, p, det)
 
 
@@ -148,7 +154,6 @@ def synodyne_added_noise(rho, p: float, det: Detection):
 
     1/(2 eps p) + (p/2) ((1 - eps) + rho^2) |chi_m|^4
     """
-    check_positive("p", p)
     eps = det.epsilon
     chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
     return 1.0 / (2.0 * eps * p) + 0.5 * p * ((1.0 - eps) + rho**2) * chim2**2

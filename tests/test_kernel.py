@@ -13,6 +13,7 @@ tolerance.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from noisebudget import (
     NoiseBudgetError,
     ParameterError,
     SweepSpec,
+    beta_opt,
     chi_m_dimensionless,
     displacement_psd,
     omega_from_rho,
@@ -35,11 +37,12 @@ from noisebudget import (
     psd_at_phi_opt,
     run_sweep,
     synodyne_psd,
+    synodyne_variational,
     uncertainty_product,
 )
 from noisebudget.cli import main as cli_main
-from noisebudget.limits import fixed_angle_spectrum, phi_opt, stitch_quadratures
-from noisebudget.spectra import SpectrumComponents, homodyne_terms, light_terms
+from noisebudget.limits import fixed_angle_spectrum, phi_opt, ql_added_noise, stitch_quadratures
+from noisebudget.spectra import SpectrumComponents, homodyne_terms
 from noisebudget.sweep import COLUMNS, SpectrumTable, curve_columns
 from noisebudget.synodyne import SynodyneLO, synodyne_terms
 
@@ -111,10 +114,6 @@ def test_homodyne_terms_broadcast_shapes_and_checks():
     phi = np.radians([30.0, 90.0, 150.0])
     comps = homodyne_terms(rho, p, phi, 0.5, 2.0)
     assert all(t.shape == (7, 2, 3) for t in comps.terms)
-    with pytest.raises(DivergenceError, match="phi = 0.0"):
-        homodyne_terms(rho, p, np.array([0.5, 0.0]), 0.5, 2.0)
-    with pytest.raises(DivergenceError, match="p = -1.0"):
-        homodyne_terms(rho, np.array([1.0, -1.0]), phi, 0.5, 2.0)
 
 
 @pytest.mark.parametrize("noise", NOISE, ids=("clean", "noise"))
@@ -283,6 +282,10 @@ VIEWS = {
     "psd_at_phi_opt": lambda rho, p, phi, eps, n_th, beta: psd_at_phi_opt(
         rho, p, Detection(eps), _mode(n_th)),
     "light": lambda rho, p, phi, eps, n_th, beta: _light_total(rho, p, phi, eps, n_th),
+    "synodyne_variational": lambda rho, p, phi, eps, n_th, beta: synodyne_variational(
+        rho, p, Detection(eps), _mode(n_th)),
+    "phi_opt": lambda rho, p, phi, eps, n_th, beta: phi_opt(rho, p, Detection(eps)),
+    "beta_opt": lambda rho, p, phi, eps, n_th, beta: beta_opt(rho, p, Detection(eps)),
 }
 
 
@@ -320,21 +323,33 @@ def test_non_finite_values_rejected(key, bad):
         parse_config(text)
 
 
-def test_non_finite_power_and_detuning_rejected():
-    det, mode = Detection(1.0), MechanicalMode(1.0, 1e-6)
-    with pytest.raises(DivergenceError, match="p = inf"):
-        displacement_psd(1.0, math.inf, 1.0, det, mode)
-    with pytest.raises(DivergenceError, match="p = inf"):
-        uncertainty_product(1.0, math.inf, det)
-    with pytest.raises(ParameterError, match="p must be finite"):
-        light_terms(1.0, 1.0, math.nan, 1.0, 0.0)
-    for rho in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ParameterError, match="rho must be finite"):
-            displacement_psd(rho, 1.0, 1.0, det, mode)
-        with pytest.raises(ParameterError, match="rho must be finite"):
-            homodyne_terms(np.array([0.0, rho]), 1.0, 1.0, 1.0, 0.0)
-        with pytest.raises(ParameterError, match="rho must be finite"):
-            light_terms(rho, 1.0, 1.0, 1.0, 0.0)
+_DET, _MODE = Detection(1.0), MechanicalMode(1.0, 1e-6)
+# the exported evaluators as functions of (rho, p), other arguments at
+# ordinary values, with the arguments each takes
+EVALUATORS = {
+    "displacement_psd": (
+        lambda rho, p: displacement_psd(rho, p, 1.0, _DET, _MODE), ("rho", "p")),
+    "uncertainty_product": (lambda rho, p: uncertainty_product(1.0, p, _DET), ("p",)),
+    "psd_at_phi_opt": (lambda rho, p: psd_at_phi_opt(rho, p, _DET, _MODE), ("rho", "p")),
+    "synodyne_psd": (
+        lambda rho, p: synodyne_psd(rho, p, SynodyneLO(1.02), _DET, _MODE), ("rho", "p")),
+    "phi_opt": (lambda rho, p: phi_opt(rho, p, _DET), ("rho", "p")),
+    "beta_opt": (lambda rho, p: beta_opt(rho, p, _DET), ("rho", "p")),
+    "ql_added_noise": (lambda rho, p: ql_added_noise(rho, _DET), ("rho",)),
+    "synodyne_variational": (
+        lambda rho, p: synodyne_variational(rho, p, _DET, _MODE), ("rho", "p")),
+}
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_non_finite_power_and_detuning_rejected(name):
+    evaluate, takes = EVALUATORS[name]
+    for p in (0.0, -1.0, math.inf, math.nan) if "p" in takes else ():
+        with pytest.raises(ParameterError, match=re.escape(f"p must be > 0 and finite, got {p}")):
+            evaluate(1.0, p)
+    for rho in (math.inf, -math.inf, math.nan) if "rho" in takes else ():
+        with pytest.raises(ParameterError, match=re.escape(f"rho must be finite, got {rho}")):
+            evaluate(rho, 1.0)
 
 
 def test_synodyne_with_classical_noise_rejected(tmp_path, capsys):

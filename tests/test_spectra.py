@@ -81,10 +81,6 @@ def test_divergent_configurations_rejected(ideal_det, zero_mode):
     for phi in (0.0, math.pi, -0.1, 3.2):
         with pytest.raises(DivergenceError):
             displacement_psd(0.0, 1.0, phi, ideal_det, zero_mode)
-    with pytest.raises(DivergenceError):
-        displacement_psd(0.0, 0.0, math.pi / 2.0, ideal_det, zero_mode)
-    with pytest.raises(DivergenceError):
-        displacement_psd(0.0, -1.0, math.pi / 2.0, ideal_det, zero_mode)
 
 
 def test_light_psd_shot_noise_limits():
@@ -92,8 +88,6 @@ def test_light_psd_shot_noise_limits():
     # amplitude quadrature where the displacement picture diverges
     for phi in (0.0, 0.3, math.pi / 2.0, math.pi):
         assert light_terms(3.0, phi, 0.0, 1.0, 0.0).total == pytest.approx(1.0)
-    with pytest.raises(ParameterError):
-        light_terms(3.0, 0.3, -1.0, 1.0, 0.0)
 
 
 def test_light_psd_transfer_identity(exp_det, exp_mode):
