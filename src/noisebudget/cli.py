@@ -5,12 +5,13 @@ reproduce-figure.  Exit codes: 0 success, 2 validation error, 3 domain
 error, 4 I/O error.
 
 calibrate's red/blue pair, and the --out tables of a command once they
-hold at least FORK_MIN_ROWS rows in all, run as independent jobs on the CPUs
-this process may use (_run_jobs).  Each such table is cut into one contiguous
-row range per CPU; the ranges after the first are written to temporary files
-in forked children and appended to the final file in the kernel
-(_write_out), so the bytes do not depend on the CPU count.  stdout output,
-smaller tables and every library function stay serial.
+hold at least FORK_MIN_ROWS rows in all, run as independent jobs in shares,
+one per CPU this process may use (_run_shares).  Each such table is cut into
+one contiguous row range per CPU, and range k of every table runs in share
+k; the ranges after the first are written to temporary files in forked
+children and appended to the final file in the kernel (_write_out), so the
+bytes do not depend on the CPU count.  stdout output, smaller tables and
+every library function stay serial.
 
 run() is the process entry point (the noisebudget script and
 python -m noisebudget.cli); main(argv) is the same command for in-process
@@ -133,24 +134,21 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _run_jobs(jobs: list, fork: bool = True) -> list:
-    """Results of jobs, a list of independent argument-free callables, in
-    input order.
+def _run_shares(jobs: list, shares: list) -> list:
+    """Results of jobs, a list of independent argument-free callables in
+    serial order, run in shares: lists of ascending indices into jobs that
+    together hold each index once.
 
-    The jobs are dealt round-robin into one share per CPU this process may
-    use, at most one per job, or into a single share if not fork: job i goes
-    to share i % (number of shares).  The first share runs in this process,
-    each other one in a forked child (_fork_share); with one share every job
-    runs here.  If jobs raise, the first failing one in input order is
+    Share 0 runs in this process, each later non-empty share in a forked
+    child (_fork_share).  If jobs raise, the failing one of lowest index is
     re-raised, as a serial run would raise it.  Every child is reaped before
     return.
     """
-    n = max(1, min(_usable_cpus() if fork else 1, len(jobs)))
-    shares = [range(k, len(jobs), n) for k in range(n)]
     children = []
     try:
         for share in shares[1:]:
-            children.append(_fork_share(jobs, share))
+            if share:
+                children.append(_fork_share(jobs, share))
         outcomes = [_run_share(jobs, shares[0])]
         for pid, fh in children:
             data = fh.read()
@@ -161,12 +159,10 @@ def _run_jobs(jobs: list, fork: bool = True) -> list:
         for pid, fh in children:
             fh.close()
             os.waitpid(pid, 0)
-    results = {}
-    for done, _ in outcomes:
-        results.update(done)
     failures = [failure for _, failure in outcomes if failure]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
+    results = {i: result for done, _ in outcomes for i, result in done.items()}
     return [results[i] for i in range(len(jobs))]
 
 
@@ -226,23 +222,20 @@ def _write_out(tables: dict, fmt: str, out: Path):
     ]
     rows = sum(len(table.columns["rho"]) for table in tables.values())
     n = _usable_cpus() if rows >= FORK_MIN_ROWS else 1
-    files, parts, jobs = [], [], []
+    files, parts, jobs, shares = [], [], [], [[] for _ in range(n)]
     try:
         for table, path in zip(tables.values(), paths):
             fh = open(path, "w", newline="")
             files.append(fh)
             split = n if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else 1
-            ranges = _row_ranges(len(table.columns["rho"]), split)
-            for k, part_rows in enumerate(ranges):
+            for k, part_rows in enumerate(_row_ranges(len(table.columns["rho"]), split)):
                 dest = fh
                 if k:
                     dest = tempfile.TemporaryFile("w", newline="", dir=path.parent)
                     parts.append((fh, dest))
+                shares[k].append(len(jobs))  # range k of every table runs in share k
                 jobs.append(partial(_emit_part, table, fmt, dest, part_rows))
-            # job i runs in share i % n, so range k of every table runs in
-            # share k; tuple pads the table's jobs to n as a job doing nothing
-            jobs += [tuple] * (n - len(ranges))
-        _run_jobs(jobs, fork=bool(parts))
+        _run_shares(jobs, shares)
         for fh, part in parts:
             _append(fh.fileno(), part.fileno())
     except BaseException:
@@ -302,9 +295,9 @@ def _cmd_calibrate(args):
             raise ParameterError(
                 "give either sideband_csv or red_csv + blue_csv, not both"
             )
-        fit = SidebandFit.from_fits(*_run_jobs(
-            [partial(_fit_spectrum, keys["red_csv"]), partial(_fit_spectrum, keys["blue_csv"])]
-        ))
+        jobs = [partial(_fit_spectrum, keys[key]) for key in ("red_csv", "blue_csv")]
+        shares = [[0], [1]] if _usable_cpus() > 1 else [[0, 1]]
+        fit = SidebandFit.from_fits(*_run_shares(jobs, shares))
         result["sidebands"] = {
             "gamma_fit_hz": fit.gamma_fit,
             "a_red": fit.a_red,

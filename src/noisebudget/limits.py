@@ -20,7 +20,7 @@ from .core import (
     cot,
 )
 from .errors import ParameterError
-from .spectra import homodyne_terms, point_view, thermal_term
+from .spectra import homodyne_terms, point_view, residual_backaction, thermal_term
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,10 @@ def phi_opt(rho, p, det: Detection):
     """
     check_finite("rho", rho)
     check_positive("p", p)
-    c = det.epsilon * p * rho * np.abs(chi_m_dimensionless(rho)) ** 2
-    return np.arctan2(1.0, c)
+    chi = chi_m_dimensionless(rho)
+    c = det.epsilon * p * rho * np.abs(chi) ** 2
+    # where eps p rho overflows, Im(chi_m) = rho |chi_m|^2 keeps the product finite
+    return np.arctan2(1.0, np.where(np.isfinite(c), c, det.epsilon * (p * chi.imag)))
 
 
 @point_view
@@ -82,11 +84,10 @@ def psd_at_phi_opt(
     check_finite("rho", rho)
     check_positive("p", p)
     eps = det.epsilon
-    chim2 = abs(chi_m_dimensionless(rho)) ** 2
     return (
         thermal_term(rho, mode.n_th)
         + 1.0 / (2.0 * eps * p)
-        + 0.5 * p * (1.0 + (1.0 - eps) * rho**2) * chim2**2
+        + residual_backaction(rho, p, 1.0, 1.0 - eps)
     )
 
 

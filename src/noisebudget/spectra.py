@@ -108,6 +108,26 @@ def thermal_term(rho, n_th):
     return 2.0 * (n_th + 0.5) * np.abs(chi_m_dimensionless(rho)) ** 2
 
 
+def residual_backaction(rho, p, a, b):
+    """(p/2) (a + b rho^2) |chi_m|^4, the backaction a correlation-optimal
+    readout leaves; broadcasts over rho and p.
+
+    Where that expression overflows float64, or its |chi_m|^4 underflows to
+    0 (|rho| from about 1e81), the value is (p/2) (a Re(chi_m)^2 + b
+    Im(chi_m)^2) instead: the same quantity, as |chi_m|^2 = Re(chi_m) and
+    rho |chi_m|^2 = Im(chi_m), which tends to 1/rho and never overflows.
+    There p multiplies each factor before the next, so at p = 1e300 and
+    rho = 1e200 the (p/2) b / rho^2 term keeps its 1e-100 scale.
+    """
+    rho = np.asarray(rho)
+    chi = chi_m_dimensionless(rho)
+    chim4 = (np.abs(chi) ** 2) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = 0.5 * p * (a + b * rho**2) * chim4
+        safe = 0.5 * (a * (p * chi.real) * chi.real + b * (p * chi.imag) * chi.imag)
+    return np.where(np.isfinite(plain) & (chim4 > 0), plain, safe)
+
+
 def budget_terms(rho, p, epsilon, n_th, imprecision, correlation, s_ln=0.0):
     """Broadcasting displacement-PSD budget of a linear readout.
 
@@ -143,24 +163,16 @@ def homodyne_terms(rho, p, phi, epsilon: float, n_th: float, s_ln=0.0):
 
 @point_view
 def displacement_psd(
-    rho: float,
-    p: float,
-    phi: float,
-    det: Detection,
-    mode: MechanicalMode,
-    s_ln: float = 0.0,
+    rho: float, p: float, phi: float, det: Detection, mode: MechanicalMode
 ) -> SpectrumComponents:
     """Dimensionless displacement PSD components at detuning rho: the
     homodyne_terms budget at one point, with imprecision 1 + cot^2 phi and
     correlation cot(phi) rho.
-
-    The optional s_ln slot carries a pre-computed classical-noise
-    contribution in the same units (zero by default).
     """
     check_finite("rho", rho)
     check_positive("p", p)
     check_angle(phi)
-    return homodyne_terms(rho, p, phi, det.epsilon, mode.n_th, s_ln)
+    return homodyne_terms(rho, p, phi, det.epsilon, mode.n_th)
 
 
 def light_terms(rho, phi, p: float, epsilon: float, n_th: float):

@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields
-from typing import (
-    Dict, List, NamedTuple, Optional, Tuple, get_args, get_origin, get_type_hints,
-)
+from typing import Dict, List, Optional, Tuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -71,7 +70,7 @@ NORMALIZATION_STATEMENT = (
 
 COLUMNS = (
     "rho",
-    "phi_used",
+    "phi_used",  # degrees, matching the config boundary convention
     "p",
     "s_m",
     "s_ii",
@@ -286,17 +285,7 @@ def parse_config(text: str) -> SweepSpec:
     return SweepSpec(**values)
 
 
-class Row(NamedTuple):
-    rho: float
-    phi_used: float  # degrees, matching the config boundary convention
-    p: float
-    s_m: float
-    s_ii: float
-    s_ff: float
-    s_corr: float
-    s_ln: float
-    total: float
-    total_over_sql: float
+Row = namedtuple("Row", COLUMNS)
 
 
 @dataclass(eq=False)

@@ -16,14 +16,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     Detection, MechanicalMode, check_finite, check_finite_fields, check_positive,
     chi_m_dimensionless,
 )
 from .errors import BranchPoleError, DivergenceError, ParameterError
-from .spectra import budget_terms, point_view, thermal_term
+from .spectra import budget_terms, point_view, residual_backaction, thermal_term
 
 _ALPHA_P_FLOOR = 1e-300
 
@@ -155,5 +153,4 @@ def synodyne_added_noise(rho, p: float, det: Detection):
     1/(2 eps p) + (p/2) ((1 - eps) + rho^2) |chi_m|^4
     """
     eps = det.epsilon
-    chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
-    return 1.0 / (2.0 * eps * p) + 0.5 * p * ((1.0 - eps) + rho**2) * chim2**2
+    return 1.0 / (2.0 * eps * p) + residual_backaction(rho, p, 1.0 - eps, 1.0)

@@ -30,7 +30,7 @@ from conftest import write_spectrum_csv
 import noisebudget
 from noisebudget import LorentzianFit, synth_sideband_spectrum
 from noisebudget import cli
-from noisebudget.cli import _run_jobs
+from noisebudget.cli import _run_shares
 from noisebudget.cli import main as cli_main
 from noisebudget.errors import DivergenceError, ParameterError
 from noisebudget.figures import FIGURE_IDS, reproduce_figure
@@ -176,6 +176,22 @@ def test_single_table_is_cut_into_one_range_per_cpu_from_fork_min_rows(
     assert len(load_table_csv(out).columns["rho"]) == 2 * rho_count
 
 
+def test_table_with_fewer_rows_than_cpus_forks_only_for_its_later_ranges(
+    tmp_path, monkeypatch
+):
+    # two rows on three CPUs: range 1 goes to a child, and share 2 is empty
+    _use_cpus(monkeypatch, 3)
+    forks = _count_forks(monkeypatch)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SPECTRUM_CASES["fewer-rows-than-cpus"][0])
+    out = tmp_path / "out" / "s.csv"
+    out.parent.mkdir()
+    assert cli_main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 0
+    assert len(forks) == 1
+    assert os.listdir(out.parent) == ["s.csv"]
+    assert len(load_table_csv(out).columns["rho"]) == 2
+
+
 def test_table_to_a_path_that_is_no_regular_file_is_not_cut(tmp_path, monkeypatch):
     # /dev/null is no regular file: its table is written whole, in-process
     _use_cpus(monkeypatch, 2)
@@ -266,17 +282,29 @@ def test_unwritable_first_table_exits_4(tmp_path, monkeypatch, capsys, cpus, lef
     assert [p.name for p in tmp_path.glob("lim.*") if p.is_file()] == left
 
 
+SHARES = {
+    "one-share": [[0, 1, 2, 3, 4]],
+    "two-shares": [[0, 2, 4], [1, 3]],
+    "three-shares": [[0, 3], [1, 4], [2]],
+    # empty shares, as a table with fewer rows than there are CPUs leaves
+    "empty-shares": [[0], [], [1, 2], [], [3, 4]],
+}
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("cpus, children", ((1, 0), (2, 1), (3, 2), (64, 4)))
-def test_jobs_are_dealt_round_robin_one_process_per_cpu(monkeypatch, cpus, children):
+@pytest.mark.parametrize("layout", SHARES)
+def test_share_0_runs_here_and_each_later_non_empty_share_in_its_own_child(
+    monkeypatch, layout
+):
     # warnings are errors: Python >= 3.12 warns when a threaded process forks
-    _use_cpus(monkeypatch, cpus)
-    pids = _run_jobs([os.getpid] * 5)
-    n = children + 1
-    assert pids[::n] == [os.getpid()] * len(pids[::n])
-    workers = [pids[k] for k in range(1, n)]
-    assert len(set(workers)) == children and os.getpid() not in workers
-    assert pids == [pids[i % n] for i in range(5)]
+    shares = SHARES[layout]
+    forks = _count_forks(monkeypatch)
+    pids = _run_shares([os.getpid] * 5, shares)
+    assert [pids[i] for i in shares[0]] == [os.getpid()] * len(shares[0])
+    later = [{pids[i] for i in share} for share in shares[1:] if share]
+    assert all(len(share_pids) == 1 for share_pids in later)
+    workers = set().union(*later)
+    assert len(workers) == len(later) == len(forks) and os.getpid() not in workers
 
 
 def _fail(message):
@@ -284,13 +312,14 @@ def _fail(message):
 
 
 @pytest.mark.parametrize("failing, first", (((1, 2), 1), ((0, 1), 0), ((2, 3), 2)))
-def test_first_failing_job_in_input_order_is_raised(monkeypatch, failing, first):
-    _use_cpus(monkeypatch, 2)
+def test_first_failing_job_in_input_order_is_raised(failing, first):
+    # range k of each of two tables in share k, as _write_out lays them out:
+    # each share stops at its own first failure, and the lowest index wins
     jobs = [lambda i=i: i for i in range(4)]
     for i in failing:
         jobs[i] = lambda i=i: _fail(f"job {i}")
     with pytest.raises(ValueError, match=f"^job {first}$"):
-        _run_jobs(jobs)
+        _run_shares(jobs, [[0, 2], [1, 3]])
 
 
 class _Interrupt(BaseException):
@@ -306,13 +335,12 @@ def _large_result_ended_by_alarm():
     return bytes(1 << 20)
 
 
-def test_children_are_reaped_when_the_parent_share_raises(monkeypatch):
+def test_children_are_reaped_when_the_parent_share_raises():
     # the child's 1 MiB result fills its pipe; once the parent closes its end
     # the child's write must fail at once, not block until the alarm
-    _use_cpus(monkeypatch, 2)
     start = time.monotonic()
     with pytest.raises(_Interrupt):
-        _run_jobs([_interrupt, _large_result_ended_by_alarm])
+        _run_shares([_interrupt, _large_result_ended_by_alarm], [[0], [1]])
     assert time.monotonic() - start < 4
 
 

@@ -10,6 +10,7 @@ import oracles
 from noisebudget import (
     Detection,
     DivergenceError,
+    MechanicalMode,
     ParameterError,
     chi_m_dimensionless,
     displacement_psd,
@@ -19,7 +20,7 @@ from noisebudget import (
     uncertainty_product,
 )
 from noisebudget.limits import fixed_angle_spectrum, ql_added_noise, stitch_quadratures
-from noisebudget.spectra import homodyne_terms
+from noisebudget.spectra import homodyne_terms, thermal_term
 from noisebudget.sweep import curve_columns
 from noisebudget.synodyne import synodyne_variational
 
@@ -61,6 +62,70 @@ def test_ql_added_noise_stays_finite_where_rho_squared_overflows(eps):
     asymptote = math.sqrt((1.0 - eps) / eps) / np.abs(rho[huge]) if eps < 1 else chim2[huge]
     np.testing.assert_array_equal(added[huge], asymptote)
     assert type(ql_added_noise(1e200, det)) is np.float64
+
+
+# rho**2 overflows from |rho| ~ 1.34e154, |chi_m|^4 underflows to 0 from
+# ~1e81, and p rho^2 |chi_m|^4 overflows on the way at 1e76 when p = 1e300
+HUGE_RHO = np.array([0.0, 3.0, -40.0, 1e76, -1e153, 1e154, 1.35e154, -1e200, 1.7e308])
+# each optimal readout: total = thermal + shot (+) (p/2) (a + b rho^2) |chi_m|^4,
+# as (a, b) and the order in which the view adds its three terms
+OPTIMAL_READOUTS = {
+    "psd_at_phi_opt": (psd_at_phi_opt, lambda eps: (1.0, 1.0 - eps), lambda t, s, r: t + s + r),
+    "synodyne_variational": (
+        synodyne_variational, lambda eps: (1.0 - eps, 1.0), lambda t, s, r: t + (s + r)
+    ),
+}
+
+
+@pytest.mark.parametrize("p", (1.0, 1e300))
+@pytest.mark.parametrize("eps", (0.35, 1.0))
+@pytest.mark.parametrize("readout", OPTIMAL_READOUTS)
+def test_optimal_readouts_stay_finite_where_rho_squared_overflows(readout, eps, p):
+    view, ab, add = OPTIMAL_READOUTS[readout]
+    (a, b), rho = ab(eps), HUGE_RHO
+    with np.errstate(over="ignore", invalid="ignore"):
+        chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
+        plain = 0.5 * p * (a + b * rho**2) * chim2**2
+    # the plain term is inf or nan, or |chi_m|^4 underflowed to 0
+    huge = ~np.isfinite(plain) | (chim2**2 == 0)
+    assert huge[:3].tolist() == [False] * 3 and huge[-4:].all()
+    thermal, shot = thermal_term(rho, 1.29), 1.0 / (2.0 * eps * p)
+    got = view(rho, p, Detection(eps), MechanicalMode(1.0, 1e-6, n_th=1.29))
+    # bit for bit the plain expression wherever it is finite and |chi_m|^4 is not 0
+    np.testing.assert_array_equal(got[~huge], add(thermal, shot, plain)[~huge])
+    # elsewhere the asymptote (p/2) (a / rho^4 + b / rho^2), in an order that
+    # neither overflows nor underflows before it must
+    r = rho[huge]
+    asymptote = 0.5 * (a * (p / r / r) / r / r + b * (p / r) / r)
+    np.testing.assert_allclose(got[huge], add(thermal[huge], shot, asymptote), rtol=1e-15)
+
+
+def test_optimal_readouts_at_huge_rho_and_power():
+    mode = MechanicalMode(1.0, 1e-6)
+    # the shot term 1/(2 eps p) alone is left at p = 1
+    assert psd_at_phi_opt(1e200, 1.0, Detection(1.0), mode) == 0.5
+    assert synodyne_variational(1e200, 1.0, Detection(1.0), mode) == 0.5
+    # at p = 1e300 the (p/2) (1 - eps) / rho^2 term dominates
+    got = psd_at_phi_opt(1e200, 1e300, Detection(0.5), mode)
+    assert got == pytest.approx(0.25e-100, rel=1e-15)
+    got = synodyne_variational(1e200, 1e300, Detection(0.5), mode)
+    assert got == pytest.approx(0.5e-100, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", (1.0, 1e300))
+@pytest.mark.parametrize("eps", (0.35, 1.0))
+def test_phi_opt_stays_finite_where_eps_p_rho_overflows(eps, p):
+    rho = HUGE_RHO
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = eps * p * rho * np.abs(chi_m_dimensionless(rho)) ** 2
+    huge = ~np.isfinite(plain)
+    assert huge.any() == (p > 1.0)
+    phi = phi_opt(rho, p, Detection(eps))
+    # bit for bit the plain expression wherever it is finite
+    np.testing.assert_array_equal(phi[~huge], np.arctan2(1.0, plain[~huge]))
+    # elsewhere cot(phi) = eps p rho |chi_m|^2 takes its asymptote eps p / rho
+    np.testing.assert_allclose(phi[huge], np.arctan2(1.0, eps * (p / rho[huge])), rtol=1e-15)
+    assert phi_opt(1e200, 1e300, Detection(0.5)) == pytest.approx(2e-100, rel=1e-15)
 
 
 @pytest.mark.parametrize("eps", (5e-324, 1e-310, 5.5e-309, 5.6e-309, 1e-306, 1e-300))
