@@ -128,6 +128,16 @@ def chi_m_dimensionless(rho):
     return 1.0 / (1.0 - 1j * np.asarray(rho))
 
 
+def chi_m_parts(rho):
+    """(|chi_m|, rho |chi_m|) = (1, rho) / hypot(1, rho), the two factors every
+    |chi_m|^2 term is built from.  Both are at most 1 in magnitude and neither
+    overflows at any finite rho; a term puts its large factor (p, n_th + 1/2,
+    cot phi) between two of them, so no partial product overflows, or
+    underflows before the term itself does."""
+    h = np.hypot(1.0, rho)
+    return 1.0 / h, rho / h
+
+
 def chi_c(omega, cav: OpticalCavity):
     """Cavity susceptibility chi_c(omega) = 1/(kappa/2 - i omega)."""
     return 1.0 / (cav.kappa / 2.0 - 1j * np.asarray(omega))

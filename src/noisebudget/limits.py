@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    Detection, MechanicalMode, check_angle, check_finite, check_positive, chi_m_dimensionless,
-    cot,
+    Detection, MechanicalMode, check_angle, check_finite, check_positive, chi_m_parts, cot,
 )
 from .errors import ParameterError
 from .spectra import homodyne_terms, point_view, residual_backaction, thermal_term
@@ -46,15 +45,8 @@ def sql_psd(rho):
     """Dimensionless SQL added-noise PSD, |chi_m(rho)| = 1/sqrt(1 + rho^2).
 
     Multiply by S_sql(omega_m) = 2 x_zp^2 / gamma for absolute units.
-    Where rho^2 overflows float64 (|rho| above about 1.34e154) the value is
-    1/|rho|, which sqrt(1 + rho^2) = |rho| makes exact there.
     """
-    rho = np.asarray(rho)
-    with np.errstate(over="ignore"):
-        psd = np.asarray(1.0 / np.sqrt(1.0 + rho**2))
-    huge = psd == 0  # exactly where rho^2 overflowed, or rho is infinite
-    psd[huge] = 1.0 / np.abs(rho[huge])
-    return psd[()]
+    return chi_m_parts(rho)[0]
 
 
 @point_view
@@ -66,10 +58,8 @@ def phi_opt(rho, p, det: Detection):
     """
     check_finite("rho", rho)
     check_positive("p", p)
-    chi = chi_m_dimensionless(rho)
-    c = det.epsilon * p * rho * np.abs(chi) ** 2
-    # where eps p rho overflows, Im(chi_m) = rho |chi_m|^2 keeps the product finite
-    return np.arctan2(1.0, np.where(np.isfinite(c), c, det.epsilon * (p * chi.imag)))
+    chi, rho_chi = chi_m_parts(rho)
+    return np.arctan2(1.0, chi * (det.epsilon * p) * rho_chi)
 
 
 @point_view
@@ -92,29 +82,13 @@ def psd_at_phi_opt(
 
 
 def ql_added_noise(rho, det: Detection):
-    """Probe-added noise at the QL: sqrt(1/eps + (1-eps)/eps rho^2) |chi_m|^2.
-
-    Where that expression overflows float64 the value is, at eps = 1,
-    |chi_m|^2, which the formula gives everywhere else; below eps = 2^-53,
-    where 1 - eps rounds to 1 and 1/eps itself may overflow, sql_psd(rho) /
-    sqrt(eps), at most 1/sqrt(5e-324) = 4.5e161; and at any other eps the
-    asymptote sqrt((1-eps)/eps) / |rho|, since the overflow then needs
-    |rho| > 1e146.
-    """
+    """Probe-added noise at the QL: sqrt(1/eps + (1-eps)/eps rho^2) |chi_m|^2,
+    as sqrt(|chi_m|^2 + (1-eps) (rho |chi_m|)^2) |chi_m| / sqrt(eps), at most
+    1/sqrt(eps) <= 4.5e161."""
     check_finite("rho", rho)
     eps = det.epsilon
-    rho = np.asarray(rho)
-    chim2 = np.asarray(np.abs(chi_m_dimensionless(rho)) ** 2)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        added = np.asarray(np.sqrt(1.0 / eps + (1.0 - eps) / eps * rho**2) * chim2)
-        huge = ~np.isfinite(added)  # inf * |chi_m|^2, or 0 * inf at eps = 1
-        if eps == 1.0:
-            added[huge] = chim2[huge]
-        elif 1.0 - eps == 1.0:
-            added[huge] = sql_psd(rho[huge]) / math.sqrt(eps)
-        else:
-            added[huge] = math.sqrt((1.0 - eps) / eps) / np.abs(rho[huge])
-    return added[()]
+    chi, rho_chi = chi_m_parts(rho)
+    return np.sqrt(chi * chi + (1.0 - eps) * (rho_chi * rho_chi)) * chi / math.sqrt(eps)
 
 
 @point_view

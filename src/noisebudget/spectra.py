@@ -28,7 +28,7 @@ from .core import (
     check_finite_fields,
     check_positive,
     chi_c,
-    chi_m_dimensionless,
+    chi_m_parts,
     cot,
 )
 from .errors import DivergenceError, ParameterError
@@ -105,27 +105,17 @@ def point_view(evaluate):
 
 def thermal_term(rho, n_th):
     """Thermal + zero-point motion s_m = 2 (n_th + 1/2) |chi_m|^2; broadcasts."""
-    return 2.0 * (n_th + 0.5) * np.abs(chi_m_dimensionless(rho)) ** 2
+    chi = chi_m_parts(rho)[0]
+    return chi * (2.0 * (n_th + 0.5)) * chi
 
 
 def residual_backaction(rho, p, a, b):
     """(p/2) (a + b rho^2) |chi_m|^4, the backaction a correlation-optimal
-    readout leaves; broadcasts over rho and p.
-
-    Where that expression overflows float64, or its |chi_m|^4 underflows to
-    0 (|rho| from about 1e81), the value is (p/2) (a Re(chi_m)^2 + b
-    Im(chi_m)^2) instead: the same quantity, as |chi_m|^2 = Re(chi_m) and
-    rho |chi_m|^2 = Im(chi_m), which tends to 1/rho and never overflows.
-    There p multiplies each factor before the next, so at p = 1e300 and
-    rho = 1e200 the (p/2) b / rho^2 term keeps its 1e-100 scale.
-    """
-    rho = np.asarray(rho)
-    chi = chi_m_dimensionless(rho)
-    chim4 = (np.abs(chi) ** 2) ** 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        plain = 0.5 * p * (a + b * rho**2) * chim4
-        safe = 0.5 * (a * (p * chi.real) * chi.real + b * (p * chi.imag) * chi.imag)
-    return np.where(np.isfinite(plain) & (chim4 > 0), plain, safe)
+    readout leaves, as |chi_m| (p/2) (a |chi_m|^2 + b (rho |chi_m|)^2) |chi_m|;
+    broadcasts over rho and p."""
+    chi, rho_chi = chi_m_parts(rho)
+    half = 0.5 * p
+    return chi * (a * (chi * half * chi) + b * (rho_chi * half * rho_chi)) * chi
 
 
 def budget_terms(rho, p, epsilon, n_th, imprecision, correlation, s_ln=0.0):
@@ -134,19 +124,21 @@ def budget_terms(rho, p, epsilon, n_th, imprecision, correlation, s_ln=0.0):
     s_m    = 2 (n_th + 1/2) |chi_m|^2
     s_ii   = imprecision / (2 eps p)
     s_ff   = (p/2) |chi_m|^2
-    s_corr = -correlation * |chi_m|^2
+    s_corr = -correlation |chi_m|
 
+    correlation already carries its other chi_m_parts factor: cot(phi)
+    rho |chi_m| in homodyne readout, a constant times |chi_m| in synodyne.
     Every argument broadcasts; the five terms come back as arrays of the
     common shape.  Nothing is checked here: the public evaluators check
     their arguments on entry.
     """
-    chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
+    chi = chi_m_parts(rho)[0]
     return SpectrumComponents(
         *np.broadcast_arrays(
             thermal_term(rho, n_th),
             imprecision / (2.0 * epsilon * p),
-            0.5 * p * chim2,
-            -correlation * chim2,
+            chi * (0.5 * p) * chi,
+            -correlation * chi,
             s_ln,
         )
     )
@@ -158,7 +150,7 @@ def homodyne_terms(rho, p, phi, epsilon: float, n_th: float, s_ln=0.0):
     broadcastable to the same shape.
     """
     c = cot(phi)
-    return budget_terms(rho, p, epsilon, n_th, 1.0 + c * c, c * rho, s_ln)
+    return budget_terms(rho, p, epsilon, n_th, 1.0 + c * c, c * chi_m_parts(rho)[1], s_ln)
 
 
 @point_view
@@ -183,15 +175,16 @@ def light_terms(rho, phi, p: float, epsilon: float, n_th: float):
     shot-noise divergence, so phi = 0 and pi are allowed (pure shot noise
     remains).  Components map to the displacement decomposition scaled by
     2 eps p sin^2(phi), with the imprecision term collapsing to exactly 1.
+    That scale is a second large factor in s_m and s_ff, so they are
+    squares of |chi_m| times the square roots of both factors.
     """
-    chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
-    s2 = np.sin(phi) ** 2
-    scale = 2.0 * epsilon * p * s2
+    chi, rho_chi = chi_m_parts(rho)
+    root = np.sqrt(2.0 * epsilon) * np.sqrt(p) * np.abs(np.sin(phi))
     return SpectrumComponents(
-        s_m=scale * thermal_term(rho, n_th),
+        s_m=(chi * (root * np.sqrt(2.0 * (n_th + 0.5)))) ** 2,
         s_ii=1.0,
-        s_ff=scale * 0.5 * p * chim2,
-        s_corr=-2.0 * epsilon * p * np.sin(phi) * np.cos(phi) * rho * chim2,
+        s_ff=(chi * (root * np.sqrt(0.5 * p))) ** 2,
+        s_corr=-(chi * (2.0 * epsilon * p * np.sin(phi) * np.cos(phi)) * rho_chi),
     )
 
 

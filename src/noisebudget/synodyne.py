@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .core import (
     Detection, MechanicalMode, check_finite, check_finite_fields, check_positive,
-    chi_m_dimensionless,
+    chi_m_parts,
 )
 from .errors import BranchPoleError, DivergenceError, ParameterError
 from .spectra import budget_terms, point_view, residual_backaction, thermal_term
@@ -84,7 +84,7 @@ def synodyne_terms(rho, p, lo: SynodyneLO, epsilon: float, n_th: float):
     alpha_a, alpha_p, ap2 = _checked_lo(lo)
     shot = (abs(alpha_a) ** 2 + ap2) / ap2
     corr = (alpha_a.conjugate() * alpha_p).imag / ap2
-    return budget_terms(rho, p, epsilon, n_th, shot, corr)
+    return budget_terms(rho, p, epsilon, n_th, shot, corr * chi_m_parts(rho)[0])
 
 
 @point_view
@@ -110,7 +110,8 @@ def beta_opt(
     """
     check_finite("rho", rho)
     check_positive("p", p)
-    x = det.epsilon * p * abs(chi_m_dimensionless(rho)) ** 2
+    chi = float(chi_m_parts(rho)[0])
+    x = chi * (det.epsilon * p) * chi
     if x == 1.0:
         raise BranchPoleError(
             "eps * p * |chi_m|^2 = 1: branch crossover pole, no optimal ratio"

@@ -6,7 +6,10 @@ reusing the package's spectral code paths.
 """
 
 import cmath
+import decimal
+import functools
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -156,3 +159,121 @@ def synodyne_ql(rho, eps, n_th):
     """The synodyne PSD at the optimal ratio and synodyne_p_opt:
     2 (n_th + 1/2) |chi_m|^2 + sqrt((1 - eps)/eps + rho^2/eps) |chi_m|^2."""
     return (2.0 * (n_th + 0.5) + math.sqrt((1.0 - eps) / eps + rho * rho / eps)) * chim2(rho)
+
+
+# --- 50-digit references for the |chi_m|^2 terms ------------------------------
+#
+# Each term in decimal arithmetic at 50 significant digits, from its float64
+# inputs taken exactly, so no partial result overflows or underflows (the
+# decimal exponent range is +-999999).  The package builds the same terms in
+# float64 from chi_m_parts; these are the values they must round to.
+
+DIGITS = decimal.Context(prec=50)
+
+
+def _decimal(term):
+    """Run term under DIGITS with each float argument as its exact Decimal."""
+
+    @functools.wraps(term)
+    def exact(*args):
+        with decimal.localcontext(DIGITS):
+            return term(*(Decimal(a) if isinstance(a, float) else a for a in args))
+
+    return exact
+
+
+def _sin_cos(x):
+    """(sin x, cos x) by their Taylor series; |x| <= 4 here."""
+    sin = cos = Decimal(0)
+    term, k = Decimal(1), 0  # x^k / k!
+    while abs(term) > Decimal("1e-70"):
+        if k % 4 == 0:
+            cos += term
+        elif k % 4 == 1:
+            sin += term
+        elif k % 4 == 2:
+            cos -= term
+        else:
+            sin -= term
+        k += 1
+        term = term * x / k
+    return sin, cos
+
+
+def _atan(x):
+    """arctan x: three argument halvings to |x| < 0.2, then its series."""
+    for _ in range(3):
+        x = x / (1 + (1 + x * x).sqrt())
+    total, power, k = Decimal(0), x, 0
+    while abs(power) > abs(x) * Decimal("1e-60"):
+        total += (-1) ** k * power / (2 * k + 1)
+        power *= x * x
+        k += 1
+    return 8 * total
+
+
+@_decimal
+def thermal_exact(rho, n_th):
+    """s_m = 2 (n_th + 1/2) / (1 + rho^2)."""
+    return 2 * (n_th + Decimal("0.5")) / (1 + rho * rho)
+
+
+@_decimal
+def homodyne_exact(rho, p, phi):
+    """(s_ff, s_corr) of homodyne readout: (p/2) / (1 + rho^2) and
+    -cot(phi) rho / (1 + rho^2)."""
+    sin, cos = _sin_cos(phi)
+    return p / 2 / (1 + rho * rho), -cos / sin * rho / (1 + rho * rho)
+
+
+@_decimal
+def synodyne_corr_exact(rho, corr):
+    """s_corr = -corr / (1 + rho^2) of a two-tone LO with correlation coefficient corr."""
+    return -corr / (1 + rho * rho)
+
+
+@_decimal
+def light_exact(rho, phi, p, eps, n_th):
+    """(s_m, s_ff, s_corr) of the light PSD: 2 eps p sin^2(phi) times the
+    displacement terms, and -2 eps p sin cos rho / (1 + rho^2)."""
+    sin, cos = _sin_cos(phi)
+    x2 = 1 / (1 + rho * rho)
+    scale = 2 * eps * p * sin * sin
+    return scale * 2 * (n_th + Decimal("0.5")) * x2, scale * p / 2 * x2, -2 * eps * p * sin * cos * rho * x2
+
+
+@_decimal
+def residual_backaction_exact(rho, p, a, b):
+    """(p/2) (a + b rho^2) / (1 + rho^2)^2."""
+    return p / 2 * (a + b * rho * rho) / (1 + rho * rho) ** 2
+
+
+@_decimal
+def sql_exact(rho):
+    """1 / sqrt(1 + rho^2)."""
+    return 1 / (1 + rho * rho).sqrt()
+
+
+@_decimal
+def ql_added_exact(rho, eps):
+    """sqrt(1/eps + (1 - eps)/eps rho^2) / (1 + rho^2)."""
+    return (1 / eps + (1 - eps) / eps * rho * rho).sqrt() / (1 + rho * rho)
+
+
+@_decimal
+def phi_opt_exact(rho, p, eps):
+    """The angle in (0, pi) whose cotangent is eps p rho / (1 + rho^2)."""
+    c = eps * p * rho / (1 + rho * rho)
+    if abs(c) <= 1:
+        return 2 * _atan(Decimal(1)) - _atan(c)
+    return _atan(1 / c) + (0 if c > 0 else 4 * _atan(Decimal(1)))
+
+
+@_decimal
+def beta_opt_exact(rho, p, eps):
+    """(1 + x) / |1 - x| with x = eps p / (1 + rho^2), and its condition
+    number 2 x / |1 - x^2|; both infinite at the pole x = 1."""
+    x = eps * p / (1 + rho * rho)
+    if x == 1:
+        return Decimal("Infinity"), Decimal("Infinity")
+    return (1 + x) / abs(1 - x), 2 * x / abs(1 - x * x)

@@ -436,6 +436,11 @@ LATIN1_CSV = b"frequency_hz,psd_shotnoise_units\n1.0,2.0\n\xff3.0,4.0\n"
 LATIN1_CSV_LINE = "error: {tmp}/s.csv: byte 0xff at offset 41 is not UTF-8\n"
 # 1/epsilon overflows; the QL added noise is at most 1/sqrt(5e-324) = 4.5e161
 SUBNORMAL_EPS_CONFIG = TINY_CONFIG + "epsilon = 5e-324\n"
+# |chi_m|^2 = 1e-400 underflows at rho = +-1e200, but p |chi_m|^2 and
+# n_th |chi_m|^2 do not
+FAR_GRID = "rho_min = -1e200\nrho_max = 1e200\nrho_count = 3\nangles_deg = 90\nepsilon = 0.5\n"
+FAR_BACKACTION_CONFIG = FAR_GRID + "powers = 1e300\n"
+FAR_THERMAL_CONFIG = FAR_GRID + "powers = 1\nn_th = 1e300\n"
 
 # (config text or bytes, a dict of such by file name, or None; argv with
 # {cfg} and {tmp}; exit code; stderr with {cfg} and {tmp}, or None)
@@ -469,7 +474,23 @@ PROCESS_CASES = {
         ["--config", "{cfg}", "calibrate"], 2, LATIN1_CSV_LINE,
     ),
     "limits-subnormal-epsilon": (SUBNORMAL_EPS_CONFIG, ["--config", "{cfg}", "limits"], 0, ""),
+    "spectrum-far-backaction": (FAR_BACKACTION_CONFIG, ["--config", "{cfg}", "spectrum"], 0, ""),
+    "spectrum-far-thermal": (FAR_THERMAL_CONFIG, ["--config", "{cfg}", "spectrum"], 0, ""),
+    "limits-far-thermal": (FAR_THERMAL_CONFIG, ["--config", "{cfg}", "limits"], 0, ""),
 }
+# (table, {column: value}) of a case's stdout CSV at its rows with |rho| = 1e200
+FAR_ROWS = {
+    "spectrum-far-backaction": ("sweep", {"s_ff": 5e-101, "total_over_sql": 5e99}),
+    "spectrum-far-thermal": ("sweep", {"s_m": 2e-100}),
+    "limits-far-thermal": ("ql", {"s_m": 2e-100, "total_over_sql": 2e100}),
+}
+
+
+def _stdout_table(out, name):
+    """Rows of the table after the `# --- name ---` line of CSV stdout, as dicts."""
+    lines = out.split(f"# --- {name} ---\n")[1].split("# --- ")[0].splitlines()
+    header, *rows = [line for line in lines if not line.startswith("#")]
+    return [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
 
 
 @pytest.mark.parametrize("case", PROCESS_CASES)
@@ -496,6 +517,12 @@ def test_cli_process_matches_main_in_process(tmp_path, capsys, case):
     assert proc.stderr.decode() == err
     if stderr is not None:
         assert err == stderr.format(cfg=cfg, tmp=tmp_path)
+    if case in FAR_ROWS:
+        name, want = FAR_ROWS[case]
+        far = [row for row in _stdout_table(out, name) if abs(row["rho"]) == 1e200]
+        assert len(far) == 2
+        for row in far:
+            assert {c: row[c] for c in want} == pytest.approx(want, rel=1e-15, abs=0)
 
 
 # float64 edge values: signed zeros, subnormals, and magnitudes whose

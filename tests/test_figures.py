@@ -113,28 +113,28 @@ def test_power_axis_figures_have_power_minimum():
 
 
 # sha256 of `noisebudget --format <fmt> reproduce-figure <id>` on stdout,
-# recorded from the hand-written figure builders.  The stdout text carries a
-# `# --- <curve> ---` line before each table, so the hashes also pin the
-# curve names and their order.
+# recorded once every |chi_m|^2 term was built from core.chi_m_parts.  The
+# stdout text carries a `# --- <curve> ---` line before each table, so the
+# hashes also pin the curve names and their order.
 FIGURE_SHA256 = {
-    ("1a", "csv"): "5a52510bed1d6bf2851d94b4274f13fb8b6985dca9c00e6e8458779e067e5e6b",
-    ("1a", "jsonl"): "da19b7c1366dbe8306b378bc3c5b8adc5bd95848cfd81ca5787a7c71b01372dd",
-    ("1b", "csv"): "02eae22ae22bacd25b619abb620fcf20bab0f6618f36d30bc9df3553d4963c81",
-    ("1b", "jsonl"): "00285b9d4e90ccb8515c8f6fb2ee2f487cfc5cdfd3bf9c9c074c29f7f419ea64",
-    ("1d", "csv"): "47f92e92c3423509d8408e915f5e2af9d68f36f4ef060ef24502bf63104d52fa",
-    ("1d", "jsonl"): "a7f5f436bdc0786818a3f5780d562e3a098eaf9133b18ea9ecdea1348d97684c",
-    ("2a-model", "csv"): "10c5ecd692713239a42dd6dc0f96bb7561681ac0a6f9ae7e828a3f2ebcd0f06b",
-    ("2a-model", "jsonl"): "c2f591b96350f1076ea51604188eb6c70caafc9175bad11f9b4035fdd08b8fbe",
-    ("2b-model", "csv"): "afae45fc5dfb287135f2aaa1b14f940d866ef4aef10e43a8ba8d6e80de4386d7",
-    ("2b-model", "jsonl"): "24898eeda7457a5c9aaf7f5e57d7b9a1476e9ebd426e132a6a325c43a9328037",
-    ("3a-model", "csv"): "5d3c50c221cc9d3735ef1b3e3a62a470dfb833c66f9a7b1856de2f7c257d3b35",
-    ("3a-model", "jsonl"): "b75f9f522aae36a59b88cb5d6036b47fe78bd34d1bbf290bbbae98b44254efca",
-    ("3b-model", "csv"): "7eff388bf47ba95eec768cdf8ef96c892d52405c9621c3f3055ca02941370145",
-    ("3b-model", "jsonl"): "c51941b33dcaa27cb8e29d8ae217dd4d069428fd282f3236dbc5bc7324737f67",
-    ("S2a", "csv"): "61658583cee47836ce1b9e25d9d923a1ca20512627167e3c5b72cbaac767a09f",
-    ("S2a", "jsonl"): "f5df195f5170173cab5f234e56ba3d08da029be50b5170229af7a04b8d5ef24c",
-    ("S2b", "csv"): "85525db0bbc78cc352850ffd31ef00c6506f9d3dd762410d7f059225fd917e37",
-    ("S2b", "jsonl"): "45faac95dd81d036bdf4c5a3df3971bb5221990ca2ad3e9b23fc2930df39efd9",
+    ("1a", "csv"): "3dae6c825fdc8d2104b53ed139418cf3d423ebe3c59512c383de4dfef24932df",
+    ("1a", "jsonl"): "87ecb2422e88ff10e7965edafe92fbebf061239b296ed476537fbce79ffa406d",
+    ("1b", "csv"): "70f6230ed1ec6136b7c7dd7b2fcf5ec88af67870a1785c0bdfb3ccbd0a72edc2",
+    ("1b", "jsonl"): "43ddac9c84aafec9b42991b6697b97f54eccba4094bcc63d7c721576df943aac",
+    ("1d", "csv"): "38e411047c57daf93aa4824ae7c4655a4f572b773b667138de9c63943a254171",
+    ("1d", "jsonl"): "46cd765acd79cfc166d9efa53e069567e636707cea1deba0d4c0524cdc7a27fd",
+    ("2a-model", "csv"): "a6ee91939c7376d14ad905ce7138e5b4ae71458fbd5d979cf02391a6f1ac57f9",
+    ("2a-model", "jsonl"): "9f43a75b492ac6e6fbb26f21ea89a67ba69b5e0214f3ac6133884e0e246a4071",
+    ("2b-model", "csv"): "cacb458245ac850e4fe6d9f586cb77fa662da3e420b06837222f69d0f8f49703",
+    ("2b-model", "jsonl"): "aa674d6b750c7dc54843b00f42fcd75d1bbd7c087734cef9bc0cba74a9e5035d",
+    ("3a-model", "csv"): "a882e1ad5a8e2a7c2949201c8099635cb0fe35072cd9577e3a2e283c60a320a8",
+    ("3a-model", "jsonl"): "8690f7547aff763aed6992dc2a1198b45938881a618d92fb8653d08bf40c3f19",
+    ("3b-model", "csv"): "9f1b3c86ea2f77e90612e154674aa4c49e069e7e0c2e0ee4117e7135fc7bfe51",
+    ("3b-model", "jsonl"): "04801fe75e9b2af5bd66d49227d41c389701aeca40fc59ed5f963cab050e756d",
+    ("S2a", "csv"): "f8a66919400173c56d052642aeef48379f1cc2f05e9b141d9a7ff269d0d69e6a",
+    ("S2a", "jsonl"): "4855d0c934de74c6c4d0b124c92182c35e633dfb0f4ea0a02b27713b964ba988",
+    ("S2b", "csv"): "80a85e91d3c49cdce3d514f662c55c2cd96c4f1e41993ee951d6c4f1d05f1142",
+    ("S2b", "jsonl"): "14cf7cb1dfce054615edf6c641025b84879103c82f14c3e652148e70d0bb2092",
 }
 
 

@@ -1,7 +1,8 @@
 """Documented invariants of the noise budget, checked over drawn
 (rho, p, phi, epsilon, n_th) rather than at hand-picked points.  The
 tolerances are those of the point tests in test_spectra, test_limits and
-test_synodyne."""
+test_synodyne, but for the |chi_m|^2 terms, held to TERM_TOL of the 50-digit
+oracles out to float64's largest rho."""
 
 import math
 
@@ -10,11 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from noisebudget import (
-    ClassicalNoise, Detection, MechanicalMode, OpticalCavity, chi_m_dimensionless, omega_from_rho,
+    ClassicalNoise, Detection, MechanicalMode, OpticalCavity, beta_opt,
+    chi_m_dimensionless, omega_from_rho, phi_opt, sql_psd,
 )
-from noisebudget.limits import quadrature_order, uncertainty_product
-from noisebudget.spectra import classical_noise_displacement, classical_noise_psd, homodyne_terms
+from noisebudget.errors import BranchPoleError
+from noisebudget.limits import ql_added_noise, quadrature_order, uncertainty_product
+from noisebudget.spectra import (
+    classical_noise_displacement, classical_noise_psd, homodyne_terms, light_terms,
+    residual_backaction, thermal_term,
+)
 from noisebudget.sweep import COLUMNS, curve_columns, spectrum_columns
 from noisebudget.synodyne import SynodyneLO, synodyne_terms
 
@@ -131,3 +138,77 @@ def test_stitched_is_the_pointwise_minimum_over_its_angles(case):
         assert stitched["phi_used"][i] == angles[chosen]
         for c in COLUMNS:
             assert stitched[c][i] == fixed[c][i, chosen], c
+
+
+def _log_uniform(low, high):
+    """Floats 10**e for e uniform in [log10(low), log10(high)], kept <= high."""
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: min(10.0**e, high))
+
+
+far_points = st.tuples(
+    st.one_of(st.just(0.0), st.sampled_from((1e200, 1.7976931348623157e308)),
+              _log_uniform(1e-10, 1.7976931348623157e308)),  # |rho|
+    st.sampled_from((1.0, -1.0)),  # sign of rho
+    _log_uniform(1e-10, 1e300),  # p
+    st.one_of(st.just(0.0), _log_uniform(1e-10, 1e300)),  # n_th
+    st.one_of(st.just(1.0), st.just(5e-324), _log_uniform(5e-324, 1.0)),  # epsilon
+    st.floats(1e-6, math.pi - 1e-6),  # phi, rad
+    _log_uniform(0.1, 10.0),  # synodyne beta
+)
+# every |chi_m|^2 term is within TERM_TOL relative of its 50-digit value,
+# with float64's smallest normal number as the floor of the scale
+TERM_TOL = 8 * oracles.Decimal(np.finfo(float).eps)
+TINY = oracles.Decimal(np.finfo(float).tiny)
+
+
+def _close(got, want, tol=TERM_TOL):
+    return abs(oracles.Decimal(float(got)) - want) <= tol * (abs(want) + TINY)
+
+
+@settings(max_examples=500, deadline=None)
+@given(far_points)
+@np.errstate(over="ignore", divide="ignore")  # s_ii = 1/(2 eps p) may overflow; no term checked here
+def test_chi_m_terms_match_their_50_digit_values_out_to_float64_max(point):
+    size, sign, p, n_th, eps, phi, beta = point
+    rho, det = sign * size, Detection(eps)
+    p = np.float64(p)  # so that an overflowing s_ii is inf, not a ZeroDivisionError
+    x = np.array([rho])
+    want_ff, want_corr = oracles.homodyne_exact(rho, p, phi)
+    homodyne = homodyne_terms(x, p, phi, eps, n_th)
+    lo = SynodyneLO(beta, phi)
+    corr = -synodyne_terms(0.0, 1.0, lo, 1.0, 0.0).s_corr  # the coefficient as rounded
+    synodyne = synodyne_terms(x, p, lo, eps, n_th)
+    checks = {
+        "thermal": (thermal_term(x, n_th)[0], oracles.thermal_exact(rho, n_th)),
+        "homodyne s_m": (homodyne.s_m[0], oracles.thermal_exact(rho, n_th)),
+        "homodyne s_ff": (homodyne.s_ff[0], want_ff),
+        "homodyne s_corr": (homodyne.s_corr[0], want_corr),
+        "synodyne s_ff": (synodyne.s_ff[0], want_ff),
+        "synodyne s_corr": (synodyne.s_corr[0], oracles.synodyne_corr_exact(rho, corr)),
+        "residual (1, 1 - eps)": (
+            residual_backaction(x, p, 1.0, 1.0 - eps)[0],
+            oracles.residual_backaction_exact(rho, p, 1.0, 1.0 - eps),
+        ),
+        "residual (1 - eps, 1)": (
+            residual_backaction(x, p, 1.0 - eps, 1.0)[0],
+            oracles.residual_backaction_exact(rho, p, 1.0 - eps, 1.0),
+        ),
+        "sql": (sql_psd(rho), oracles.sql_exact(rho)),
+        "ql": (ql_added_noise(rho, det), oracles.ql_added_exact(rho, eps)),
+        "phi_opt": (phi_opt(rho, p, det), oracles.phi_opt_exact(rho, p, eps)),
+    }
+    light = light_terms(x, phi, p, eps, n_th)
+    for name, got, want in zip(("s_m", "s_ff", "s_corr"), (light.s_m, light.s_ff, light.s_corr),
+                               oracles.light_exact(rho, phi, p, eps, n_th)):
+        if abs(want) < 1e300:  # above, the light term itself overflows float64
+            checks[f"light {name}"] = (got[0], want)
+    for name, (got, want) in checks.items():
+        assert math.isfinite(got), name
+        assert _close(got, want), (name, float(got), float(want))
+    want, condition = oracles.beta_opt_exact(rho, p, eps)
+    try:
+        got = beta_opt(rho, p, det)
+    except BranchPoleError:  # eps p |chi_m|^2 rounds to 1
+        assert condition > 1e15
+    else:
+        assert _close(got, want, TERM_TOL * (1 + condition)), ("beta_opt", got, float(want))

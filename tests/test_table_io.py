@@ -174,10 +174,10 @@ LIMITS_CONFIG = (
     "powers = 14\nangles_deg = 90\nepsilon = 0.35\nn_th = 1.29\n"
 )
 # sha256 of `noisebudget --config <LIMITS_CONFIG> --format <fmt> limits` on
-# stdout, recorded from the per-row json.dumps writer
+# stdout, recorded once every |chi_m|^2 term was built from core.chi_m_parts
 LIMITS_SHA256 = {
-    "csv": "8b25bb3531e96a95b90bd7cc2201cd1ec639b8687e47ea1d64d3add18eed0321",
-    "jsonl": "064e424af039f4435c41b938c4263099f0f9cc6e63774ae1048ca60ad26a9fd2",
+    "csv": "ba11f94d5d7945e8117527d4df0978cefab02b47dc6d1af3772ff6271a90a77a",
+    "jsonl": "33bd1dfbde78613ac0842246a7f19d33b2ab1f747fc64ea5d731ad1b11fe0125",
 }
 
 
@@ -256,22 +256,20 @@ SPECTRUM_CONFIGS = {
     "stitched-noise": STITCHED_CONFIG + CLASSICAL_NOISE,
 }
 # sha256 of `noisebudget --config <config> --format <fmt> spectrum` on
-# stdout; stitched csv was recorded from the writer that formatted every cell
-# of every row, the others from the evaluator that each readout had before
-# sweeps, limits and figures shared sweep.curve_columns
+# stdout, recorded once every |chi_m|^2 term was built from core.chi_m_parts
 SPECTRUM_SHA256 = {
-    ("stitched", "csv"): "0bd8e9f34d6d06a41b2eabe8810c5ed5cef5b72625d460f3f2de6f0bd76fe193",
-    ("stitched", "jsonl"): "4fc30165faa5d2d2c049b84bb9411ce30d09753bc93e925fa4af01bb3cd51e50",
-    ("homodyne-linear", "csv"): "19eaaf2fb4eae08cd52e8092d2549e194d0623141e7952bac4686e536f7126ed",
-    ("homodyne-linear", "jsonl"): "1618dd60ce50cb6e028f83e30af741df12be2aa6087345e0fe85fd88d2a9714f",
-    ("homodyne-log-symmetric", "csv"): "752ebf653fd2a0243d837633584ab810cc37078443742ccf119569db4ea11321",
-    ("homodyne-log-symmetric", "jsonl"): "dc20bc92bb77e22a077389c6dc5006198a81f1fb7361e5449f00aed466e751c5",
-    ("variational", "csv"): "2e4a90976e02e6b444f5b685edb787ab3b64ec2a1e7e7372cf92560e7a472d05",
-    ("variational", "jsonl"): "a71a395c2b6e529a88dc6f0c2f4c6a93ca91c5e87051d5a0045ef806a0560c74",
-    ("synodyne", "csv"): "702ffc3e6ec1e0d245a368aa7d8e14ad11659c489caa4e35aea4edaad3104473",
-    ("synodyne", "jsonl"): "2b9ddc7c70ae5ed266e2987c48f2f02bfbab7a25bde8a222db7157586670b706",
-    ("stitched-noise", "csv"): "9094a22215cadc27473e38115cb9ff560d253c0445cfa17896731ab9e162fceb",
-    ("stitched-noise", "jsonl"): "5fdfcc01b30396844fd7f2d4eae28f3aae0d28907f0142608a2bc40d4740ee07",
+    ("stitched", "csv"): "29200d3a696f30ed015b671f858af54a6fe9b0d94ba25dc96cd2f0d8652f17f5",
+    ("stitched", "jsonl"): "c61e8ac1de794a045c7740165ffbb43d9a67d58fbac82e9fbc983431cccb7394",
+    ("homodyne-linear", "csv"): "aaa96df0426f45edc2196cbf9d851b3ad4492881f515c54c0dda71785ec18941",
+    ("homodyne-linear", "jsonl"): "474e855a82196c7d0a3b25ee3ab515fa5d159b3df8f6abe916f1bcced3c8bf02",
+    ("homodyne-log-symmetric", "csv"): "8eb004d827573b713b868e682d61a342e55b145cdacd2dc1995c4901f1e5bb45",
+    ("homodyne-log-symmetric", "jsonl"): "374b28e0f3a3c5fa9fdf5b8b5d62c48bc80c76d326bf417b0a48f5b8ce73aac6",
+    ("variational", "csv"): "a54590fbf61ae9cf009d9cb24d9dedecf81027f84f6c7c2ae13151c5ee82733c",
+    ("variational", "jsonl"): "f0705596942954d21bd54c526c7498857b7d763b9754f5cc0ebecd4042bd8933",
+    ("synodyne", "csv"): "e5f47d4fb6ba760863dcd3e3f6f4d96cc2f1bdfa55a89db3bf4a34b837128986",
+    ("synodyne", "jsonl"): "e7d9cc567dfda0f6b55fd2c4841326adffd15b0bcb2c98e7e60f0d97b44c60ca",
+    ("stitched-noise", "csv"): "e3014db06bbceea234476fbfe8f06a95c55ac3a3d07272457e590ee32d66e79d",
+    ("stitched-noise", "jsonl"): "bf62fdc5bc8995707638d443e251622fea85472e48eee721ab266ad984ebbd05",
 }
 
 
