@@ -51,14 +51,14 @@ def test_optimal_readouts_at_huge_rho_and_power():
     assert synodyne_variational(1e200, 1.0, Detection(1.0), mode) == 0.5
     # at p = 1e300 the (p/2) (1 - eps) / rho^2 term dominates
     got = psd_at_phi_opt(1e200, 1e300, Detection(0.5), mode)
-    assert got == pytest.approx(0.25e-100, rel=1e-15)
+    assert got == pytest.approx(0.25e-100, rel=1e-15, abs=0)
     got = synodyne_variational(1e200, 1e300, Detection(0.5), mode)
-    assert got == pytest.approx(0.5e-100, rel=1e-15)
+    assert got == pytest.approx(0.5e-100, rel=1e-15, abs=0)
 
 
 def test_phi_opt_and_ql_far_off_resonance():
     # cot(phi_opt) = eps p rho |chi_m|^2 tends to eps p / rho
-    assert phi_opt(1e200, 1e300, Detection(0.5)) == pytest.approx(2e-100, rel=1e-15)
+    assert phi_opt(1e200, 1e300, Detection(0.5)) == pytest.approx(2e-100, rel=1e-15, abs=0)
     # 1 - eps rounds to 1 at a subnormal eps: the QL added noise is
     # |chi_m| / sqrt(eps), at most 1/sqrt(5e-324) = 4.5e161 at rho = 0
     rho = np.array([0.0, 3.0, -40.0, 1e5, 1e200, -1.7e308])
