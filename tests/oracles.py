@@ -169,6 +169,15 @@ def synodyne_ql(rho, eps, n_th):
 # float64 from chi_m_parts; these are the values they must round to.
 
 DIGITS = decimal.Context(prec=50)
+# a float64 term is within TERM_TOL relative of its 50-digit value, with
+# float64's smallest normal number as the floor of the scale
+TERM_TOL = 8 * Decimal(np.finfo(float).eps)
+TINY = Decimal(np.finfo(float).tiny)
+
+
+def close(got, want, tol=TERM_TOL):
+    """Whether the float got is within tol relative of the Decimal want."""
+    return abs(Decimal(float(got)) - want) <= tol * (abs(want) + TINY)
 
 
 def _decimal(term):
@@ -246,6 +255,13 @@ def light_exact(rho, phi, p, eps, n_th):
 def residual_backaction_exact(rho, p, a, b):
     """(p/2) (a + b rho^2) / (1 + rho^2)^2."""
     return p / 2 * (a + b * rho * rho) / (1 + rho * rho) ** 2
+
+
+@_decimal
+def optimal_readout_exact(rho, p, eps, n_th, a, b):
+    """The total of a correlation-optimal readout: the thermal term, the shot
+    term 1/(2 eps p) and the residual backaction (p/2) (a + b rho^2) / (1 + rho^2)^2."""
+    return thermal_exact(rho, n_th) + 1 / (2 * eps * p) + residual_backaction_exact(rho, p, a, b)
 
 
 @_decimal

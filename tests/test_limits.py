@@ -20,7 +20,7 @@ from noisebudget import (
     uncertainty_product,
 )
 from noisebudget.limits import fixed_angle_spectrum, ql_added_noise, stitch_quadratures
-from noisebudget.spectra import homodyne_terms
+from noisebudget.spectra import homodyne_terms, residual_backaction, thermal_term
 from noisebudget.sweep import curve_columns
 from noisebudget.synodyne import synodyne_variational
 
@@ -44,6 +44,66 @@ def test_sql_psd_stays_finite_where_rho_squared_overflows():
     np.testing.assert_array_equal(sql_psd(np.concatenate([finite, huge])), expected)
 
 
+@pytest.mark.parametrize("eps", (0.35, 1.0))
+def test_ql_added_noise_stays_finite_where_rho_squared_overflows(eps):
+    det = Detection(eps)
+    rho = np.array([0.0, 3.0, 1e153, -1.3e153, 1e154, 1.35e154, -1e300, 1.7e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
+        plain = np.sqrt(1.0 / eps + (1.0 - eps) / eps * rho**2) * chim2
+    # (1-eps)/eps rho^2 overflows from |rho| ~ 1e154 at eps = 0.35 (rho^2 alone
+    # from 1.34e154), and the plain expression is then inf or nan
+    huge = ~np.isfinite(plain)
+    assert huge.tolist() == [False] * 4 + [eps < 1] + [True] * 3
+    added = ql_added_noise(rho, det)
+    # finite and within TERM_TOL of the 50-digit value, on both sides of the overflow
+    assert np.isfinite(added).all()
+    for r, got in zip(rho, added):
+        assert oracles.close(got, oracles.ql_added_exact(r, eps)), (r, got)
+    assert type(ql_added_noise(1e200, det)) is np.float64
+
+
+# rho**2 overflows from |rho| ~ 1.34e154, |chi_m|^4 underflows to 0 from
+# ~1e81, and p rho^2 |chi_m|^4 overflows on the way at 1e76 when p = 1e300
+HUGE_RHO = np.array([0.0, 3.0, -40.0, 1e76, -1e153, 1e154, 1.35e154, -1e200, 1.7e308])
+# each optimal readout: total = thermal + shot (+) (p/2) (a + b rho^2) |chi_m|^4,
+# as (a, b) and the order in which the view adds its three terms
+OPTIMAL_READOUTS = {
+    "psd_at_phi_opt": (psd_at_phi_opt, lambda eps: (1.0, 1.0 - eps), lambda t, s, r: t + s + r),
+    "synodyne_variational": (
+        synodyne_variational, lambda eps: (1.0 - eps, 1.0), lambda t, s, r: t + (s + r)
+    ),
+}
+
+
+@pytest.mark.parametrize("p", (1.0, 1e300))
+@pytest.mark.parametrize("eps", (0.35, 1.0))
+@pytest.mark.parametrize("readout", OPTIMAL_READOUTS)
+def test_optimal_readouts_stay_finite_where_rho_squared_overflows(readout, eps, p):
+    view, ab, add = OPTIMAL_READOUTS[readout]
+    (a, b), rho = ab(eps), HUGE_RHO
+    with np.errstate(over="ignore", invalid="ignore"):
+        chim2 = np.abs(chi_m_dimensionless(rho)) ** 2
+        plain = 0.5 * p * (a + b * rho**2) * chim2**2
+    # the plain term is inf or nan, or |chi_m|^4 underflowed to 0
+    huge = ~np.isfinite(plain) | (chim2**2 == 0)
+    assert huge[:3].tolist() == [False] * 3 and huge[-4:].all()
+    thermal, shot = thermal_term(rho, 1.29), 1.0 / (2.0 * eps * p)
+    got = view(rho, p, Detection(eps), MechanicalMode(1.0, 1e-6, n_th=1.29))
+    # the view adds its three terms in its documented order
+    residual = residual_backaction(rho, p, a, b)
+    np.testing.assert_array_equal(got, add(thermal, shot, residual))
+    # finite and within TERM_TOL of the 50-digit total at every rho
+    assert np.isfinite(got).all()
+    for r, total in zip(rho, got):
+        assert oracles.close(total, oracles.optimal_readout_exact(r, p, eps, 1.29, a, b)), (r, total)
+    # where the plain term fails, the asymptote (p/2) (a / rho^4 + b / rho^2),
+    # in an order that neither overflows nor underflows before it must
+    r = rho[huge]
+    asymptote = 0.5 * (a * (p / r / r) / r / r + b * (p / r) / r)
+    np.testing.assert_allclose(got[huge], add(thermal[huge], shot, asymptote), rtol=1e-15)
+
+
 def test_optimal_readouts_at_huge_rho_and_power():
     mode = MechanicalMode(1.0, 1e-6)
     # the shot term 1/(2 eps p) alone is left at p = 1
@@ -56,17 +116,36 @@ def test_optimal_readouts_at_huge_rho_and_power():
     assert got == pytest.approx(0.5e-100, rel=1e-15, abs=0)
 
 
-def test_phi_opt_and_ql_far_off_resonance():
-    # cot(phi_opt) = eps p rho |chi_m|^2 tends to eps p / rho
+@pytest.mark.parametrize("p", (1.0, 1e300))
+@pytest.mark.parametrize("eps", (0.35, 1.0))
+def test_phi_opt_stays_finite_where_eps_p_rho_overflows(eps, p):
+    rho = HUGE_RHO
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = eps * p * rho * np.abs(chi_m_dimensionless(rho)) ** 2
+    huge = ~np.isfinite(plain)
+    assert huge.any() == (p > 1.0)
+    phi = phi_opt(rho, p, Detection(eps))
+    # finite and within TERM_TOL of the 50-digit angle at every rho
+    assert np.isfinite(phi).all()
+    for r, got in zip(rho, phi):
+        assert oracles.close(got, oracles.phi_opt_exact(r, p, eps)), (r, got)
+    # where the plain cotangent overflows, cot(phi) = eps p rho |chi_m|^2 takes its asymptote eps p / rho
+    np.testing.assert_allclose(phi[huge], np.arctan2(1.0, eps * (p / rho[huge])), rtol=1e-15)
     assert phi_opt(1e200, 1e300, Detection(0.5)) == pytest.approx(2e-100, rel=1e-15, abs=0)
-    # 1 - eps rounds to 1 at a subnormal eps: the QL added noise is
-    # |chi_m| / sqrt(eps), at most 1/sqrt(5e-324) = 4.5e161 at rho = 0
+
+
+@pytest.mark.parametrize("eps", (5e-324, 1e-310, 5.5e-309, 5.6e-309, 1e-306, 1e-300))
+def test_ql_added_noise_stays_finite_and_exact_at_tiny_eps(eps):
+    # 1 - eps rounds to 1, so the value is 1 / (sqrt(eps) sqrt(1 + rho^2)):
+    # finite, at most 1/sqrt(5e-324) = 4.5e161 at rho = 0, also where 1/eps
+    # (the first three eps) or 1/eps rho^2 overflows float64
     rho = np.array([0.0, 3.0, -40.0, 1e5, 1e200, -1.7e308])
-    added = ql_added_noise(rho, Detection(5e-324))
-    want = [1.0 / (math.sqrt(5e-324) * math.hypot(1.0, r)) for r in rho]
+    added = ql_added_noise(rho, Detection(eps))
+    want = [1.0 / (math.sqrt(eps) * math.hypot(1.0, r)) for r in rho]
     np.testing.assert_allclose(added, want, rtol=4e-16)
-    assert added[0] <= 4.5e161
-    assert type(ql_added_noise(1e200, Detection(0.35))) is np.float64
+    assert np.isfinite(added).all() and added[0] <= 4.5e161
+    for r, got in zip(rho, added):
+        assert oracles.close(got, oracles.ql_added_exact(r, eps)), (r, got)
 
 
 def test_sql_is_minimum_of_uncorrelated_readout(ideal_det, zero_mode):
