@@ -11,22 +11,13 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
-from functools import partial
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import leastsq
 
-from .core import Detection, OpticalCavity, check_positive, chi_c
-from .errors import (
-    FitConvergenceError,
-    NonphysicalAsymmetryError,
-    NoPeakError,
-    ParameterError,
-    decode_utf8,
-)
+from .core import Detection, OpticalCavity, check_positive, chi_c, read_csv_body
+from .errors import FitConvergenceError, NonphysicalAsymmetryError, NoPeakError, ParameterError
 
 CSV_HEADER = ("frequency_hz", "psd_shotnoise_units")
 
@@ -326,73 +317,14 @@ def synth_sideband_spectrum(
     return np.column_stack([grid, y])
 
 
-def _loadtxt_body(path, fh) -> Optional[np.ndarray]:
-    r"""The rows after the header line of the file open as fh, parsed by
-    np.loadtxt, or None unless they are all two finite numbers.
-
-    loadtxt skips blank lines, accepts nan and warns on no data, so the
-    lines after fh's position are counted first, blank ones included:
-    reading with newline="" splits them at \n, \r\n and \r, and a read never
-    ends between \r and \n.  loadtxt then reads the file by its path, which
-    lets its C reader take the file in chunks rather than line by line.
-    """
-    lines, blank, last = 0, True, "\n"
-    for chunk in iter(partial(fh.read, 1 << 16), ""):
-        lines += chunk.count("\n")
-        if "\r" in chunk:
-            lines += chunk.count("\r") - chunk.count("\r\n")
-        blank = blank and not chunk.strip()
-        last = chunk[-1]
-    lines += last not in "\r\n"
-    if blank:
-        return None
-    try:
-        samples = np.loadtxt(
-            path, delimiter=",", ndmin=2, comments=None, skiprows=1, encoding="utf-8"
-        )
-    except ValueError:
-        return None
-    return samples if samples.shape == (lines, 2) and np.isfinite(samples).all() else None
-
-
 def read_spectrum_csv(path) -> np.ndarray:
     """Read a sideband spectrum CSV as an (N, 2) array: the header line
-    frequency_hz,psd_shotnoise_units, then one row of two finite numbers,
-    frequency and PSD, per line.  The file is UTF-8 text; a byte that is not
-    UTF-8 is a ParameterError naming the path and, for a regular file, the
-    byte's offset.
+    frequency_hz,psd_shotnoise_units, then one row per line of two finite
+    numbers, frequency and PSD, read by core.read_csv_body."""
 
-    np.loadtxt parses the body from the file, so the reader holds little
-    more than the array it returns.  A row that is not two finite numbers
-    raises ParameterError naming the path and line; only that error path,
-    and an input that cannot seek (a pipe), read the rows into memory
-    through csv.reader.
-    """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader([fh.readline()]), [])
-            if tuple(header) != CSV_HEADER:
-                raise ParameterError(f"{path}: expected header {','.join(CSV_HEADER)}")
-            if fh.seekable():
-                body = fh.tell()
-                samples = _loadtxt_body(path, fh)
-                if samples is not None:
-                    return samples
-                fh.seek(body)
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        if os.path.isfile(path):  # read again for the offset; a pipe cannot be
-            with open(path, "rb") as raw:
-                decode_utf8(path, raw.read())
-        byte = exc.object[exc.start]
-        raise ParameterError(f"{path}: byte 0x{byte:02x} is not UTF-8") from None
-    for lineno, row in enumerate(rows, start=2):
-        try:
-            values = [float(v) for v in row]
-        except ValueError:
-            values = []
-        if len(values) != 2 or not all(map(math.isfinite, values)):
-            raise ParameterError(
-                f"{path}: line {lineno}: expected two finite numbers, got {row}"
-            )
-    return np.array([[float(a), float(b)] for a, b in rows])
+    def read_header(fh):
+        if tuple(next(csv.reader([fh.readline()]), [])) != CSV_HEADER:
+            raise ParameterError(f"{path}: expected header {','.join(CSV_HEADER)}")
+        return 1
+
+    return read_csv_body(path, len(CSV_HEADER), read_header)

@@ -287,6 +287,9 @@ def _fit_spectrum(path):
 def _cmd_calibrate(args):
     kv = read_key_values(_read_config(args), ("sideband_csv", "red_csv", "blue_csv"))
     keys = {key: value for key, (value, _) in kv.items()}
+    for key, (value, lineno) in kv.items():
+        if not value:
+            raise ParameterError(f"line {lineno}: {key} is empty; give a spectrum CSV's path")
     result = {}
     if "red_csv" in keys or "blue_csv" in keys:
         if not ("red_csv" in keys and "blue_csv" in keys):

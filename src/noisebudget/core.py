@@ -1,4 +1,4 @@
-"""Unit conventions, susceptibilities, and the parameter types.
+"""Unit conventions, susceptibilities, the parameter types and the input rules.
 
 All frequencies are angular (rad/s) and all angles are radians; any Hz or
 degree conversion happens at the CLI boundary.  The canonical dimensionless
@@ -13,11 +13,15 @@ commonly used elsewhere is C = p / 4.
 
 from __future__ import annotations
 
+import csv
+import math
+import os
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError, ParameterError, decode_utf8
 
 HIGH_Q_THRESHOLD = 1e-3
 
@@ -46,6 +50,71 @@ def check_angle(phi):
         raise DivergenceError(
             f"displacement measurement diverges at phi = 0 or pi; got phi = {phi[~ok].flat[0]} rad"
         )
+
+
+def _loadtxt_body(path, fh, skiprows: int, ncols: int):
+    r"""The lines after fh's position, parsed by np.loadtxt from path past its
+    first skiprows lines, or None unless they are all ncols finite numbers.
+    loadtxt skips blank lines, accepts nan and warns on no data, so the lines
+    are counted first, blank ones included (a read with newline="" never ends
+    between \r and \n).  Its C reader then takes the file in chunks.
+    """
+    lines, blank, last = 0, True, "\n"
+    for chunk in iter(partial(fh.read, 1 << 16), ""):
+        lines += chunk.count("\n")
+        if "\r" in chunk:
+            lines += chunk.count("\r") - chunk.count("\r\n")
+        blank = blank and not chunk.strip()
+        last = chunk[-1]
+    lines += last not in "\r\n"
+    if blank:
+        return None
+    try:
+        data = np.loadtxt(
+            path, delimiter=",", ndmin=2, comments=None, skiprows=skiprows, encoding="utf-8"
+        )
+    except ValueError:
+        return None
+    return data if data.shape == (lines, ncols) and np.isfinite(data).all() else None
+
+
+def read_csv_body(path, ncols: int, read_head) -> np.ndarray:
+    r"""The rows after the head of the UTF-8 CSV file at path, as an
+    (N, ncols) float64 array; read_head(fh) reads the head from fh, opened
+    with newline="", and returns its line count.  Lines end at \n, \r\n or
+    \r.  A body line that is not ncols finite numbers, a blank one included,
+    is a ParameterError naming the path and line, as is a byte that is not
+    UTF-8, named by its offset in a regular file.  Only a body that fails
+    _loadtxt_body's checks, and a pipe, are read whole, by csv.reader.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            head = read_head(fh)
+            if fh.seekable():
+                body = fh.tell()
+                data = _loadtxt_body(path, fh, head, ncols)
+                if data is not None:
+                    return data
+                fh.seek(body)
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        if os.path.isfile(path):  # read again for the offset; a pipe cannot be
+            with open(path, "rb") as raw:
+                decode_utf8(path, raw.read())
+        byte = exc.object[exc.start]
+        raise ParameterError(f"{path}: byte 0x{byte:02x} is not UTF-8") from None
+    data = []
+    for lineno, row in enumerate(rows, start=head + 1):
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            values = []
+        if len(values) != ncols or not all(map(math.isfinite, values)):
+            raise ParameterError(
+                f"{path}: line {lineno}: expected {ncols} finite numbers, got {row}"
+            )
+        data.append(values)
+    return np.array(data, dtype=float).reshape(-1, ncols)
 
 
 def check_finite_fields(obj):

@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__
 from .core import (
     HIGH_Q_THRESHOLD, Detection, MechanicalMode, OpticalCavity, check_angle,
-    check_finite_fields, check_positive, omega_from_rho,
+    check_finite_fields, check_positive, omega_from_rho, read_csv_body,
 )
 from .errors import DivergenceError, ParameterError
 from .limits import phi_opt, ql_added_noise, quadrature_order, sql_psd
@@ -361,8 +361,8 @@ def curve_columns(kind, rho, p, phi_deg, epsilon, n_th, beta=None, s_ln=None) ->
         include_zpm).  phi_deg only fills their angle column, and p, but for
         synodyne_variational, their power column.
 
-    total is the sum of the five terms, so every row re-checks additivity on
-    re-ingestion.  The inputs come checked by SweepSpec, or are the figures'
+    total is the sum of the five terms; load_table_csv checks that on reading
+    a table back.  The inputs come checked by SweepSpec, or are the figures'
     constants; only the angle handed to the homodyne budget is checked here.
     Float64 warnings are off: a value that overflows on the way is a
     DivergenceError from SpectrumTable's finite check.
@@ -499,40 +499,36 @@ def _metadata_item(path, lineno: int, line: str) -> tuple:
 def load_table_csv(path) -> SpectrumTable:
     """Re-ingest a CSV table written by emit_table (values bit-identical).
 
-    Comment lines must be '# key: <json>' metadata, so a command's stdout,
+    The head is '# key: <json>' metadata lines, then the header row; any
+    other line there is a ParameterError naming it, so a command's stdout,
     which starts each table with a '# --- <curve> ---' line, does not load:
-    write the table with --out.  Blank lines are skipped; a malformed line
-    is a ParameterError naming the path and line.
+    write the table with --out.  core.read_csv_body reads the rows; the first
+    whose total or total_over_sql differs from what spectrum_columns derives
+    from its other columns is a ParameterError naming the line and column.
     """
-    metadata = {}
-    rows = []
-    header_seen = False
-    with open(path, newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, value = _metadata_item(path, lineno, line)
-                metadata[key] = value
-                continue
-            if not header_seen:
+    metadata, head = {}, []
+
+    def read_head(fh):
+        for lineno, raw in enumerate(iter(fh.readline, ""), start=1):
+            line = raw.rstrip("\r\n")
+            if not line.startswith("#"):
                 if line != ",".join(COLUMNS):
                     raise ParameterError(f"{path}: unexpected header {line!r}")
-                header_seen = True
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError:
-                rows.append([])
-            if len(rows[-1]) != len(COLUMNS):
-                raise ParameterError(
-                    f"{path}: line {lineno}: expected {len(COLUMNS)} numbers, got {line!r}"
-                )
-    if not header_seen:
+                head.append(lineno)
+                return lineno
+            key, value = _metadata_item(path, lineno, line)
+            metadata[key] = value
         raise ParameterError(f"{path}: missing header row")
-    data = np.array(rows, dtype=float).reshape(-1, len(COLUMNS))
-    try:
-        return SpectrumTable(metadata, dict(zip(COLUMNS, data.T.copy())))
-    except DivergenceError as exc:
-        raise ParameterError(f"{path}: {exc}") from None
+
+    data = read_csv_body(path, len(COLUMNS), read_head).T.copy()
+    with np.errstate(over="ignore"):  # an overflowing sum differs from the file's
+        derived = spectrum_columns(*data[:3], SpectrumComponents(*data[3:8]))
+    want = np.stack([derived[c] for c in COLUMNS[8:]])
+    differs = (want != data[8:]).T  # row by row, total before total_over_sql
+    if differs.any():
+        row, i = divmod(int(np.argmax(differs)), 2)
+        raise ParameterError(
+            f"{path}: line {head[0] + 1 + row}: {COLUMNS[8 + i]} is {data[8 + i][row]}, but "
+            f"the row's other columns give {want[i][row]}"
+        )
+    return SpectrumTable(metadata, dict(zip(COLUMNS, data)))

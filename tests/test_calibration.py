@@ -338,7 +338,7 @@ def test_spectrum_csv_round_trip(tmp_path):
 def test_read_spectrum_csv_names_bad_line(tmp_path, capsys, body):
     path = tmp_path / "bad.csv"
     path.write_text("frequency_hz,psd_shotnoise_units\n" + body)
-    with pytest.raises(ParameterError, match=r"bad\.csv: line 3: expected two finite numbers"):
+    with pytest.raises(ParameterError, match=r"bad\.csv: line 3: expected 2 finite numbers"):
         read_spectrum_csv(path)
     cfg = tmp_path / "cal.cfg"
     cfg.write_text(f"sideband_csv = {path}\n")

@@ -120,7 +120,7 @@ def test_bad_blue_csv_row_exits_2_naming_file_and_line(tmp_path, monkeypatch, ca
     cfg, blue_csv = _sideband_config(tmp_path, blue_body="1,2\n3,four\n5,6\n")
     _use_cpus(monkeypatch, cpus)
     assert cli_main(["--config", str(cfg), "calibrate"]) == 2
-    assert f"{blue_csv}: line 3: expected two finite numbers" in capsys.readouterr().err
+    assert f"{blue_csv}: line 3: expected 2 finite numbers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cpus", (1, 2))

@@ -181,6 +181,20 @@ def test_calibrate_rejects_sideband_csv_next_to_pair(tmp_path, capsys):
     assert "sideband_csv" in err
 
 
+@pytest.mark.parametrize(
+    "lines, lineno, key",
+    ((("sideband_csv =",), 1, "sideband_csv"), (("blue_csv = {blue}", "red_csv = "), 2, "red_csv")),
+    ids=("sideband_csv", "red_csv"),
+)
+def test_calibrate_rejects_an_empty_path(tmp_path, capsys, lines, lineno, key):
+    # it used to be an i/o error, exit 4: No such file or directory: ''
+    paths = _sideband_csvs(tmp_path)
+    text = "".join(line.format(**paths) + "\n" for line in lines)
+    code, err = _exit_and_stderr(tmp_path, capsys, text, "calibrate")
+    assert code == 2
+    assert f"line {lineno}: {key} is empty" in err
+
+
 def _readme_schema() -> str:
     text = README.read_text(encoding="utf-8")
     match = re.search(r"Schema:\n\n```\n(.*?)```", text, re.S)

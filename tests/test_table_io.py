@@ -20,6 +20,8 @@ from conftest import table_text, write_spectrum_csv
 from noisebudget import DivergenceError, ParameterError, load_table_csv
 from noisebudget.calibration import CSV_HEADER, read_spectrum_csv
 from noisebudget.cli import _cmd_limits, main as cli_main
+from noisebudget.figures import FIGURE_IDS, reproduce_figure
+from noisebudget.limits import sql_psd
 from noisebudget.sweep import (
     BLOCK_ROWS, COLUMNS, SpectrumTable, emit_table, parse_config, run_sweep,
 )
@@ -309,7 +311,8 @@ def test_load_table_csv_names_path_of_non_finite_table(tmp_path):
     path = tmp_path / "table.csv"
     emit_table(table, "csv", path)
     path.write_text(path.read_text().replace("\n1,", "\nnan,", 1))
-    with pytest.raises(ParameterError, match=r"table\.csv: column rho"):
+    message = r"table\.csv: line 2: expected 10 finite numbers, got \['nan'"
+    with pytest.raises(ParameterError, match=message):
         load_table_csv(path)
 
 
@@ -320,7 +323,8 @@ def test_load_table_csv_names_line_of_non_numeric_cell(tmp_path):
     path.write_text(path.read_text().replace("\n1,", "\nabc,", 1))
     with pytest.raises(ParameterError) as info:
         load_table_csv(path)
-    assert str(info.value) == f"{path}: line 2: expected 10 numbers, got 'abc,1,1,1,1,1,1,1,1,1'"
+    got = ["abc"] + ["1"] * 9
+    assert str(info.value) == f"{path}: line 2: expected 10 finite numbers, got {got}"
 
 
 @pytest.mark.parametrize(
@@ -341,40 +345,159 @@ def test_load_table_csv_names_stdout_separator(tmp_path, capsys, command, curve)
     assert "--out" in message
 
 
+HEADER_ROW = ",".join(COLUMNS)
+
+
 @pytest.mark.parametrize(
-    "body, message",
+    "text, message",
     (
-        ("\n\n1,1,1,1,1,1,1,1,1,1\n2,2\n", "line 6: expected 10 numbers, got '2,2'"),
-        ("1,1,1,1,1,1,1,1,1,1\n# --- ql ---\n", "line 4: expected a '# key: <json>'"),
-        ("#x\n", "line 3: expected a '# key: <json>' metadata line, got '#x'"),
-        ("# bad: {\n", "line 3: expected a '# key: <json>' metadata line, got '# bad: {'"),
-        ("1,1,1,1,1,1,1,1,1,1\r\nnan,x\r\n", "line 4: expected 10 numbers, got 'nan,x\\r'"),
+        (
+            f"{HEADER_ROW}\n\n\n1,1,1,1,1,1,1,1,1,1\n2,2\n",
+            "line 3: expected 10 finite numbers, got []",
+        ),
+        (
+            f"{HEADER_ROW}\n1,1,1,1,1,1,1,1,1,1\n# --- ql ---\n",
+            "line 4: expected 10 finite numbers, got ['# --- ql ---']",
+        ),
+        (f"#x\n{HEADER_ROW}\n", "line 2: expected a '# key: <json>' metadata line, got '#x'"),
+        (
+            f"# bad: {{\n{HEADER_ROW}\n",
+            "line 2: expected a '# key: <json>' metadata line, got '# bad: {'",
+        ),
+        (
+            f"{HEADER_ROW}\n1,1,1,1,1,1,1,1,1,1\r\nnan,x\r\n",
+            "line 4: expected 10 finite numbers, got ['nan', 'x']",
+        ),
     ),
     ids=("after-blank-lines", "separator-after-header", "no-space", "bad-json", "crlf"),
 )
-def test_load_table_csv_names_bad_line(tmp_path, body, message):
+def test_load_table_csv_names_bad_line(tmp_path, text, message):
+    # a comment line is metadata only before the header; after it, a row
     path = tmp_path / "table.csv"
-    path.write_text(f"# note: 1\n{','.join(COLUMNS)}\n{body}")
+    path.write_text(f"# note: 1\n{text}")
     with pytest.raises(ParameterError, match=f"^{re.escape(f'{path}: {message}')}"):
         load_table_csv(path)
 
 
-def _reference_read(path):
-    """The reader without a fast path: csv rows, one float() per cell."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise ParameterError(f"{path}: expected header {','.join(CSV_HEADER)}")
-    for lineno, row in enumerate(rows[1:], start=2):
+def test_load_table_csv_names_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    emit_table(run_sweep(parse_config(STITCHED_CONFIG)), "csv", path)
+    data = path.read_bytes()
+    offset = len(data) - 3
+    path.write_bytes(data[:offset] + b"\xe9" + data[offset + 1:])
+    message = f"{path}: byte 0xe9 at offset {offset} is not UTF-8"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        load_table_csv(path)
+
+
+def _assert_loads_back(path, table):
+    """The table at path loads with table's metadata and column bits."""
+    back = load_table_csv(path)
+    assert back.metadata == json.loads(json.dumps(table.metadata))
+    for name in COLUMNS:
+        assert back.columns[name].tobytes() == np.ascontiguousarray(table.columns[name]).tobytes()
+
+
+@pytest.mark.parametrize("newline", ("\r\n", "\r"), ids=("crlf", "cr"))
+def test_load_table_csv_reads_every_line_end(tmp_path, newline):
+    table = run_sweep(parse_config(SPECTRUM_CONFIGS["stitched-noise"]))
+    path = tmp_path / "table.csv"
+    path.write_bytes(table_text(table, "csv").replace("\n", newline).encode())
+    _assert_loads_back(path, table)
+
+
+@pytest.mark.parametrize("column, index", (("total", 8), ("total_over_sql", 9)))
+def test_load_table_csv_rechecks_total_and_its_ratio(tmp_path, column, index):
+    table = run_sweep(parse_config(SPECTRUM_CONFIGS["homodyne-linear"]))
+    path = tmp_path / "table.csv"
+    emit_table(table, "csv", path)
+    lines = path.read_text().split("\n")
+    lineno = len(lines) - 1  # the table's last row: lines ends with an empty string
+    row = lines[lineno - 1].split(",")
+    row[index] = "123.0"
+    lines[lineno - 1] = ",".join(row)
+    path.write_text("\n".join(lines))
+    want = table.columns[column][-1]
+    message = f"{path}: line {lineno}: {column} is 123.0, but the row's other columns give {want}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        load_table_csv(path)
+
+
+def test_every_command_table_loads_back(tmp_path, monkeypatch):
+    # every figure's tables, each sweep branch, the limits pair, and a
+    # 10,002-row table that --out cuts into two row ranges on two CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sweeps = dict(SPECTRUM_CONFIGS, split=STITCHED_WORKLOAD.replace("20001", "5001"))
+    cases = [(None, ["reproduce-figure", fid], reproduce_figure(fid)) for fid in FIGURE_IDS]
+    for text in sweeps.values():
+        cases.append((text, ["spectrum"], {"sweep": run_sweep(parse_config(text))}))
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text(LIMITS_CONFIG)
+    cases.append((LIMITS_CONFIG, ["limits"], _cmd_limits(argparse.Namespace(config=cfg))))
+    for k, (config, argv, tables) in enumerate(cases):
+        out = tmp_path / f"out{k}" / "table.csv"
+        out.parent.mkdir()
+        if config is not None:
+            cfg = tmp_path / f"{k}.cfg"
+            cfg.write_text(config)
+            argv = ["--config", str(cfg), *argv]
+        assert cli_main(["--out", str(out), *argv]) == 0
+        paths = [out] if len(tables) == 1 else [out.with_name(f"table.{c}.csv") for c in tables]
+        for path, table in zip(paths, tables.values()):
+            _assert_loads_back(path, table)
+
+
+def _reference_body(path, rows, first_line, ncols):
+    """The body check without a fast path: one float() per csv cell."""
+    for lineno, row in enumerate(rows, start=first_line):
         try:
             values = [float(v) for v in row]
         except ValueError:
             values = []
-        if len(values) != 2 or not all(map(math.isfinite, values)):
+        if len(values) != ncols or not all(map(math.isfinite, values)):
             raise ParameterError(
-                f"{path}: line {lineno}: expected two finite numbers, got {row}"
+                f"{path}: line {lineno}: expected {ncols} finite numbers, got {row}"
             )
-    return np.array([[float(a), float(b)] for a, b in rows[1:]])
+    return np.array([[float(v) for v in row] for row in rows]).reshape(-1, ncols)
+
+
+def _reference_read(path):
+    """read_spectrum_csv without a fast path."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or tuple(rows[0]) != CSV_HEADER:
+        raise ParameterError(f"{path}: expected header {','.join(CSV_HEADER)}")
+    return _reference_body(path, rows[1:], 2, len(CSV_HEADER))
+
+
+TABLE_HEAD = ("# note: 1", HEADER_ROW)
+
+
+def _reference_load(path):
+    """load_table_csv without a fast path, for a file that starts with
+    TABLE_HEAD: the body by _reference_body, then each row's total and ratio
+    added up from its terms, one row at a time."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[:2] == [[TABLE_HEAD[0]], list(COLUMNS)]
+    data = _reference_body(path, rows[2:], 3, len(COLUMNS))
+    sql = sql_psd(data[:, 0]).tolist()
+    for lineno, (row, sql_row) in enumerate(zip(data.tolist(), sql), start=3):
+        s_m, s_ii, s_ff, s_corr, s_ln, total, ratio = row[3:]
+        want = s_m + s_ii + s_ff + s_corr + s_ln
+        checks = (("total", total, want), ("total_over_sql", ratio, want / sql_row))
+        for name, got, derived in checks:
+            if got != derived:
+                raise ParameterError(
+                    f"{path}: line {lineno}: {name} is {got}, but the row's other "
+                    f"columns give {derived}"
+                )
+    return data
+
+
+def _table_array(path):
+    table = load_table_csv(path)
+    return np.column_stack([table.columns[c] for c in COLUMNS])
 
 
 def _outcome(read, path):
@@ -413,6 +536,47 @@ def test_read_spectrum_csv_matches_reference(tmp_path, body, newline, final_newl
         assert _outcome(read_spectrum_csv, path) == _outcome(_reference_read, path)
 
 
+table_values = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def table_rows(draw):
+    """A row as emit_table writes it, total and total_over_sql derived from
+    the other columns, or with one of those two drawn afresh."""
+    row = draw(st.lists(table_values, min_size=8, max_size=8))
+    s_m, s_ii, s_ff, s_corr, s_ln = row[3:]
+    total = s_m + s_ii + s_ff + s_corr + s_ln
+    row += [total, total / sql_psd(np.array(row[:1])).item()]
+    edit = draw(st.sampled_from((None, 8, 9)))
+    if edit is not None:
+        row[edit] = draw(table_values)
+    return ",".join("%.17g" % v for v in row)
+
+
+table_lines = st.one_of(
+    table_rows(),
+    st.lists(cells, min_size=len(COLUMNS), max_size=len(COLUMNS)).map(",".join),
+    st.lists(cells, max_size=len(COLUMNS) + 1).map(",".join),
+)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.lists(table_lines, max_size=6),
+    st.sampled_from(("\n", "\r\n", "\r")),
+    st.booleans(),
+)
+def test_load_table_csv_matches_reference(tmp_path, body, newline, final_newline):
+    path = tmp_path / "table.csv"
+    text = newline.join([*TABLE_HEAD, *body]) + (newline if final_newline else "")
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(_table_array, path) == _outcome(_reference_load, path)
+
+
 @pytest.mark.parametrize(
     "body, lineno, got",
     (("1,2\n\n5,6\n", 3, "[]"), ("1,2\n3,4\n\n", 4, "[]"), ("1,2\n#c\n5,6\n", 3, "['#c']")),
@@ -423,7 +587,7 @@ def test_read_spectrum_csv_names_line_loadtxt_would_skip(tmp_path, body, lineno,
     path.write_text(HEADER + "\n" + body)
     with pytest.raises(ParameterError) as info:
         read_spectrum_csv(path)
-    assert str(info.value) == f"{path}: line {lineno}: expected two finite numbers, got {got}"
+    assert str(info.value) == f"{path}: line {lineno}: expected 2 finite numbers, got {got}"
 
 
 def test_header_only_spectrum_is_empty_and_calibrate_exits_2(tmp_path, capsys):
