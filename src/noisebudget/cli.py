@@ -4,14 +4,14 @@ Subcommands: spectrum, limits, variational, synodyne, calibrate,
 reproduce-figure.  Exit codes: 0 success, 2 validation error, 3 domain
 error, 4 I/O error.
 
-calibrate's red/blue pair, and the --out tables of a command once they
-hold at least FORK_MIN_ROWS rows in all, run as independent jobs in shares,
-one per CPU this process may use (_run_shares).  Each such table is cut into
-one contiguous row range per CPU, and range k of every table runs in share
-k; the ranges after the first are written to temporary files in forked
-children and appended to the final file in the kernel (_write_out), so the
-bytes do not depend on the CPU count.  stdout output, smaller tables and
-every library function stay serial.
+calibrate's red/blue pair, and the tables of a command once they hold at
+least FORK_MIN_ROWS rows in all, run as independent jobs in shares, one per
+CPU this process may use (_run_shares).  Each such table is cut into one
+contiguous row range per CPU, and range k of every table runs in share k;
+each range written to a regular file, --out or stdout, after the file's
+first goes to a temporary file, appended to it in the kernel (_write_out),
+so the bytes do not depend on the CPU count.  Pipes, terminals, smaller
+tables and every library function stay serial.
 
 run() is the process entry point (the noisebudget script and
 python -m noisebudget.cli); main(argv) is the same command for in-process
@@ -167,7 +167,7 @@ def _run_shares(jobs: list, shares: list) -> list:
 
 
 # A table row costs about 5 us to write (10 cells) and a fork 5-15 ms, so
-# --out tables are cut into one row range per CPU only once they hold about
+# tables are cut into one row range per CPU only once they hold about
 # this many rows in all: no figure has as many (2,406 at most); a
 # 20,001-point stitched spectrum at two powers has 40,002.
 FORK_MIN_ROWS = 10_000
@@ -187,9 +187,21 @@ def _row_ranges(n_rows: int, n: int) -> list:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _emit_part(table, fmt, fh, rows):
+def _emit_part(table, fmt, fh, rows, head):
+    fh.write(head)
     emit_table(table, fmt, fh, rows)
-    fh.flush()  # a forked child leaves through os._exit, which flushes nothing
+    fh.flush()  # a forked child leaves through os._exit; _append bypasses buffers
+
+
+def _splits(fh) -> bool:
+    """Whether _append can extend fh: a regular file not opened to append to
+    (stdout under >>; sendfile rejects O_APPEND), not a pipe, tty or StringIO."""
+    import fcntl  # POSIX only; called only where os.fork is used
+    try:
+        fd = fh.fileno()
+    except OSError:  # io.UnsupportedOperation
+        return False
+    return stat.S_ISREG(os.fstat(fd).st_mode) and not fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND
 
 
 def _append(dst, src):
@@ -204,37 +216,38 @@ def _append(dst, src):
         done += sent
 
 
-def _write_out(tables: dict, fmt: str, out: Path):
-    """Write each table to its --out path, the rows of a large one in a
-    contiguous range per CPU.
+def _write_out(tables: dict, fmt: str, out: Path | None):
+    """Write each table to its --out path, or after its `# --- <curve> ---`
+    line to stdout if out is None; a large one in a row range per CPU.
 
-    The paths are opened in table order before any work starts.  Range 0 of
-    each table is written by this process straight into its final file, and
-    each later range by a forked child into an unlinked temporary file
-    beside it, which this process then appends in the kernel.  A table goes
-    unsplit when it holds fewer than FORK_MIN_ROWS rows with the others, or
-    when its path is no regular file (a pipe or /dev/null, say).  If a job
-    fails, every opened file is truncated to empty before the error is
-    raised, so no partial table is left to load.
+    The paths are opened in table order before any work starts.  The first
+    range written to a destination goes straight into it, from this process.
+    With FORK_MIN_ROWS rows in all, every later range of a destination that
+    _splits goes to an unlinked temporary file, beside the path or in the
+    default temporary directory, which this process then appends in the
+    kernel.  If a job fails, every opened --out file is truncated to empty
+    before the error is raised, so no partial table is left to load; stdout
+    may be appended to and is left as it is.
     """
-    paths = [out] if len(tables) == 1 else [
-        out.with_name(f"{out.stem}.{name}{out.suffix}") for name in tables
-    ]
     rows = sum(len(table.columns["rho"]) for table in tables.values())
     n = _usable_cpus() if rows >= FORK_MIN_ROWS else 1
-    files, parts, jobs, shares = [], [], [], [[] for _ in range(n)]
+    files, parts, jobs, shares, started = [], [], [], [[] for _ in range(n)], set()
     try:
-        for table, path in zip(tables.values(), paths):
-            fh = open(path, "w", newline="")
-            files.append(fh)
-            split = n if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else 1
+        for name, table in tables.items():
+            fh, head, tmp_dir = sys.stdout, f"# --- {name} ---\n", None
+            if out is not None:
+                path = out if len(tables) == 1 else out.with_name(f"{out.stem}.{name}{out.suffix}")
+                fh, head, tmp_dir = open(path, "w", newline=""), "", path.parent
+                files.append(fh)
+            split = n if n > 1 and _splits(fh) else 1
             for k, part_rows in enumerate(_row_ranges(len(table.columns["rho"]), split)):
                 dest = fh
-                if k:
-                    dest = tempfile.TemporaryFile("w", newline="", dir=path.parent)
+                if split > 1 and fh in started:
+                    dest = tempfile.TemporaryFile("w", newline="", dir=tmp_dir)
                     parts.append((fh, dest))
+                started.add(fh)
                 shares[k].append(len(jobs))  # range k of every table runs in share k
-                jobs.append(partial(_emit_part, table, fmt, dest, part_rows))
+                jobs.append(partial(_emit_part, table, fmt, dest, part_rows, "" if k else head))
         _run_shares(jobs, shares)
         for fh, part in parts:
             _append(fh.fileno(), part.fileno())
@@ -250,20 +263,10 @@ def _write_out(tables: dict, fmt: str, out: Path):
             fh.close()
 
 
-def _write_tables(tables: dict, args):
-    fmt = args.fmt or "csv"
-    if args.out is None:
-        for name, table in tables.items():
-            sys.stdout.write(f"# --- {name} ---\n")
-            emit_table(table, fmt, sys.stdout)
-        return
-    _write_out(tables, fmt, args.out)
-
-
-def _cmd_sweep(args, readout_override=None) -> dict:
+def _cmd_sweep(args) -> dict:
     spec = parse_config(_read_config(args))
-    if readout_override is not None:
-        spec = replace(spec, readout=readout_override)
+    if args.command != "spectrum":  # variational and synodyne set the readout
+        spec = replace(spec, readout=args.command)
     return {"sweep": run_sweep(spec)}
 
 
@@ -333,18 +336,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        if args.command == "spectrum":
-            _write_tables(_cmd_sweep(args), args)
-        elif args.command == "variational":
-            _write_tables(_cmd_sweep(args, readout_override="variational"), args)
-        elif args.command == "synodyne":
-            _write_tables(_cmd_sweep(args, readout_override="synodyne"), args)
-        elif args.command == "limits":
-            _write_tables(_cmd_limits(args), args)
-        elif args.command == "calibrate":
+        fmt = args.fmt or "csv"
+        if args.command == "calibrate":
             _cmd_calibrate(args)
+        elif args.command == "limits":
+            _write_out(_cmd_limits(args), fmt, args.out)
         elif args.command == "reproduce-figure":
-            _write_tables(reproduce_figure(args.figure_id), args)
+            _write_out(reproduce_figure(args.figure_id), fmt, args.out)
+        else:  # spectrum, variational or synodyne
+            _write_out(_cmd_sweep(args), fmt, args.out)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ commonly used elsewhere is C = p / 4.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass, fields
@@ -85,7 +84,7 @@ def read_csv_body(path, ncols: int, read_head) -> np.ndarray:
     \r.  A body line that is not ncols finite numbers, a blank one included,
     is a ParameterError naming the path and line, as is a byte that is not
     UTF-8, named by its offset in a regular file.  Only a body that fails
-    _loadtxt_body's checks, and a pipe, are read whole, by csv.reader.
+    _loadtxt_body's checks, and a pipe, are read whole, each line split at ",".
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -96,7 +95,7 @@ def read_csv_body(path, ncols: int, read_head) -> np.ndarray:
                 if data is not None:
                     return data
                 fh.seek(body)
-            rows = list(csv.reader(fh))
+            lines = [raw.rstrip("\r\n") for raw in fh]
     except UnicodeDecodeError as exc:
         if os.path.isfile(path):  # read again for the offset; a pipe cannot be
             with open(path, "rb") as raw:
@@ -104,7 +103,8 @@ def read_csv_body(path, ncols: int, read_head) -> np.ndarray:
         byte = exc.object[exc.start]
         raise ParameterError(f"{path}: byte 0x{byte:02x} is not UTF-8") from None
     data = []
-    for lineno, row in enumerate(rows, start=head + 1):
+    for lineno, line in enumerate(lines, start=head + 1):
+        row = line.split(",") if line else []
         try:
             values = [float(v) for v in row]
         except ValueError:

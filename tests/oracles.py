@@ -277,6 +277,13 @@ def ql_added_exact(rho, eps):
 
 
 @_decimal
+def phase_added_min_exact(rho, eps):
+    """|chi_m| / sqrt(eps) = 1 / sqrt(eps (1 + rho^2)), the least added noise
+    of phase-quadrature (phi = 90 deg) readout, at p = 1 / (sqrt(eps) |chi_m|)."""
+    return 1 / (eps * (1 + rho * rho)).sqrt()
+
+
+@_decimal
 def phi_opt_exact(rho, p, eps):
     """The angle in (0, pi) whose cotangent is eps p rho / (1 + rho^2)."""
     c = eps * p * rho / (1 + rho * rho)

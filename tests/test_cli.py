@@ -1,12 +1,13 @@
 """The CLI's flag checks, its worker processes and its process entry point.
 
-The row ranges of large --out tables and calibrate's red/blue pair run as
-jobs in forked children, with output bytes, errors and exit codes as in a
-serial run.  cli.run, the entry point of a CLI process, freezes the heap at
-exit and otherwise behaves as the in-process cli.main.  Any config text
-gives one of the documented exit codes, at most one line on stderr, and
-finite tables."""
+The row ranges of large tables, to --out or to a regular file on stdout,
+and calibrate's red/blue pair run as jobs in forked children, with output
+bytes, errors and exit codes as in a serial run.  cli.run, the entry point
+of a CLI process, freezes the heap at exit and otherwise behaves as the
+in-process cli.main.  Any config text gives one of the documented exit
+codes, at most one line on stderr, and finite tables."""
 
+import argparse
 import contextlib
 import errno
 import gc
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import write_spectrum_csv
+from conftest import table_text, write_spectrum_csv
 import noisebudget
 from noisebudget import LorentzianFit, synth_sideband_spectrum
 from noisebudget import cli
@@ -226,8 +227,9 @@ def test_failing_later_range_fails_as_serial_and_leaves_no_table(
 ):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(STITCHED_CONFIG.format(rho_count=301))
+    serial = _serial_stdout(command, cfg, "csv")
     monkeypatch.setattr(cli, "emit_table", _emit_failing_at_last_row(error, cli.emit_table))
-    results = []
+    results, stdout_results = [], []
     for cpus in (1, 2, 3):
         _use_cpus(monkeypatch, cpus)
         out_dir = tmp_path / f"cpus{cpus}"
@@ -240,8 +242,78 @@ def test_failing_later_range_fails_as_serial_and_leaves_no_table(
             with pytest.raises(ParameterError, match="missing header row"):
                 load_table_csv(path)
         results.append((exit_code, capsys.readouterr().err, [p.name for p in left]))
+        # stdout, a regular file here, is cut as --out is but never truncated:
+        # it keeps what was written before the error, a prefix of the serial bytes
+        stdout = out_dir / "stdout"
+        with open(stdout, "w") as stream, _stdout(monkeypatch, stream):
+            exit_code = cli_main(["--config", str(cfg), command])
+        stdout_results.append((exit_code, capsys.readouterr().err))
+        got = stdout.read_bytes()
+        assert got and serial.startswith(got)
     assert results[0][0] == code
     assert results[1:] == results[:1] * 2
+    assert stdout_results == [results[0][:2]] * 3
+
+
+def _serial_stdout(command, cfg, fmt) -> bytes:
+    """The bytes a serial run of command writes to stdout: each table after
+    its `# --- <curve> ---` line."""
+    args = argparse.Namespace(config=cfg, command=command)
+    tables = cli._cmd_limits(args) if command == "limits" else cli._cmd_sweep(args)
+    text = "".join(f"# --- {name} ---\n{table_text(t, fmt)}" for name, t in tables.items())
+    return text.encode()
+
+
+@contextlib.contextmanager
+def _stdout(monkeypatch, stream):
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", stream)
+        yield stream
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 3))
+@pytest.mark.parametrize(
+    "command, config, fmt",
+    (("spectrum", STITCHED_CONFIG, "csv"), ("limits", LIMITS_CONFIG, "jsonl")),
+)
+def test_stdout_to_a_regular_file_is_cut_into_one_range_per_cpu(
+    tmp_path, monkeypatch, cpus, command, config, fmt
+):
+    assert cli.FORK_MIN_ROWS == 2 * 5000  # 5,000 rows at each of two powers, or in each table
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks = _count_forks(monkeypatch)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(config.format(rho_count=5000))
+    stdout = tmp_path / "stdout"
+    with open(stdout, "w") as stream, _stdout(monkeypatch, stream):
+        assert cli_main(["--config", str(cfg), "--format", fmt, command]) == 0
+    assert len(forks) == cpus - 1
+    assert stdout.read_bytes() == _serial_stdout(command, cfg, fmt)
+
+
+def test_stdout_that_cannot_be_cut_is_written_whole_in_process(tmp_path, monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    cfg = _limits_config(tmp_path, rho_count=21)  # both tables fit in a pipe's buffer
+    argv = ["--config", str(cfg), "limits"]
+    serial = _serial_stdout("limits", cfg, "csv")
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as reader:
+        with os.fdopen(w, "w") as stream, _stdout(monkeypatch, stream):
+            assert cli_main(argv) == 0
+        assert reader.read() == serial
+    with _stdout(monkeypatch, io.StringIO()) as stream:  # no descriptor at all
+        assert cli_main(argv) == 0
+    assert stream.getvalue().encode() == serial
+    with open(os.devnull, "w") as stream, _stdout(monkeypatch, stream):
+        assert cli_main(argv) == 0
+    # a regular file opened for appending, as under >>, to which sendfile cannot write
+    stdout = tmp_path / "stdout"
+    stdout.write_bytes(b"# before\n")
+    with open(stdout, "a") as stream, _stdout(monkeypatch, stream):
+        assert cli_main(argv) == 0
+    assert stdout.read_bytes() == b"# before\n" + serial
+    assert forks == []
 
 
 def _count_forks(monkeypatch):

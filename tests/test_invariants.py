@@ -8,15 +8,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from noisebudget import (
     ClassicalNoise, Detection, MechanicalMode, OpticalCavity, beta_opt,
-    chi_m_dimensionless, omega_from_rho, phi_opt, sql_psd,
+    chi_m_dimensionless, displacement_psd, omega_from_rho, phi_opt, psd_at_phi_opt, sql_psd,
+    synodyne_psd, synodyne_variational,
 )
-from noisebudget.errors import BranchPoleError
+from noisebudget.errors import BranchPoleError, DivergenceError
 from noisebudget.limits import ql_added_noise, quadrature_order, uncertainty_product
 from noisebudget.spectra import (
     classical_noise_displacement, classical_noise_psd, homodyne_terms, light_terms,
@@ -211,3 +212,96 @@ def test_chi_m_terms_match_their_50_digit_values_out_to_float64_max(point):
         assert condition > 1e15
     else:
         assert oracles.close(got, want, oracles.TERM_TOL * (1 + condition)), ("beta_opt", got, float(want))
+
+
+# --- the chain of bounds -------------------------------------------------------
+#
+# The orderings that carry the paper's argument, over finite rho, p > 0,
+# 0 < eps <= 1, n_th >= 0 and phi in (0, pi): variational readout beats every
+# fixed angle, the QL bounds the variational added noise, the SQL bounds the
+# phase-quadrature added noise, and the optimal sideband ratio beats every
+# two-tone LO.  Each holds to BOUND_SLACK relative; test_limits keeps
+# hand-picked examples of the first three.  Their equality cases are held to
+# the 50-digit oracles.  The variational side is psd_at_phi_opt's closed
+# form: the variational table evaluates homodyne_terms at phi_opt, whose
+# s_ii and s_corr cancel far off resonance at high power.
+
+BOUND_SLACK = 16 * 2.0**-52
+bound_points = st.tuples(
+    st.one_of(st.just(0.0), _log_uniform(1e-3, 1e4)),  # |rho|
+    st.sampled_from((1.0, -1.0)),  # sign of rho
+    _log_uniform(1e-3, 1e4),  # p
+    st.one_of(st.just(1.0), _log_uniform(1e-2, 1.0)),  # epsilon
+    st.one_of(st.just(0.0), _log_uniform(1e-3, 1e2)),  # n_th
+)
+
+
+def _at_most(lower, upper):
+    return lower <= upper * (1 + BOUND_SLACK)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bound_points,
+    st.lists(st.floats(1e-6, math.pi - 1e-6), min_size=2, max_size=4, unique=True),
+)
+def test_variational_is_at_most_every_angle_and_so_the_stitched_total(point, angles):
+    size, sign, p, eps, n_th = point
+    rho, det, mode = sign * size, Detection(eps), MechanicalMode(1.0, 1e-6, n_th=n_th)
+    variational = psd_at_phi_opt(rho, p, det, mode)
+    for phi in angles:
+        assert _at_most(variational, displacement_psd(rho, p, phi, det, mode).total)
+    stitched = curve_columns("stitched", np.array([[rho]]), p, np.degrees(angles), eps, n_th)
+    assert _at_most(variational, stitched["total"][0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_points)
+def test_ql_is_at_most_the_variational_added_noise(point):
+    size, sign, p, eps, n_th = point
+    rho, det, mode = sign * size, Detection(eps), MechanicalMode(1.0, 1e-6, n_th=n_th)
+    # QL added noise <= total - s_m, with s_m added to both sides: total - s_m
+    # would carry the rounding of a total that s_m may dominate
+    ql = curve_columns("ql", np.array([rho]), p, 0.0, eps, n_th)
+    assert ql["s_ii"][0] == ql_added_noise(rho, det)
+    assert ql["s_m"][0] == thermal_term(rho, n_th)
+    assert _at_most(ql["total"][0], psd_at_phi_opt(rho, p, det, mode))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_points)
+def test_sql_is_at_most_the_phase_quadrature_added_noise(point):
+    size, sign, p, eps, n_th = point
+    rho, det, mode = sign * size, Detection(eps), MechanicalMode(1.0, 1e-6, n_th=n_th)
+    phase = displacement_psd(rho, p, math.pi / 2.0, det, mode)
+    added = phase.s_ii + phase.s_ff + phase.s_corr  # total - s_m, term by term
+    assert _at_most(sql_psd(rho) / math.sqrt(eps), added)
+    assert _at_most(sql_psd(rho), added)  # since eps <= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_points, _log_uniform(1e-2, 1e2), st.floats(-math.pi, math.pi))
+def test_optimal_sideband_ratio_is_at_most_every_two_tone_lo(point, beta, lo_phi):
+    size, sign, p, eps, n_th = point
+    rho, det, mode = sign * size, Detection(eps), MechanicalMode(1.0, 1e-6, n_th=n_th)
+    try:
+        fixed = synodyne_psd(rho, p, SynodyneLO(beta, lo_phi), det, mode)
+    except DivergenceError:  # alpha_p = 0: beta = 1 at lo_phi = 0 or pi
+        assume(False)
+    assert _at_most(synodyne_variational(rho, p, det, mode), fixed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_points)
+def test_bounds_are_reached_at_their_optimal_powers(point):
+    size, sign, _, eps, n_th = point
+    rho, det, mode = sign * size, Detection(eps), MechanicalMode(1.0, 1e-6, n_th=n_th)
+    # at the power that minimizes the variational added noise, the QL
+    ql = oracles.thermal_exact(rho, n_th) + oracles.ql_added_exact(rho, eps)
+    p = oracles.p_opt(rho, eps)
+    assert oracles.close(psd_at_phi_opt(rho, p, det, mode), ql)
+    assert oracles.close(curve_columns("ql", np.array([rho]), p, 0.0, eps, n_th)["total"][0], ql)
+    # at p = 1 / (sqrt(eps) |chi_m|), the phase-quadrature added noise is |chi_m| / sqrt(eps)
+    phase = displacement_psd(rho, 1.0 / (math.sqrt(eps) * sql_psd(rho)), math.pi / 2.0, det, mode)
+    added = phase.s_ii + phase.s_ff + phase.s_corr
+    assert oracles.close(added, oracles.phase_added_min_exact(rho, eps))

@@ -2,7 +2,6 @@
 and the sideband spectrum CSV reader, each checked against a plain reference."""
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -447,8 +446,18 @@ def test_every_command_table_loads_back(tmp_path, monkeypatch):
             _assert_loads_back(path, table)
 
 
+def _reference_rows(path):
+    r"""The cells of each line of the file at path, split at commas: lines end
+    at \n, \r\n or \r, a blank line has no cells and quotes are not special."""
+    with open(path, newline="") as fh:
+        lines = re.split(r"\r\n|\r|\n", fh.read())
+    if lines[-1] == "":  # after the final line end, or an empty file
+        lines.pop()
+    return [line.split(",") if line else [] for line in lines]
+
+
 def _reference_body(path, rows, first_line, ncols):
-    """The body check without a fast path: one float() per csv cell."""
+    """The body check without a fast path: one float() per cell."""
     for lineno, row in enumerate(rows, start=first_line):
         try:
             values = [float(v) for v in row]
@@ -463,8 +472,7 @@ def _reference_body(path, rows, first_line, ncols):
 
 def _reference_read(path):
     """read_spectrum_csv without a fast path."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _reference_rows(path)
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ParameterError(f"{path}: expected header {','.join(CSV_HEADER)}")
     return _reference_body(path, rows[1:], 2, len(CSV_HEADER))
@@ -477,8 +485,7 @@ def _reference_load(path):
     """load_table_csv without a fast path, for a file that starts with
     TABLE_HEAD: the body by _reference_body, then each row's total and ratio
     added up from its terms, one row at a time."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _reference_rows(path)
     assert rows[:2] == [[TABLE_HEAD[0]], list(COLUMNS)]
     data = _reference_body(path, rows[2:], 3, len(COLUMNS))
     sql = sql_psd(data[:, 0]).tolist()
@@ -583,6 +590,21 @@ def test_load_table_csv_matches_reference(tmp_path, body, newline, final_newline
     ids=("blank-line", "trailing-blank-line", "comment-row"),
 )
 def test_read_spectrum_csv_names_line_loadtxt_would_skip(tmp_path, body, lineno, got):
+    path = tmp_path / "spectrum.csv"
+    path.write_text(HEADER + "\n" + body)
+    with pytest.raises(ParameterError) as info:
+        read_spectrum_csv(path)
+    assert str(info.value) == f"{path}: line {lineno}: expected 2 finite numbers, got {got}"
+
+
+@pytest.mark.parametrize(
+    "body, lineno, got",
+    (('1,2\n"1\n",3\nx,y\n', 3, ['"1']), ('1,2\n"3",4\n', 3, ['"3"', "4"])),
+    ids=("quote-across-lines", "quoted-number"),
+)
+def test_read_spectrum_csv_names_quoted_cell_at_its_own_line(tmp_path, body, lineno, got):
+    # quotes are not special: a quoted cell is not a number, and a quote that
+    # spans a line end does not join two lines into one row
     path = tmp_path / "spectrum.csv"
     path.write_text(HEADER + "\n" + body)
     with pytest.raises(ParameterError) as info:
