@@ -9,7 +9,6 @@ two-column CSV (frequency_hz, psd_shotnoise_units) with a one-line header.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -323,7 +322,7 @@ def read_spectrum_csv(path) -> np.ndarray:
     numbers, frequency and PSD, read by core.read_csv_body."""
 
     def read_header(fh):
-        if tuple(next(csv.reader([fh.readline()]), [])) != CSV_HEADER:
+        if fh.readline().rstrip("\r\n") != ",".join(CSV_HEADER):
             raise ParameterError(f"{path}: expected header {','.join(CSV_HEADER)}")
         return 1
 

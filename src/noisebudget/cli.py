@@ -30,26 +30,15 @@ import stat
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .calibration import (
-    SidebandFit,
-    fit_lorentzian,
-    n_th_from_sidebands,
-    read_spectrum_csv,
-)
+from .calibration import SidebandFit, fit_lorentzian, n_th_from_sidebands, read_spectrum_csv
 from .errors import DomainError, ParameterError, decode_utf8
 from .figures import FIGURE_IDS, reproduce_figure
 from .sweep import (
-    SpectrumTable,
-    curve_columns,
-    emit_table,
-    parse_config,
-    read_key_values,
-    run_sweep,
+    SpectrumTable, curve_columns, emit_table, parse_config, read_key_values, run_sweep,
 )
 
 
@@ -264,10 +253,8 @@ def _write_out(tables: dict, fmt: str, out: Path | None):
 
 
 def _cmd_sweep(args) -> dict:
-    spec = parse_config(_read_config(args))
-    if args.command != "spectrum":  # variational and synodyne set the readout
-        spec = replace(spec, readout=args.command)
-    return {"sweep": run_sweep(spec)}
+    readout = None if args.command == "spectrum" else args.command  # its own readout
+    return {"sweep": run_sweep(parse_config(_read_config(args), readout))}
 
 
 def _cmd_limits(args) -> dict:

@@ -1,34 +1,31 @@
 """Sweep configuration, deterministic evaluation, and table serialization.
 
 The config format is a flat key = value text document (UTF-8, '#' comments).
-The keys are the fields of SweepSpec, each parsed by its declared type:
+The keys are the fields of SweepSpec, each parsed by its declared type.
+Every readout reads COMMON_KEYS; READOUTS gives the keys each reads besides
+them, the key it needs and the key of its candidate angles (in degrees).
 
     rho_min, rho_max      grid bounds (log-symmetric: bounds on |rho|, > 0,
                           whose grid end point 10**log10(rho_max) must not
                           overflow; linear: rho_max - rho_min must not)
-    rho_count             number of grid points (>= 2); rho_count times the
-                          number of powers times the candidate angles
-                          (angles_deg for homodyne, stitch_angles_deg for
-                          stitched, else 1) must not exceed MAX_GRID_POINTS
+    rho_count             number of grid points (>= 2); times the number of
+                          powers and of candidate angles, <= MAX_GRID_POINTS
     powers                comma-separated normalized powers, each > 0
     rho_spacing           linear (default) | log-symmetric
-    angles_deg            comma-separated homodyne angles in degrees, each
-                          strictly between 0 and 180
-    epsilon               quantum efficiency (default 1)
-    n_th                  thermal occupation (default 0)
+    epsilon, n_th         quantum efficiency (1), thermal occupation (0)
     readout               homodyne (default) | synodyne | variational | stitched
+    angles_deg, stitch_angles_deg   comma-separated angles in degrees
     beta, synodyne_phi_deg   synodyne LO ratio and phase
-    stitch_angles_deg     candidate angles for stitched readout, each
-                          strictly between 0 and 180 degrees
     c_aa, c_pp            fractional classical noise (default 0)
     kappa_hz, omega_m_hz, gamma_hz   cavity/mode frequencies in Hz (> 0),
-                          required only when classical noise is nonzero;
-                          gamma_hz / omega_m_hz must stay below the high-Q
-                          threshold the dimensionless spectra assume
+                          needed for nonzero classical noise; gamma_hz /
+                          omega_m_hz must stay below HIGH_Q_THRESHOLD
 
 rho_min, rho_max, rho_count and powers are required.  Every other key, a
-value that does not parse, a non-finite number and a repeated list value is
-a ParameterError naming the key (CLI exit code 2).
+value that does not parse, a non-finite number, a repeated list value and
+an angle not strictly between 0 and 180 is a ParameterError naming the key
+(CLI exit code 2); once every value is checked, so is a key the readout
+does not read, naming its line.
 
 Angles and ordinary frequencies (Hz) are converted to radians and rad/s at
 this boundary; everything below works in angular units.
@@ -81,7 +78,21 @@ COLUMNS = (
     "total_over_sql",
 )
 
-READOUTS = ("homodyne", "synodyne", "variational", "stitched")
+COMMON_KEYS = (
+    "rho_min", "rho_max", "rho_count", "powers", "rho_spacing", "epsilon", "n_th", "readout"
+)
+CLASSICAL_KEYS = ("c_aa", "c_pp", "kappa_hz", "omega_m_hz", "gamma_hz")
+# per readout: the keys it reads besides COMMON_KEYS, the key it needs with
+# the least number of values it takes, and the key of its angles in degrees
+Readout = namedtuple("Readout", "reads needs least angles")
+READOUTS = {
+    "homodyne": Readout(("angles_deg", *CLASSICAL_KEYS), "angles_deg", 1, "angles_deg"),
+    "synodyne": Readout(("beta", "synodyne_phi_deg"), "beta", 1, "synodyne_phi_deg"),
+    "variational": Readout(CLASSICAL_KEYS, None, 0, None),  # at phi_opt per point
+    "stitched": Readout(
+        ("stitch_angles_deg", *CLASSICAL_KEYS), "stitch_angles_deg", 2, "stitch_angles_deg"
+    ),
+}
 SPACINGS = ("linear", "log-symmetric")
 BLOCK_ROWS = 1024  # rows emit_table formats per writelines call
 # rho_count * powers * candidate angles a sweep may evaluate: about 0.5 GB of
@@ -151,25 +162,19 @@ class SweepSpec:
         Detection(self.epsilon)  # checks 0 < epsilon <= 1, naming the key
         if self.n_th < 0:
             raise ParameterError(f"n_th must be >= 0, got {self.n_th}")
-        if self.readout not in READOUTS:
-            raise ParameterError(
-                f"readout must be one of {READOUTS}, got {self.readout!r}"
-            )
-        if self.readout == "homodyne" and not self.angles_deg:
-            raise ParameterError("homodyne readout needs a non-empty angles_deg")
-        if self.readout == "synodyne" and self.beta is None:
-            raise ParameterError("synodyne readout needs beta")
-        if self.readout == "stitched" and len(self.stitch_angles_deg) < 2:
-            raise ParameterError("stitched readout needs >= 2 stitch_angles_deg")
+        row = READOUTS.get(self.readout)
+        if row is None:
+            raise ParameterError(f"readout must be one of {tuple(READOUTS)}, got {self.readout!r}")
+        if row.needs and _count(getattr(self, row.needs)) < row.least:
+            at_least = f">= {row.least} " if row.least > 1 else ""
+            raise ParameterError(f"{self.readout} readout needs {at_least}{row.needs}")
         for key in ("angles_deg", "stitch_angles_deg"):
             for angle in getattr(self, key):
                 if not 0 < angle < 180:
                     raise ParameterError(
                         f"{key} must lie strictly between 0 and 180 degrees, got {angle}"
                     )
-        candidates = {
-            "homodyne": len(self.angles_deg), "stitched": len(self.stitch_angles_deg)
-        }.get(self.readout, 1)
+        candidates = _count(self.angles()) or 1  # variational: phi_opt, one a point
         points = self.rho_count * len(self.powers) * candidates
         if points > MAX_GRID_POINTS:
             raise ParameterError(
@@ -187,17 +192,14 @@ class SweepSpec:
                 f"high-Q regime the spectra assume), got {self.gamma_hz} / "
                 f"{self.omega_m_hz}"
             )
-        if ClassicalNoise(self.c_aa, self.c_pp).is_zero:
-            return
-        if mode is None or self.kappa_hz is None:
-            raise ParameterError(
-                "classical noise needs kappa_hz, omega_m_hz and gamma_hz"
-            )
-        if self.readout == "synodyne":
-            raise ParameterError(
-                "synodyne readout does not model classical noise; "
-                "set c_aa and c_pp to 0"
-            )
+        noisy = not ClassicalNoise(self.c_aa, self.c_pp).is_zero
+        if noisy and "c_aa" in row.reads and (mode is None or self.kappa_hz is None):
+            raise ParameterError("classical noise needs kappa_hz, omega_m_hz and gamma_hz")
+
+    def angles(self):
+        """The readout's angles in degrees: its angle key's value, or None."""
+        key = READOUTS[self.readout].angles
+        return None if key is None else getattr(self, key)
 
     def mode(self) -> Optional[MechanicalMode]:
         """The mechanical mode in angular units, or None unless omega_m_hz
@@ -242,6 +244,10 @@ def _parser(hint):
     return kind
 
 
+def _count(value) -> int:  # the values a field holds: 0 for None, a tuple's length
+    return 0 if value is None else len(value) if isinstance(value, tuple) else 1
+
+
 _PARSERS = {key: _parser(hint) for key, hint in get_type_hints(SweepSpec).items()}
 _REQUIRED = [f.name for f in fields(SweepSpec) if f.default is MISSING]
 
@@ -269,20 +275,29 @@ def read_key_values(text: str, keys) -> dict:
     return out
 
 
-def parse_config(text: str) -> SweepSpec:
-    """Parse a sweep config document into a checked SweepSpec."""
+def parse_config(text: str, readout: Optional[str] = None) -> SweepSpec:
+    """A checked SweepSpec from a config document.  readout, if given, runs, and
+    a readout line must name it; a key the readout does not read is an error."""
+    lines = read_key_values(text, _PARSERS)
     values = {}
-    for key, (value, lineno) in read_key_values(text, _PARSERS).items():
+    for key, (value, lineno) in lines.items():
         try:
             values[key] = _PARSERS[key](value)
         except ValueError as exc:
             raise ParameterError(
                 f"line {lineno}: bad value for {key!r}: {value!r} ({exc})"
             ) from None
+    if readout is not None and values.setdefault("readout", readout) != readout:
+        n, named = lines["readout"][1], values["readout"]
+        raise ParameterError(f"line {n}: the {readout} command does not run {named} readout")
     for key in _REQUIRED:
         if key not in values:
             raise ParameterError(f"missing required key {key!r}")
-    return SweepSpec(**values)
+    spec = SweepSpec(**values)
+    for key, (_, lineno) in lines.items():
+        if key not in COMMON_KEYS + READOUTS[spec.readout].reads:
+            raise ParameterError(f"line {lineno}: {spec.readout} readout does not read {key!r}")
+    return spec
 
 
 Row = namedtuple("Row", COLUMNS)
@@ -416,7 +431,7 @@ def run_sweep(spec: SweepSpec) -> SpectrumTable:
     rho = spec.rho_grid()[:, None, None]
     p = np.array(spec.powers)[None, :, None]
     noise, s_ln = ClassicalNoise(spec.c_aa, spec.c_pp), None
-    if not noise.is_zero:
+    if not noise.is_zero and "c_aa" in READOUTS[spec.readout].reads:  # synodyne reads none
         det, mode = Detection(spec.epsilon), spec.mode()
         cav = OpticalCavity(kappa=2 * math.pi * spec.kappa_hz)
 
@@ -424,8 +439,7 @@ def run_sweep(spec: SweepSpec) -> SpectrumTable:
             omega = omega_from_rho(rho, mode)
             return classical_noise_displacement(omega, phi, p, det, cav, noise)
 
-    readout_angles = {"homodyne": spec.angles_deg, "stitched": spec.stitch_angles_deg}
-    angles = readout_angles.get(spec.readout, spec.synodyne_phi_deg)  # in degrees
+    angles = spec.angles()  # in degrees
     columns = curve_columns(spec.readout, rho, p, angles, spec.epsilon, spec.n_th, spec.beta, s_ln)
     return SpectrumTable(spec.metadata(), columns)
 

@@ -35,7 +35,7 @@ from noisebudget.cli import _run_shares
 from noisebudget.cli import main as cli_main
 from noisebudget.errors import DivergenceError, ParameterError
 from noisebudget.figures import FIGURE_IDS, reproduce_figure
-from noisebudget.sweep import load_table_csv
+from noisebudget.sweep import COMMON_KEYS, READOUTS, load_table_csv
 
 LIMITS_CONFIG = (
     "rho_min = -20\nrho_max = 20\nrho_count = {rho_count}\npowers = 14\n"
@@ -471,7 +471,7 @@ HUGE_GRID_CONFIG = (
 )
 # the SQL is 1e-200 at the grid ends and s_ii 5e299, so total_over_sql overflows
 HUGE_RATIO_CONFIG = HUGE_GRID_CONFIG.replace("powers = 1", "powers = 1e-300")
-HUGE_BETA_CONFIG = TINY_CONFIG + "beta = 1e200\n"
+HUGE_BETA_CONFIG = TINY_CONFIG.replace("angles_deg = 90\n", "") + "beta = 1e200\n"
 # (kappa/2)^2 overflows float64; it used to raise OverflowError, exit 1
 HUGE_KAPPA_CONFIG = (
     "rho_min = -20\nrho_max = 20\nrho_count = 11\npowers = 14\nepsilon = 0.35\n"
@@ -620,15 +620,14 @@ PHYSICAL = {
     "gamma_hz": (1.0, 100.0),
 }
 LIST_KEYS = {"powers": 1, "angles_deg": 1, "stitch_angles_deg": 2}  # key: least length
-CLASSICAL_KEYS = ("c_aa", "c_pp", "kappa_hz", "omega_m_hz", "gamma_hz")
 
 
 @st.composite
 def config_values(draw, command: str) -> dict:
-    """Values of every key for command: physical but for one or two keys,
-    which take float64 edge values.  Lists hold no repeats and the grid
-    bounds come in order, so validation passes unless an edge value breaks
-    it."""
+    """Values of every key the readout that command runs reads: physical but
+    for one or two keys, which take float64 edge values.  Lists hold no
+    repeats and the grid bounds come in order, so validation passes unless an
+    edge value breaks it."""
     edgy = draw(st.sets(st.sampled_from(sorted(PHYSICAL)), min_size=1, max_size=2))
     spacing = draw(st.sampled_from(("linear", "log-symmetric")))
     physical = dict(PHYSICAL, rho=PHYSICAL["rho"] if spacing == "linear" else (1e-3, 50.0))
@@ -639,10 +638,9 @@ def config_values(draw, command: str) -> dict:
         return st.sampled_from(SIGNED_EDGES if key in SIGNED_KEYS else EDGES)
 
     bounds = draw(st.lists(numbers("rho"), min_size=2, max_size=2, unique=True))
-    readout = draw(st.sampled_from(("homodyne", "synodyne", "variational", "stitched")))
-    keys = [k for k in PHYSICAL if k != "rho" and k not in CLASSICAL_KEYS]
-    if "synodyne" not in (readout, command):  # synodyne models no classical noise
-        keys += CLASSICAL_KEYS
+    # variational and synodyne run their own readout; the others the config's
+    readout = command if command in READOUTS else draw(st.sampled_from(tuple(READOUTS)))
+    keys = [k for k in PHYSICAL if k in COMMON_KEYS + READOUTS[readout].reads]
     values = {
         "rho_min": min(bounds),
         "rho_max": max(bounds),

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import write_spectrum_csv
 from noisebudget import (
@@ -16,7 +18,7 @@ from noisebudget import (
     parse_config,
     synth_sideband_spectrum,
 )
-from noisebudget.sweep import MAX_GRID_POINTS
+from noisebudget.sweep import COMMON_KEYS, MAX_GRID_POINTS, READOUTS
 from noisebudget.cli import main as cli_main
 
 MINIMAL = "rho_min = -10\nrho_max = 10\nrho_count = 21\npowers = 14\nangles_deg = 90\n"
@@ -49,6 +51,72 @@ def test_misspelt_key_is_rejected(tmp_path, capsys):
     )
     assert code == 2
     assert "line 3: unknown key 'rho_cuont'" in err
+
+
+GRID = MINIMAL.replace("angles_deg = 90\n", "")  # the four required keys
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("variational", GRID), ("synodyne", GRID + "beta = 1.02\n")],
+    ids=("variational", "synodyne"),
+)
+def test_command_checks_the_config_against_its_own_readout(tmp_path, capsys, command, text):
+    # both used to be checked as homodyne first: "needs a non-empty angles_deg"
+    assert _exit_and_stderr(tmp_path, capsys, text, command) == (0, "")
+
+
+def test_key_the_readout_does_not_read_is_rejected(tmp_path, capsys):
+    # it used to run, the three keys only echoed into the metadata
+    text = GRID + "readout = variational\nangles_deg = 45\nbeta = 7\nstitch_angles_deg = 30\n"
+    for command in ("spectrum", "variational"):
+        code, err = _exit_and_stderr(tmp_path, capsys, text, command)
+        assert code == 2
+        assert err == "error: line 6: variational readout does not read 'angles_deg'\n"
+
+
+def test_readout_line_naming_another_readout_is_rejected(tmp_path, capsys):
+    text = GRID + "readout = stitched\nstitch_angles_deg = 45,90\n"
+    assert _exit_and_stderr(tmp_path, capsys, text)[0] == 0
+    code, err = _exit_and_stderr(tmp_path, capsys, text, "variational")
+    assert code == 2
+    assert err == "error: line 5: the variational command does not run stitched readout\n"
+
+
+# a value each key takes whatever the readout, for the keys some readout does not read
+UNREAD_VALUES = {
+    "angles_deg": st.lists(st.floats(1.0, 179.0), min_size=1, max_size=3, unique=True),
+    "stitch_angles_deg": st.lists(st.floats(1.0, 179.0), min_size=1, max_size=3, unique=True),
+    "beta": st.floats(0.01, 10.0),
+    "synodyne_phi_deg": st.floats(-180.0, 180.0),
+    "c_aa": st.floats(0.0, 1.0),
+    "c_pp": st.floats(0.0, 1.0),
+    "kappa_hz": st.floats(1e3, 1e8),
+    "omega_m_hz": st.floats(1e5, 1e8),
+    "gamma_hz": st.floats(1.0, 100.0),
+}
+# the key each readout needs, set
+NEEDED = {"homodyne": "angles_deg = 90\n", "synodyne": "beta = 1.02\n", "variational": "",
+          "stitched": "stitch_angles_deg = 45,90\n"}
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data(), st.sampled_from(tuple(READOUTS)))
+def test_every_key_outside_the_readouts_row_is_rejected_by_line(tmp_path, capsys, data, readout):
+    assert set(UNREAD_VALUES) == {f.name for f in dataclasses.fields(SweepSpec)} - set(COMMON_KEYS)
+    key = data.draw(st.sampled_from(sorted(set(UNREAD_VALUES) - set(READOUTS[readout].reads))))
+    value = data.draw(UNREAD_VALUES[key])
+    value = value if isinstance(value, list) else [value]
+    lines = (GRID + NEEDED[readout]).splitlines()
+    command = "spectrum" if readout in ("homodyne", "stitched") else readout
+    if command == "spectrum" or data.draw(st.booleans()):
+        lines.append(f"readout = {readout}")
+    at = data.draw(st.integers(0, len(lines)))
+    lines.insert(at, f"{key} = " + ",".join(map(repr, value)))
+    code, err = _exit_and_stderr(tmp_path, capsys, "\n".join(lines) + "\n", command)
+    assert (code, err) == (2, f"error: line {at + 1}: {readout} readout does not read {key!r}\n")
 
 
 @pytest.mark.parametrize(
@@ -196,15 +264,37 @@ def test_calibrate_rejects_an_empty_path(tmp_path, capsys, lines, lineno, key):
 
 
 def _readme_schema() -> str:
+    """The README's config section: its blocks and its table of readouts."""
     text = README.read_text(encoding="utf-8")
-    match = re.search(r"Schema:\n\n```\n(.*?)```", text, re.S)
-    assert match, "README has no config-schema block"
-    return match.group(1)
+    start = text.index("Every readout reads the common keys:")
+    end = text.index("`rho_min`, `rho_max`, `rho_count` and `powers` are required.", start)
+    return text[start:end]
+
+
+def _keys(block: str) -> set:
+    return {line.split("=", 1)[0].strip() for line in block.splitlines()}
 
 
 def test_readme_schema_block_parses_and_names_every_field():
-    block = _readme_schema()
-    spec = parse_config(block)
-    keys = {line.split("=", 1)[0].strip() for line in block.splitlines()}
+    common, *blocks = re.findall(r"```\n(.*?)```", _readme_schema(), re.S)
+    assert _keys(common) | {"readout"} == set(COMMON_KEYS)
+    readouts, keys = [], set()
+    for block in blocks:
+        spec = parse_config(common + block)
+        readouts.append(spec.readout)
+        assert _keys(block) == {"readout", *READOUTS[spec.readout].reads}
+        keys |= _keys(common + block)
+        if spec.readout != "synodyne":
+            assert spec.c_aa == 0.004 and spec.gamma_hz == 340.0
+    assert readouts == list(READOUTS)
     assert keys == {f.name for f in dataclasses.fields(SweepSpec)}
-    assert spec.c_aa == 0.004 and spec.gamma_hz == 340.0
+    # the table of readouts: what each reads besides the common keys, and needs
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \| (.*) \|$", _readme_schema(), re.M)
+    assert [readout for readout, _, _ in rows] == list(READOUTS)
+    for readout, reads, needs in rows:
+        row = READOUTS[readout]
+        assert re.findall(r"`(\w+)`", reads) == list(row.reads)
+        need = re.fullmatch(r"nothing|`(\w+)`(?:, (\d+) or more)?", needs)
+        assert need, needs
+        least = 0 if need[1] is None else int(need[2] or 1)
+        assert (need[1], least) == (row.needs, row.least)

@@ -43,7 +43,7 @@ from noisebudget import (
 from noisebudget.cli import main as cli_main
 from noisebudget.limits import fixed_angle_spectrum, phi_opt, ql_added_noise, stitch_quadratures
 from noisebudget.spectra import SpectrumComponents, homodyne_terms
-from noisebudget.sweep import COLUMNS, SpectrumTable, curve_columns
+from noisebudget.sweep import COLUMNS, READOUTS, SpectrumTable, curve_columns
 from noisebudget.synodyne import SynodyneLO, synodyne_terms
 
 ULPS = 8
@@ -353,14 +353,17 @@ def test_non_finite_power_and_detuning_rejected(name):
 
 
 def test_synodyne_with_classical_noise_rejected(tmp_path, capsys):
-    text = MINIMAL + "beta = 1.02\nc_aa = 0.004\nc_pp = 0.04\n" + CAVITY
-    with pytest.raises(ParameterError, match="c_aa and c_pp"):
+    # synodyne reads no classical-noise key, so the first one is rejected by line
+    noise = "c_aa = 0.004\nc_pp = 0.04\n" + CAVITY
+    text = MINIMAL.replace("angles_deg = 90\n", "beta = 1.02\n") + noise
+    with pytest.raises(ParameterError, match="line 6: synodyne readout does not read 'c_aa'"):
         parse_config(text + "readout = synodyne\n")
     cfg = tmp_path / "syn.cfg"
-    cfg.write_text(text)
+    cfg.write_text(MINIMAL + noise)
     assert cli_main(["--config", str(cfg), "spectrum"]) == 0
+    cfg.write_text(text)
     assert cli_main(["--config", str(cfg), "synodyne"]) == 2
-    assert "c_aa and c_pp" in capsys.readouterr().err
+    assert "line 6: synodyne readout does not read 'c_aa'" in capsys.readouterr().err
 
 
 def test_non_finite_config_exit_codes(tmp_path, capsys):
@@ -396,15 +399,15 @@ def configs(draw):
         + ",".join(repr(v) for v in draw(st.lists(_pos, min_size=1, max_size=3, unique=True))),
         f"epsilon = {draw(st.floats(1e-2, 1.0))!r}", f"n_th = {draw(st.floats(0.0, 1e4))!r}",
         f"readout = {readout}",
-        "angles_deg = "
-        + ",".join(repr(v) for v in draw(st.lists(_angle, min_size=1, max_size=3, unique=True))),
-        "stitch_angles_deg = "
-        + ",".join(repr(v) for v in draw(st.lists(_angle, min_size=2, max_size=4, unique=True))),
     ]
-    if readout == "synodyne":
+    row = READOUTS[readout]  # only the keys the readout reads
+    if row.angles in ("angles_deg", "stitch_angles_deg"):
+        angles = draw(st.lists(_angle, min_size=row.least, max_size=row.least + 2, unique=True))
+        lines.append(f"{row.angles} = " + ",".join(map(repr, angles)))
+    if "beta" in row.reads:
         beta = draw(st.floats(0.1, 10.0).filter(lambda b: abs(b - 1.0) > 1e-6))
         lines += [f"beta = {beta!r}", f"synodyne_phi_deg = {draw(st.floats(-180, 180))!r}"]
-    elif draw(st.booleans()):
+    if "c_aa" in row.reads and draw(st.booleans()):
         lines += [f"c_aa = {draw(st.floats(0.0, 10.0))!r}",
                   f"c_pp = {draw(st.floats(0.0, 10.0))!r}", CAVITY.strip()]
     return "\n".join(lines) + "\n"

@@ -19,7 +19,9 @@ from noisebudget.cli import main as cli_main
 from noisebudget.limits import psd_at_phi_opt, sql_psd
 from noisebudget.sweep import (
     COLUMNS,
+    COMMON_KEYS,
     NORMALIZATION_STATEMENT,
+    READOUTS,
     SpectrumTable,
     read_key_values,
 )
@@ -32,6 +34,7 @@ rho_count = 21
 powers = 14
 angles_deg = 90
 """
+GRID = MINIMAL.replace("angles_deg = 90\n", "")  # for the readouts that do not read angles_deg
 
 
 def test_parse_minimal_defaults():
@@ -65,8 +68,12 @@ def test_parse_errors():
 
 
 def _config_text(spec: SweepSpec) -> str:
-    """The set fields of spec as config text; a float's str round-trips."""
-    fields = {k: v for k, v in spec.metadata()["spec"].items() if v not in (None, [])}
+    """The set fields of spec that its readout reads as config text; a
+    float's str round-trips."""
+    reads = COMMON_KEYS + READOUTS[spec.readout].reads
+    fields = {
+        k: v for k, v in spec.metadata()["spec"].items() if v not in (None, []) and k in reads
+    }
     return "".join(
         f"{k} = {','.join(map(str, v)) if isinstance(v, list) else v}\n" for k, v in fields.items()
     )
@@ -175,6 +182,16 @@ def test_sweep_synodyne_and_stitched():
             assert r.phi_used == pytest.approx(45.0)
 
 
+def test_sweep_evaluates_what_its_readout_reads():
+    # parse_config rejects c_aa and c_pp for synodyne; a SweepSpec built
+    # directly may hold them without the cavity keys, and synodyne ignores them
+    spec = SweepSpec(
+        rho_min=-5.0, rho_max=5.0, rho_count=11, powers=(100.0,), readout="synodyne", beta=1.02
+    )
+    noisy = SweepSpec(**dict(spec.__dict__, c_aa=0.004, c_pp=0.04))
+    assert run_sweep(noisy).rows == run_sweep(spec).rows
+
+
 def test_sweep_classical_noise_column():
     base = (
         "rho_min = -10\nrho_max = 10\nrho_count = 5\npowers = 14\n"
@@ -260,7 +277,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli_main(["--config", str(div), "spectrum"]) == 2
     assert "angles_deg must lie strictly between 0 and 180 degrees" in capsys.readouterr().err
     # 3: domain error (the LO power overflows)
-    div = _write_config(tmp_path, MINIMAL + "beta = 1e200\n")
+    div = _write_config(tmp_path, GRID + "beta = 1e200\n")
     assert cli_main(["--config", str(div), "synodyne"]) == 3
     # 2: unknown keys are rejected, and there is no --strict flag
     odd = _write_config(tmp_path, MINIMAL + "mystery = 1\n")
@@ -276,14 +293,14 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_cli_variational_and_synodyne_overrides(tmp_path, capsys):
-    cfg = _write_config(tmp_path, MINIMAL)
+    cfg = _write_config(tmp_path, GRID)
     out = tmp_path / "var.csv"
     assert cli_main(["--config", str(cfg), "--out", str(out), "variational"]) == 0
     table = load_table_csv(out)
     assert table.metadata["spec"]["readout"] == "variational"
     # synodyne override without beta is a validation error
     assert cli_main(["--config", str(cfg), "synodyne"]) == 2
-    syn_cfg = _write_config(tmp_path, MINIMAL + "beta = 1.02\n")
+    syn_cfg = _write_config(tmp_path, GRID + "beta = 1.02\n")
     out2 = tmp_path / "syn.csv"
     assert cli_main(["--config", str(syn_cfg), "--out", str(out2), "synodyne"]) == 0
     capsys.readouterr()

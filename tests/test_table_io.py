@@ -520,6 +520,10 @@ cells = st.one_of(
     finite.map(repr),
     st.sampled_from(("nan", "-inf", "", " ", "\t", " 2 ", "#c", "1_0", '"3"', "x", "1e400", "١")),
 )
+# the header as written, or a near miss; csv.reader used to unquote the first
+headers = st.one_of(st.just(HEADER), st.sampled_from((
+    '"frequency_hz","psd_shotnoise_units"', HEADER + ",", " " + HEADER, "frequency_hz", "",
+)))
 lines = st.one_of(
     st.tuples(cells, cells).map(",".join),
     st.lists(cells, max_size=3).map(",".join),
@@ -530,13 +534,14 @@ lines = st.one_of(
     max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(
+    headers,
     st.lists(lines, max_size=6),
     st.sampled_from(("\n", "\r\n", "\r")),
     st.booleans(),
 )
-def test_read_spectrum_csv_matches_reference(tmp_path, body, newline, final_newline):
+def test_read_spectrum_csv_matches_reference(tmp_path, header, body, newline, final_newline):
     path = tmp_path / "spectrum.csv"
-    text = newline.join([HEADER, *body]) + (newline if final_newline else "")
+    text = newline.join([header, *body]) + (newline if final_newline else "")
     path.write_bytes(text.encode())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
