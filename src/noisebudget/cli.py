@@ -7,11 +7,12 @@ error, 4 I/O error.
 calibrate's red/blue pair, and the tables of a command once they hold at
 least FORK_MIN_ROWS rows in all, run as independent jobs in shares, one per
 CPU this process may use (_run_shares).  Each such table is cut into one
-contiguous row range per CPU, and range k of every table runs in share k;
-each range written to a regular file, --out or stdout, after the file's
-first goes to a temporary file, appended to it in the kernel (_write_out),
-so the bytes do not depend on the CPU count.  Pipes, terminals, smaller
-tables and every library function stay serial.
+contiguous row range per CPU, and range k of every table runs in share k.
+Whatever the destination (an --out file, or stdout to a file, pipe,
+terminal or stream), the first range written to it goes straight into it
+and every later range to a temporary file that is then copied onto its end
+(_write_out), so the bytes do not depend on the CPU count.  Smaller tables
+and every library function stay serial.
 
 run() is the process entry point (the noisebudget script and
 python -m noisebudget.cli); main(argv) is the same command for in-process
@@ -26,7 +27,7 @@ import gc
 import json
 import os
 import pickle
-import stat
+import shutil
 import sys
 import tempfile
 import warnings
@@ -142,7 +143,7 @@ def _run_shares(jobs: list, shares: list) -> list:
         for pid, fh in children:
             data = fh.read()
             if not data:
-                raise RuntimeError(f"worker process {pid} exited without a result")
+                raise ChildProcessError(f"worker process {pid} exited without a result")
             outcomes.append(pickle.loads(data))
     finally:
         for pid, fh in children:
@@ -179,30 +180,7 @@ def _row_ranges(n_rows: int, n: int) -> list:
 def _emit_part(table, fmt, fh, rows, head):
     fh.write(head)
     emit_table(table, fmt, fh, rows)
-    fh.flush()  # a forked child leaves through os._exit; _append bypasses buffers
-
-
-def _splits(fh) -> bool:
-    """Whether _append can extend fh: a regular file not opened to append to
-    (stdout under >>; sendfile rejects O_APPEND), not a pipe, tty or StringIO."""
-    import fcntl  # POSIX only; called only where os.fork is used
-    try:
-        fd = fh.fileno()
-    except OSError:  # io.UnsupportedOperation
-        return False
-    return stat.S_ISREG(os.fstat(fd).st_mode) and not fcntl.fcntl(fd, fcntl.F_GETFL) & os.O_APPEND
-
-
-def _append(dst, src):
-    """Append the whole file behind descriptor src to dst, copied in the
-    kernel from src's offset 0: a forked child shares src's file offset,
-    which it left at the end."""
-    size, done = os.fstat(src).st_size, 0
-    while done < size:
-        sent = os.sendfile(dst, src, done, size - done)
-        if not sent:
-            raise OSError(f"table part ended at {done} of {size} bytes")
-        done += sent
+    fh.flush()  # a forked child leaves through os._exit, which flushes nothing
 
 
 def _write_out(tables: dict, fmt: str, out: Path | None):
@@ -211,35 +189,35 @@ def _write_out(tables: dict, fmt: str, out: Path | None):
 
     The paths are opened in table order before any work starts.  The first
     range written to a destination goes straight into it, from this process.
-    With FORK_MIN_ROWS rows in all, every later range of a destination that
-    _splits goes to an unlinked temporary file, beside the path or in the
-    default temporary directory, which this process then appends in the
-    kernel.  If a job fails, every opened --out file is truncated to empty
-    before the error is raised, so no partial table is left to load; stdout
-    may be appended to and is left as it is.
+    With FORK_MIN_ROWS rows in all, every later range goes to an unlinked
+    temporary file in the default temporary directory, which this process
+    then copies onto the end of its destination, in order, whatever the
+    destination is.  If a job fails, every opened --out file is truncated to
+    empty before the error is raised, so no partial table is left to load;
+    stdout may be appended to and is left as it is.
     """
     rows = sum(len(table.columns["rho"]) for table in tables.values())
     n = _usable_cpus() if rows >= FORK_MIN_ROWS else 1
     files, parts, jobs, shares, started = [], [], [], [[] for _ in range(n)], set()
     try:
         for name, table in tables.items():
-            fh, head, tmp_dir = sys.stdout, f"# --- {name} ---\n", None
+            fh, head = sys.stdout, f"# --- {name} ---\n"
             if out is not None:
                 path = out if len(tables) == 1 else out.with_name(f"{out.stem}.{name}{out.suffix}")
-                fh, head, tmp_dir = open(path, "w", newline=""), "", path.parent
+                fh, head = open(path, "w", newline=""), ""
                 files.append(fh)
-            split = n if n > 1 and _splits(fh) else 1
-            for k, part_rows in enumerate(_row_ranges(len(table.columns["rho"]), split)):
+            for k, part_rows in enumerate(_row_ranges(len(table.columns["rho"]), n)):
                 dest = fh
-                if split > 1 and fh in started:
-                    dest = tempfile.TemporaryFile("w", newline="", dir=tmp_dir)
+                if n > 1 and fh in started:
+                    dest = tempfile.TemporaryFile("w+", newline="")
                     parts.append((fh, dest))
                 started.add(fh)
                 shares[k].append(len(jobs))  # range k of every table runs in share k
                 jobs.append(partial(_emit_part, table, fmt, dest, part_rows, "" if k else head))
         _run_shares(jobs, shares)
         for fh, part in parts:
-            _append(fh.fileno(), part.fileno())
+            part.seek(0)  # its writer, here or a child sharing its offset, left it at the end
+            shutil.copyfileobj(part, fh)
     except BaseException:
         for fh in files:
             with contextlib.suppress(OSError):

@@ -1,7 +1,7 @@
 """The CLI's flag checks, its worker processes and its process entry point.
 
-The row ranges of large tables, to --out or to a regular file on stdout,
-and calibrate's red/blue pair run as jobs in forked children, with output
+The row ranges of large tables, to --out or to stdout of any kind, and
+calibrate's red/blue pair run as jobs in forked children, with output
 bytes, errors and exit codes as in a serial run.  cli.run, the entry point
 of a CLI process, freezes the heap at exit and otherwise behaves as the
 in-process cli.main.  Any config text gives one of the documented exit
@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -193,14 +194,41 @@ def test_table_with_fewer_rows_than_cpus_forks_only_for_its_later_ranges(
     assert len(load_table_csv(out).columns["rho"]) == 2
 
 
-def test_table_to_a_path_that_is_no_regular_file_is_not_cut(tmp_path, monkeypatch):
-    # /dev/null is no regular file: its table is written whole, in-process
+def test_table_to_a_path_that_is_no_regular_file_is_cut_as_a_file(tmp_path, monkeypatch):
+    # /dev/null is cut as a regular file is: its later range goes to a child,
+    # through a temporary file in the default temporary directory, not /dev
     _use_cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
     cfg = tmp_path / "s.cfg"
     cfg.write_text(STITCHED_CONFIG.format(rho_count=301))
     assert cli_main(["--config", str(cfg), "--out", os.devnull, "spectrum"]) == 0
-    assert forks == []
+    assert len(forks) == 1
+
+
+def _kill_when_forked(emit_table, parent):
+    """emit_table that kills its own process when that is a forked child."""
+    def emit(table, fmt, destination, rows=None):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        emit_table(table, fmt, destination, rows)
+    return emit
+
+
+def test_killed_worker_exits_4_and_leaves_no_table(tmp_path, monkeypatch, capsys):
+    _use_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr(cli, "emit_table", _kill_when_forked(cli.emit_table, os.getpid()))
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(STITCHED_CONFIG.format(rho_count=301))
+    out = tmp_path / "out" / "s.csv"
+    out.parent.mkdir()
+    assert cli_main(["--config", str(cfg), "--out", str(out), "spectrum"]) == 4
+    (_, share), = forks
+    assert share == [1]
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"i/o error: worker process \d+ exited without a result\n", err)
+    assert os.listdir(out.parent) == ["s.csv"]
+    assert out.read_bytes() == b""
 
 
 def _emit_failing_at_last_row(error, emit_table):
@@ -229,6 +257,7 @@ def test_failing_later_range_fails_as_serial_and_leaves_no_table(
     cfg.write_text(STITCHED_CONFIG.format(rho_count=301))
     serial = _serial_stdout(command, cfg, "csv")
     monkeypatch.setattr(cli, "emit_table", _emit_failing_at_last_row(error, cli.emit_table))
+    forks = _count_forks(monkeypatch)
     results, stdout_results = [], []
     for cpus in (1, 2, 3):
         _use_cpus(monkeypatch, cpus)
@@ -242,17 +271,21 @@ def test_failing_later_range_fails_as_serial_and_leaves_no_table(
             with pytest.raises(ParameterError, match="missing header row"):
                 load_table_csv(path)
         results.append((exit_code, capsys.readouterr().err, [p.name for p in left]))
-        # stdout, a regular file here, is cut as --out is but never truncated:
-        # it keeps what was written before the error, a prefix of the serial bytes
-        stdout = out_dir / "stdout"
-        with open(stdout, "w") as stream, _stdout(monkeypatch, stream):
-            exit_code = cli_main(["--config", str(cfg), command])
-        stdout_results.append((exit_code, capsys.readouterr().err))
-        got = stdout.read_bytes()
-        assert got and serial.startswith(got)
+        # stdout, a regular file or a stream with no descriptor here, is cut
+        # as --out is but never truncated: it keeps what was written before
+        # the error, a prefix of the serial bytes
+        for stream in (open(out_dir / "stdout", "w+"), io.StringIO()):
+            forks.clear()
+            with stream, _stdout(monkeypatch, stream):
+                exit_code = cli_main(["--config", str(cfg), command])
+                stream.seek(0)
+                got = stream.read().encode()
+            stdout_results.append((exit_code, capsys.readouterr().err))
+            assert len(forks) == cpus - 1
+            assert got and serial.startswith(got)
     assert results[0][0] == code
     assert results[1:] == results[:1] * 2
-    assert stdout_results == [results[0][:2]] * 3
+    assert stdout_results == [results[0][:2]] * 6
 
 
 def _serial_stdout(command, cfg, fmt) -> bytes:
@@ -291,29 +324,32 @@ def test_stdout_to_a_regular_file_is_cut_into_one_range_per_cpu(
     assert stdout.read_bytes() == _serial_stdout(command, cfg, fmt)
 
 
-def test_stdout_that_cannot_be_cut_is_written_whole_in_process(tmp_path, monkeypatch):
-    _use_cpus(monkeypatch, 2)
-    forks = _count_forks(monkeypatch)
+def test_stdout_of_every_kind_is_cut_into_one_range_per_cpu(tmp_path, monkeypatch):
+    # a pipe, a stream with no descriptor, /dev/null and a file opened for
+    # appending, as under >>, each get their later ranges copied onto their end
     cfg = _limits_config(tmp_path, rho_count=21)  # both tables fit in a pipe's buffer
     argv = ["--config", str(cfg), "limits"]
     serial = _serial_stdout("limits", cfg, "csv")
-    r, w = os.pipe()
-    with os.fdopen(r, "rb") as reader:
-        with os.fdopen(w, "w") as stream, _stdout(monkeypatch, stream):
-            assert cli_main(argv) == 0
-        assert reader.read() == serial
-    with _stdout(monkeypatch, io.StringIO()) as stream:  # no descriptor at all
-        assert cli_main(argv) == 0
-    assert stream.getvalue().encode() == serial
-    with open(os.devnull, "w") as stream, _stdout(monkeypatch, stream):
-        assert cli_main(argv) == 0
-    # a regular file opened for appending, as under >>, to which sendfile cannot write
     stdout = tmp_path / "stdout"
-    stdout.write_bytes(b"# before\n")
-    with open(stdout, "a") as stream, _stdout(monkeypatch, stream):
-        assert cli_main(argv) == 0
-    assert stdout.read_bytes() == b"# before\n" + serial
-    assert forks == []
+    forks = _count_forks(monkeypatch)
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        forks.clear()
+        r, w = os.pipe()
+        with os.fdopen(r, "rb") as reader:
+            with os.fdopen(w, "w") as stream, _stdout(monkeypatch, stream):
+                assert cli_main(argv) == 0
+            assert reader.read() == serial
+        with _stdout(monkeypatch, io.StringIO()) as stream:
+            assert cli_main(argv) == 0
+        assert stream.getvalue().encode() == serial
+        with open(os.devnull, "w") as stream, _stdout(monkeypatch, stream):
+            assert cli_main(argv) == 0
+        stdout.write_bytes(b"# before\n")
+        with open(stdout, "a") as stream, _stdout(monkeypatch, stream):
+            assert cli_main(argv) == 0
+        assert stdout.read_bytes() == b"# before\n" + serial
+        assert len(forks) == 4 * (cpus - 1)
 
 
 def _count_forks(monkeypatch):
