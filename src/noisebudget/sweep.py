@@ -103,7 +103,9 @@ MAX_GRID_POINTS = 10_000_000
 @dataclass(frozen=True)
 class SweepSpec:
     """Sweep description, checked on construction: an invalid value raises
-    ParameterError naming its key.  See the module docstring for the schema."""
+    ParameterError naming its key (schema: the module docstring).  A field its
+    readout does not read is ignored by run_sweep and echoed by metadata(), as
+    test_sweep_evaluates_what_its_readout_reads pins; parse_config rejects it."""
 
     rho_min: float
     rho_max: float
@@ -338,13 +340,12 @@ def spectrum_columns(rho, phi_used, p, comps: SpectrumComponents) -> dict:
     order; total and total_over_sql are derived from the five terms.  A
     value that already holds one float64 per row in C order becomes its
     column as a view: a scalar as a zero-stride view, a contiguous array of
-    the table's length as itself.  Only broadcast values are copied out."""
+    the table's length on its own memory.  Only broadcast values are copied out."""
     values = [np.asarray(v, dtype=float) for v in (rho, phi_used, p, *comps.terms)]
     shape = np.broadcast_shapes(*(v.shape for v in values))
     n = math.prod(shape)
     columns = {
         name: np.broadcast_to(v, (n,)) if v.ndim == 0
-        else v.reshape(n) if v.size == n and v.flags.c_contiguous
         else np.broadcast_to(v, shape).ravel()
         for name, v in zip(COLUMNS, values)
     }

@@ -55,10 +55,11 @@ def lo_coefficients(lo: SynodyneLO):
     return alpha_a, alpha_p
 
 
-def _checked_lo(lo: SynodyneLO):
-    """lo_coefficients(lo) and |alpha_p|^2.  alpha_p = 0, and a beta so large
-    that |alpha_a|^2 + |alpha_p|^2 = (1 + beta^2)/2 overflows float64, are
-    DivergenceErrors."""
+def synodyne_terms(rho, p, lo: SynodyneLO, epsilon: float, n_th: float):
+    """Synodyne displacement-PSD budget at demodulated detuning rho, over arrays
+    rho and p: budget_terms with imprecision P / |alpha_p|^2, where P = (1 + beta^2)/2
+    is the LO power |alpha_a|^2 + |alpha_p|^2, and correlation Im(conj(alpha_a) alpha_p)
+    / |alpha_p|^2.  Checks only the LO: alpha_p = 0 or P = inf is a DivergenceError."""
     alpha_a, alpha_p = lo_coefficients(lo)
     try:
         ap2 = abs(alpha_p) ** 2
@@ -74,17 +75,8 @@ def _checked_lo(lo: SynodyneLO):
             "alpha_p = 0: the LO carries no mechanical information "
             f"(beta = {lo.beta}, phi = {lo.phi})"
         )
-    return alpha_a, alpha_p, ap2
-
-
-def synodyne_terms(rho, p, lo: SynodyneLO, epsilon: float, n_th: float):
-    """Synodyne displacement-PSD budget at demodulated detuning rho, over arrays
-    rho and p: budget_terms with imprecision (|alpha_a|^2 + |alpha_p|^2) / |alpha_p|^2
-    and correlation Im(conj(alpha_a) alpha_p) / |alpha_p|^2; only the LO is checked."""
-    alpha_a, alpha_p, ap2 = _checked_lo(lo)
-    shot = (abs(alpha_a) ** 2 + ap2) / ap2
     corr = (alpha_a.conjugate() * alpha_p).imag / ap2
-    return budget_terms(rho, p, epsilon, n_th, shot, corr * chi_m_parts(rho)[0])
+    return budget_terms(rho, p, epsilon, n_th, power / ap2, corr * chi_m_parts(rho)[0])
 
 
 @point_view
@@ -100,13 +92,11 @@ def synodyne_psd(
 def beta_opt(
     rho: float, p: float, det: Detection, branch: str = "auto"
 ) -> float:
-    """Optimal sideband ratio for the phase (phi=90 deg) or amplitude
-    (phi=0 deg) branch.
+    """Optimal sideband ratio (1 + x) / |1 - x|, x = eps p |chi_m|^2, on the
+    phase (phi=90 deg, x < 1) or amplitude (phi=0 deg, x > 1) branch.
 
-    phase branch:     (1 + eps p |chi_m|^2) / (1 - eps p |chi_m|^2),
-    amplitude branch: the same expression negated, positive above the
-    crossover eps p |chi_m|^2 = 1.  "auto" picks the branch whose ratio is
-    positive; exactly at the crossover the ratio has a pole and is an error.
+    "auto" picks the branch on x's side of the crossover x = 1; exactly at the
+    crossover the ratio has a pole and is an error.
     """
     check_finite("rho", rho)
     check_positive("p", p)
@@ -118,21 +108,19 @@ def beta_opt(
         )
     if branch == "auto":
         branch = "amplitude" if x > 1.0 else "phase"
-    if branch == "phase":
-        if x > 1.0:
-            raise ParameterError(
-                "phase branch (phi = 90 deg) is only valid for "
-                f"eps p |chi_m|^2 < 1; got {x}"
-            )
-        return (1.0 + x) / (1.0 - x)
-    if branch == "amplitude":
-        if x < 1.0:
-            raise ParameterError(
-                "amplitude branch (phi = 0 deg) is only valid for "
-                f"eps p |chi_m|^2 > 1; got {x}"
-            )
-        return (x + 1.0) / (x - 1.0)
-    raise ParameterError(f"unknown branch {branch!r}")
+    if branch == "phase" and x > 1.0:
+        raise ParameterError(
+            "phase branch (phi = 90 deg) is only valid for "
+            f"eps p |chi_m|^2 < 1; got {x}"
+        )
+    if branch == "amplitude" and x < 1.0:
+        raise ParameterError(
+            "amplitude branch (phi = 0 deg) is only valid for "
+            f"eps p |chi_m|^2 > 1; got {x}"
+        )
+    if branch not in ("phase", "amplitude"):
+        raise ParameterError(f"unknown branch {branch!r}")
+    return (1.0 + x) / abs(1.0 - x)
 
 
 @point_view

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import oracles
@@ -129,6 +131,33 @@ def test_beta_opt_branches(ideal_det):
         beta_opt(0.0, 100.0, ideal_det, branch="sideways")
     with pytest.raises(ParameterError):
         beta_opt(0.0, 0.0, ideal_det)
+
+
+# x = eps p |chi_m|^2 is rounded a few times, a few ulp, in both beta_opt and
+# the oracle; the ratio (1 + x) / |1 - x| amplifies a relative error in x by at
+# most 1 + x / |1 - x|, under ~1e3 with |1 - x| >= 1e-3
+BETA_RTOL = 1e-11
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rho=st.floats(-1e3, 1e3),
+    eps=st.just(1.0) | st.floats(1e-2, 1.0),
+    x=st.floats(1e-6, 1.0 - 1e-3) | st.floats(1.0 + 1e-3, 1e6),
+)
+def test_beta_opt_is_one_ratio_on_either_side(rho, eps, x):
+    p = x / (eps * oracles.chim2(rho))
+    x = eps * p * oracles.chim2(rho)
+    assume(abs(1.0 - x) >= 1e-3)
+    det = Detection(eps)
+    side, other, valid = (
+        ("amplitude", "phase", "< 1") if x > 1.0 else ("phase", "amplitude", "> 1")
+    )
+    got = beta_opt(rho, p, det)
+    assert got == beta_opt(rho, p, det, branch=side)
+    with pytest.raises(ParameterError, match=f"{other} branch .* {valid}; got"):
+        beta_opt(rho, p, det, branch=other)
+    assert got == pytest.approx(oracles.lo_opt(rho, p, eps)[0], rel=BETA_RTOL)
 
 
 def test_beta_opt_matches_numerical_minimum(ideal_det, zero_mode):
