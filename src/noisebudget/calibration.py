@@ -155,9 +155,17 @@ def compose_efficiency(budget: EfficiencyBudget) -> float:
     return budget.eps_meas * budget.eps_opt * budget.eps_vis**2
 
 
-def _lorentzian(x, center, gamma, amplitude, offset):
+def _lorentzian(x, center, gamma, amplitude, offset, out=None):
+    """offset + amplitude hw^2 / (hw^2 + (x - center)^2) with hw = gamma/2,
+    written into out (a new array if None) one operation at a time, in that
+    expression's order, so the values are its own bit for bit and no other
+    array of x's length is allocated.  Returns out."""
     hw2 = (gamma / 2.0) ** 2
-    return offset + amplitude * hw2 / (hw2 + (x - center) ** 2)
+    out = np.subtract(x, center, out=out)
+    np.square(out, out=out)
+    np.add(hw2, out, out=out)
+    np.divide(amplitude * hw2, out, out=out)
+    return np.add(offset, out, out=out)
 
 
 def _lorentzian_jacobian(theta, x):
@@ -253,8 +261,10 @@ def fit_lorentzian(samples) -> LorentzianFit:
             f"{x[-1] - x[0]:g} < 3 * {init.gamma:g}"
         )
 
-    def residuals(theta, x):
-        return _lorentzian(x, *theta) - y
+    def residuals(theta, x):  # a fresh buffer per call: no array leastsq keeps is reused
+        res = _lorentzian(x, *theta, out=np.empty_like(y))
+        res -= y
+        return res
 
     theta0 = [init.center, init.gamma, init.amplitude, init.offset]
     theta, _, info, _, status = leastsq(

@@ -29,14 +29,16 @@ def check_finite(name: str, x):
     """ParameterError naming the argument when x holds a nan or an inf."""
     finite = np.isfinite(x)
     if not finite.all():
-        raise ParameterError(f"{name} must be finite, got {np.asarray(x)[~finite].flat[0]}")
+        bad = np.asarray(x)[~finite].flat[0]
+        raise ParameterError(f"{name} must be finite, got {bad}", name)
 
 
 def check_positive(name: str, x):
     """ParameterError naming the argument and its first value that is not finite and > 0."""
     ok = np.isfinite(x) & (np.asarray(x) > 0)
     if not ok.all():
-        raise ParameterError(f"{name} must be > 0 and finite, got {np.asarray(x)[~ok].flat[0]}")
+        bad = np.asarray(x)[~ok].flat[0]
+        raise ParameterError(f"{name} must be > 0 and finite, got {bad}", name)
 
 
 def check_angle(phi):
@@ -178,9 +180,7 @@ class Detection:
 
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
-            raise ParameterError(
-                f"epsilon must be in (0, 1], got {self.epsilon}"
-            )
+            raise ParameterError(f"epsilon must be in (0, 1], got {self.epsilon}", "epsilon")
 
 
 def omega_from_rho(rho, mode: MechanicalMode):

@@ -15,7 +15,12 @@ class NoiseBudgetError(Exception):
 
 
 class ParameterError(NoiseBudgetError, ValueError):
-    """A parameter or configuration value is out of range or malformed."""
+    """A parameter or configuration value is out of range or malformed; key,
+    if given, is the parameter or config key the message names."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class DomainError(NoiseBudgetError):

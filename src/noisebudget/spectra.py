@@ -70,7 +70,7 @@ class ClassicalNoise:
         check_finite_fields(self)
         for key in ("c_aa", "c_pp"):
             if getattr(self, key) < 0:
-                raise ParameterError(f"{key} must be >= 0, got {getattr(self, key)}")
+                raise ParameterError(f"{key} must be >= 0, got {getattr(self, key)}", key)
 
     @property
     def is_zero(self) -> bool:

@@ -24,8 +24,9 @@ them, the key it needs and the key of its candidate angles (in degrees).
 rho_min, rho_max, rho_count and powers are required.  Every other key, a
 value that does not parse, a non-finite number, a repeated list value and
 an angle not strictly between 0 and 180 is a ParameterError naming the key
-(CLI exit code 2); once every value is checked, so is a key the readout
-does not read, naming its line.
+(CLI exit code 2), and parse_config prefixes the line of a key the config
+sets ("line N: "; a rule on two keys names the line of the key it reports);
+once every value is checked, so is a key the readout does not read.
 
 Angles and ordinary frequencies (Hz) are converted to radians and rad/s at
 this boundary; everything below works in angular units.
@@ -129,24 +130,24 @@ class SweepSpec:
         check_finite_fields(self)
         for key, value in self.__dict__.items():
             if isinstance(value, tuple) and len(set(value)) < len(value):
-                raise ParameterError(f"{key} must not repeat a value, got {value}")
+                raise ParameterError(f"{key} must not repeat a value, got {value}", key)
         if self.rho_count < 2:
-            raise ParameterError(f"rho_count must be >= 2, got {self.rho_count}")
+            raise ParameterError(f"rho_count must be >= 2, got {self.rho_count}", "rho_count")
         if self.rho_spacing not in SPACINGS:
             raise ParameterError(
-                f"rho_spacing must be one of {SPACINGS}, got {self.rho_spacing!r}"
+                f"rho_spacing must be one of {SPACINGS}, got {self.rho_spacing!r}", "rho_spacing"
             )
         if self.rho_spacing == "linear" and not self.rho_min < self.rho_max:
-            raise ParameterError("rho_min must be < rho_max")
+            raise ParameterError("rho_min must be < rho_max", "rho_min")
         if self.rho_spacing == "linear" and math.isinf(self.rho_max - self.rho_min):
             raise ParameterError(
                 f"rho_max - rho_min overflows float64 (rho_min = {self.rho_min}, "
-                f"rho_max = {self.rho_max}); narrow the span"
+                f"rho_max = {self.rho_max}); narrow the span", "rho_max"
             )
         if self.rho_spacing == "log-symmetric":
             if not 0 < self.rho_min < self.rho_max:
                 raise ParameterError(
-                    "log-symmetric grids need 0 < rho_min < rho_max (bounds on |rho|)"
+                    "log-symmetric grids need 0 < rho_min < rho_max (bounds on |rho|)", "rho_min"
                 )
             # the grid's largest |rho|, 10**log10(bound) as rho_grid computes
             # it; a grid of one point a side stops at rho_min
@@ -156,25 +157,27 @@ class SweepSpec:
             if math.isinf(end):
                 raise ParameterError(
                     f"{key} = {getattr(self, key)} puts the log-symmetric grid's end "
-                    f"point past float64; lower {key}"
+                    f"point past float64; lower {key}", key
                 )
         if not self.powers:
-            raise ParameterError("powers must list at least one value")
+            raise ParameterError("powers must list at least one value", "powers")
         check_positive("powers", self.powers)
         Detection(self.epsilon)  # checks 0 < epsilon <= 1, naming the key
         if self.n_th < 0:
-            raise ParameterError(f"n_th must be >= 0, got {self.n_th}")
+            raise ParameterError(f"n_th must be >= 0, got {self.n_th}", "n_th")
         row = READOUTS.get(self.readout)
         if row is None:
-            raise ParameterError(f"readout must be one of {tuple(READOUTS)}, got {self.readout!r}")
+            raise ParameterError(
+                f"readout must be one of {tuple(READOUTS)}, got {self.readout!r}", "readout"
+            )
         if row.needs and _count(getattr(self, row.needs)) < row.least:
             at_least = f">= {row.least} " if row.least > 1 else ""
-            raise ParameterError(f"{self.readout} readout needs {at_least}{row.needs}")
+            raise ParameterError(f"{self.readout} readout needs {at_least}{row.needs}", row.needs)
         for key in ("angles_deg", "stitch_angles_deg"):
             for angle in getattr(self, key):
                 if not 0 < angle < 180:
                     raise ParameterError(
-                        f"{key} must lie strictly between 0 and 180 degrees, got {angle}"
+                        f"{key} must lie strictly between 0 and 180 degrees, got {angle}", key
                     )
         candidates = _count(self.angles()) or 1  # variational: phi_opt, one a point
         points = self.rho_count * len(self.powers) * candidates
@@ -182,7 +185,7 @@ class SweepSpec:
             raise ParameterError(
                 f"rho_count * powers * candidate angles = {self.rho_count} * "
                 f"{len(self.powers)} * {candidates} = {points} grid points, above "
-                f"MAX_GRID_POINTS = {MAX_GRID_POINTS}; lower rho_count"
+                f"MAX_GRID_POINTS = {MAX_GRID_POINTS}; lower rho_count", "rho_count"
             )
         for key in ("kappa_hz", "omega_m_hz", "gamma_hz"):
             if getattr(self, key) is not None:
@@ -192,11 +195,12 @@ class SweepSpec:
             raise ParameterError(
                 f"gamma_hz / omega_m_hz must be < {HIGH_Q_THRESHOLD:g} (the "
                 f"high-Q regime the spectra assume), got {self.gamma_hz} / "
-                f"{self.omega_m_hz}"
+                f"{self.omega_m_hz}", "gamma_hz"
             )
         noisy = not ClassicalNoise(self.c_aa, self.c_pp).is_zero
         if noisy and "c_aa" in row.reads and (mode is None or self.kappa_hz is None):
-            raise ParameterError("classical noise needs kappa_hz, omega_m_hz and gamma_hz")
+            key = "c_aa" if self.c_aa else "c_pp"  # the key that asks for noise
+            raise ParameterError("classical noise needs kappa_hz, omega_m_hz and gamma_hz", key)
 
     def angles(self):
         """The readout's angles in degrees: its angle key's value, or None."""
@@ -279,7 +283,8 @@ def read_key_values(text: str, keys) -> dict:
 
 def parse_config(text: str, readout: Optional[str] = None) -> SweepSpec:
     """A checked SweepSpec from a config document.  readout, if given, runs, and
-    a readout line must name it; a key the readout does not read is an error."""
+    a readout line must name it; a key the readout does not read is an error.
+    Every error names the line of the key it reports, if the document sets it."""
     lines = read_key_values(text, _PARSERS)
     values = {}
     for key, (value, lineno) in lines.items():
@@ -295,7 +300,12 @@ def parse_config(text: str, readout: Optional[str] = None) -> SweepSpec:
     for key in _REQUIRED:
         if key not in values:
             raise ParameterError(f"missing required key {key!r}")
-    spec = SweepSpec(**values)
+    try:
+        spec = SweepSpec(**values)
+    except ParameterError as exc:
+        if exc.key not in lines:  # a key left out, or not a config key
+            raise
+        raise ParameterError(f"line {lines[exc.key][1]}: {exc}", exc.key) from None
     for key, (_, lineno) in lines.items():
         if key not in COMMON_KEYS + READOUTS[spec.readout].reads:
             raise ParameterError(f"line {lineno}: {spec.readout} readout does not read {key!r}")

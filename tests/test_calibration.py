@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, leastsq
 
 from conftest import F_GAMMA_HZ, F_M_HZ, GAMMA, KAPPA, NTH_EXP, OMEGA_M, write_spectrum_csv
 from noisebudget import (
@@ -201,6 +201,85 @@ def test_lorentzian_jacobian_allocates_only_its_result():
         tracemalloc.stop()
     assert jac.shape == (4, x.size)
     assert peak < 1.5 * jac.nbytes, f"{peak / 1e6:.1f} MB"
+
+
+def _plain_lorentzian(x, center, gamma, amplitude, offset):
+    """The offset Lorentzian as one numpy expression, a temporary per step."""
+    hw2 = (gamma / 2.0) ** 2
+    return offset + amplitude * hw2 / (hw2 + (x - center) ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    center=st.floats(-1e7, 1e7),
+    gamma=st.floats(1e-3, 1e5),
+    amplitude=st.floats(-1e3, 1e3),
+    offset=st.floats(-1e3, 1e3),
+    span=st.floats(0.1, 50.0),
+    n=st.integers(1, 64),
+)
+def test_lorentzian_in_place_is_the_expression_bit_for_bit(
+    center, gamma, amplitude, offset, span, n
+):
+    x = center + gamma * np.linspace(-span, span, n)
+    theta = np.array([center, gamma, amplitude, offset])  # float64 scalars, as leastsq passes
+    buf = np.empty_like(x)
+    got = _lorentzian(x, *theta, out=buf)
+    assert got is buf
+    want = _plain_lorentzian(x, *theta)
+    assert got.tobytes() == want.tobytes() == _lorentzian(x, *theta).tobytes()
+
+
+def test_lorentzian_allocates_only_its_result():
+    x = np.linspace(F_M_HZ - 25e3, F_M_HZ + 25e3, 100_001)
+    theta = np.array([F_M_HZ, F_GAMMA_HZ, 0.5, 1.0])
+    buf = np.empty_like(x)
+    _lorentzian(x, *theta)
+    tracemalloc.start()
+    try:
+        _lorentzian(x, *theta, out=buf)
+        in_place = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _lorentzian(x, *theta)
+        fresh = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert in_place < 0.1 * x.nbytes, f"{in_place / 1e6:.1f} MB"
+    assert fresh < 1.5 * x.nbytes, f"{fresh / 1e6:.1f} MB"
+
+
+def test_fit_lorentzian_equals_leastsq_on_the_plain_residual():
+    # the in-place residual must not move the fit by one bit: the reference
+    # is scipy's leastsq on a residual with a temporary per step, same options
+    truth = LorentzianFit(F_M_HZ, F_GAMMA_HZ, 0.5, 1.0, 0.0)
+    grid = np.linspace(F_M_HZ - 25e3, F_M_HZ + 25e3, 20_001)
+    data = synth_sideband_spectrum(truth, grid, noise_sigma=0.01, seed=11)
+    x, y = data[:, 0], data[:, 1]
+    init = _deterministic_init(x, y)
+    theta, _, info, _, status = leastsq(
+        lambda theta, x: _plain_lorentzian(x, *theta) - y,
+        [init.center, init.gamma, init.amplitude, init.offset],
+        args=(x,),
+        Dfun=_lorentzian_jacobian,
+        col_deriv=True,
+        full_output=True,
+        gtol=1e-10,
+        xtol=1e-14,
+        ftol=1e-14,
+        maxfev=calibration.MAX_NFEV,
+    )
+    assert status in (1, 2, 3, 4)
+    want = LorentzianFit(
+        center=float(theta[0]),
+        gamma=float(abs(theta[1])),
+        amplitude=float(theta[2]),
+        offset=float(theta[3]),
+        residual_rms=float(np.sqrt(np.mean(info["fvec"] ** 2))),
+    )
+    for samples in (data, data[::-1]):
+        fit = fit_lorentzian(samples)
+        for name in ("center", "gamma", "amplitude", "offset", "residual_rms"):
+            assert getattr(fit, name) == getattr(want, name), name
 
 
 def test_fit_lorentzian_on_shuffled_samples_equals_fit_on_sorted():

@@ -518,7 +518,7 @@ KAPPA_LINE = "domain error: column s_ln overflows float64 for this config\n"
 OVERFLOW_LINE = "domain error: column total_over_sql overflows float64 for this config\n"
 SPAN_CONFIG = HUGE_GRID_CONFIG.replace("1e200", "1e308")
 SPAN_LINE = (
-    "error: rho_max - rho_min overflows float64 (rho_min = -1e+308, rho_max = 1e+308); "
+    "error: line 2: rho_max - rho_min overflows float64 (rho_min = -1e+308, rho_max = 1e+308); "
     "narrow the span\n"
 )
 # 10**log10(rho_max) overflows: the grid's end points would be -inf and inf
@@ -527,15 +527,15 @@ LOG_MAX_CONFIG = (
     "rho_spacing = log-symmetric\npowers = 1\nangles_deg = 90\nbeta = 1.02\n"
 )
 LOG_MAX_LINE = (
-    "error: rho_max = 1.7976931348623157e+308 puts the log-symmetric grid's end point "
+    "error: line 2: rho_max = 1.7976931348623157e+308 puts the log-symmetric grid's end point "
     "past float64; lower rho_max\n"
 )
 HUGE_COUNT_CONFIG = TINY_CONFIG.replace("rho_count = 5", "rho_count = 1000000000000")
 GRID_CAP_LINE = (
-    "error: rho_count * powers * candidate angles = 1000000000000 * 1 * 1 = "
+    "error: line 3: rho_count * powers * candidate angles = 1000000000000 * 1 * 1 = "
     "1000000000000 grid points, above MAX_GRID_POINTS = 10000000; lower rho_count\n"
 )
-ANGLE_LINE = "error: angles_deg must lie strictly between 0 and 180 degrees, got 221.0\n"
+ANGLE_LINE = "error: line 5: angles_deg must lie strictly between 0 and 180 degrees, got 221.0\n"
 BETA_LINE = "domain error: beta = 1e+200: the LO power (1 + beta^2)/2 overflows float64\n"
 
 LATIN1_CONFIG = TINY_CONFIG.encode() + b"# waist 50 \xb5m\n"  # a Latin-1 micro sign

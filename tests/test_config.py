@@ -2,6 +2,7 @@
 every rejected config is exit code 2 with the offending key in stderr."""
 
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -119,6 +120,57 @@ def test_every_key_outside_the_readouts_row_is_rejected_by_line(tmp_path, capsys
     assert (code, err) == (2, f"error: line {at + 1}: {readout} readout does not read {key!r}\n")
 
 
+def _text(value) -> str:  # a config value: a tuple as a comma-separated list
+    return ",".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
+NEGATIVE = st.floats(-1e3, 0.0)  # -0.0 and 0.0 included
+# per key: values that the variational GRID config rejects for that key alone,
+# and the message of the rule, which names the key (rho_min's and c_pp's
+# rules are on two keys and more)
+BAD_VALUES = {
+    "rho_min": (st.floats(10.0, 1e3), lambda v: "rho_min must be < rho_max"),
+    "rho_count": (st.integers(-5, 1), lambda v: f"rho_count must be >= 2, got {v}"),
+    "powers": (
+        st.lists(NEGATIVE, min_size=1, max_size=3, unique=True).map(tuple),
+        lambda v: f"powers must be > 0 and finite, got {v[0]}",
+    ),
+    "epsilon": (
+        NEGATIVE | st.floats(1.0, 1e3, exclude_min=True),
+        lambda v: f"epsilon must be in (0, 1], got {v}",
+    ),
+    "n_th": (st.floats(-1e3, -1e-300), lambda v: f"n_th must be >= 0, got {v}"),
+    "angles_deg": (
+        st.tuples(NEGATIVE | st.floats(180.0, 1e3)),
+        lambda v: f"angles_deg must lie strictly between 0 and 180 degrees, got {v[0]}",
+    ),
+    "c_pp": (
+        st.floats(1e-3, 1.0), lambda v: "classical noise needs kappa_hz, omega_m_hz and gamma_hz"
+    ),
+    "kappa_hz": (NEGATIVE, lambda v: f"kappa_hz must be > 0 and finite, got {v}"),
+    "omega_m_hz": (st.just(math.inf), lambda v: f"omega_m_hz must be finite, got {v}"),
+}
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data(), st.sampled_from(sorted(BAD_VALUES)))
+def test_every_value_error_names_its_line(tmp_path, capsys, data, key):
+    strategy, message = BAD_VALUES[key]
+    value = data.draw(strategy)
+    good = {"rho_min": -10.0, "rho_max": 10.0, "rho_count": 21, "powers": (14.0,)}
+    lines = [f"{k} = {_text(v)}" for k, v in good.items() if k != key]
+    at = data.draw(st.integers(0, len(lines)))
+    lines.insert(at, f"{key} = {_text(value)}")
+    code, err = _exit_and_stderr(tmp_path, capsys, "\n".join(lines) + "\n", "variational")
+    assert (code, err) == (2, f"error: line {at + 1}: {message(value)}\n")
+    # built directly, the spec names the key, with no line
+    with pytest.raises(ParameterError) as info:
+        SweepSpec(**dict(good, readout="variational", **{key: value}))
+    assert (str(info.value), info.value.key) == (message(value), key)
+
+
 @pytest.mark.parametrize(
     "key, text",
     [
@@ -164,22 +216,24 @@ def test_non_positive_frequency_is_rejected(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
-    "key, text, value",
+    "key, text, value, lineno",
     [
-        ("angles_deg", MINIMAL.replace("angles_deg = 90", "angles_deg = 45,221"), "221.0"),
-        ("angles_deg", MINIMAL.replace("angles_deg = 90", "angles_deg = -30"), "-30.0"),
-        ("angles_deg", MINIMAL.replace("angles_deg = 90", "angles_deg = 0"), "0.0"),
-        ("stitch_angles_deg", MINIMAL + "stitch_angles_deg = 45,180\n", "180.0"),
+        ("angles_deg", MINIMAL.replace("angles_deg = 90", "angles_deg = 45,221"), "221.0", 5),
+        ("angles_deg", MINIMAL.replace("angles_deg = 90", "angles_deg = -30"), "-30.0", 5),
+        ("angles_deg", MINIMAL.replace("angles_deg = 90", "angles_deg = 0"), "0.0", 5),
+        ("stitch_angles_deg", MINIMAL + "stitch_angles_deg = 45,180\n", "180.0", 6),
         ("stitch_angles_deg", MINIMAL + "readout = stitched\nstitch_angles_deg = 1e200,90\n",
-         "1e+200"),
+         "1e+200", 7),
     ],
     ids=("221", "negative", "zero", "180-unused", "huge"),
 )
-def test_angle_outside_0_to_180_degrees_is_rejected(tmp_path, capsys, key, text, value):
+def test_angle_outside_0_to_180_degrees_is_rejected(tmp_path, capsys, key, text, value, lineno):
     # checked for every readout, whether it uses the key or not
     code, err = _exit_and_stderr(tmp_path, capsys, text)
     assert code == 2
-    assert err == f"error: {key} must lie strictly between 0 and 180 degrees, got {value}\n"
+    assert err == (
+        f"error: line {lineno}: {key} must lie strictly between 0 and 180 degrees, got {value}\n"
+    )
 
 
 def test_angles_just_inside_0_and_180_degrees_are_accepted():
