@@ -155,13 +155,13 @@ def compose_efficiency(budget: EfficiencyBudget) -> float:
     return budget.eps_meas * budget.eps_opt * budget.eps_vis**2
 
 
-def _lorentzian(x, center, gamma, amplitude, offset, out=None):
+def _lorentzian(x, center, gamma, amplitude, offset):
     """offset + amplitude hw^2 / (hw^2 + (x - center)^2) with hw = gamma/2,
-    written into out (a new array if None) one operation at a time, in that
-    expression's order, so the values are its own bit for bit and no other
-    array of x's length is allocated.  Returns out."""
+    computed one operation at a time in that expression's order into the
+    array x - center allocates, so the values are the expression's own bit
+    for bit and no other array of x's length is allocated."""
     hw2 = (gamma / 2.0) ** 2
-    out = np.subtract(x, center, out=out)
+    out = np.subtract(x, center)
     np.square(out, out=out)
     np.add(hw2, out, out=out)
     np.divide(amplitude * hw2, out, out=out)
@@ -261,8 +261,8 @@ def fit_lorentzian(samples) -> LorentzianFit:
             f"{x[-1] - x[0]:g} < 3 * {init.gamma:g}"
         )
 
-    def residuals(theta, x):  # a fresh buffer per call: no array leastsq keeps is reused
-        res = _lorentzian(x, *theta, out=np.empty_like(y))
+    def residuals(theta, x):
+        res = _lorentzian(x, *theta)
         res -= y
         return res
 

@@ -157,8 +157,9 @@ def _run_shares(jobs: list, shares: list) -> list:
 
 
 # A table row costs about 2-5 us to write (10 cells) and a fork and reap
-# about 3-5 ms, so tables are cut into one row range per CPU only once they hold about
-# this many rows in all: no figure has as many (2,406 at most); a
+# about 3 ms on a quiet host and 5-8 ms under load, so tables are cut into
+# one row range per CPU only once they hold about this many rows in all: no
+# figure has as many (2,406 at most); a
 # 20,001-point stitched spectrum at two powers has 40,002.
 FORK_MIN_ROWS = 10_000
 
