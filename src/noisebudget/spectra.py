@@ -51,7 +51,15 @@ class SpectrumComponents:
 
     @property
     def total(self) -> float:
-        return self.s_m + self.s_ii + self.s_ff + self.s_corr + self.s_ln
+        """s_m + s_ii + s_ff + s_corr + s_ln in that order, into one buffer: each
+        term after the first full-shape sum is added into that sum in place.  A
+        float 0.0 term adds nothing, so one other term is the total itself (where
+        it is -0.0, the plain sum would give +0.0)."""
+        terms = [t for t in self.terms if not (isinstance(t, float) and t == 0.0)] or [0.0]
+        total, shape = terms[0], np.broadcast_shapes(*map(np.shape, terms))
+        for i, term in enumerate(terms[1:]):  # i > 0: total is a sum, not a term
+            total = np.add(total, term, out=total if i and shape == total.shape != () else None)
+        return total
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ them, the key it needs and the key of its candidate angles (in degrees).
     angles_deg, stitch_angles_deg   comma-separated angles in degrees
     beta, synodyne_phi_deg   synodyne LO ratio and phase
     c_aa, c_pp            fractional classical noise (default 0)
-    kappa_hz, omega_m_hz, gamma_hz   cavity/mode frequencies in Hz (> 0),
-                          needed for nonzero classical noise; gamma_hz /
-                          omega_m_hz must stay below HIGH_Q_THRESHOLD
+    kappa_hz, omega_m_hz, gamma_hz   cavity/mode frequencies in Hz (> 0, and
+                          2 pi times each finite), needed for nonzero classical
+                          noise; gamma_hz / omega_m_hz below HIGH_Q_THRESHOLD
 
 rho_min, rho_max, rho_count and powers are required.  Every other key, a
 value that does not parse, a non-finite number, a repeated list value and
@@ -188,8 +188,11 @@ class SweepSpec:
                 f"MAX_GRID_POINTS = {MAX_GRID_POINTS}; lower rho_count", "rho_count"
             )
         for key in ("kappa_hz", "omega_m_hz", "gamma_hz"):
-            if getattr(self, key) is not None:
-                check_positive(key, getattr(self, key))
+            hz = getattr(self, key)
+            if hz is not None:
+                check_positive(key, hz)
+                if math.isinf(2 * math.pi * hz):  # in rad/s, as mode() and run_sweep use it
+                    raise ParameterError(f"{key} = {hz} overflows float64 as 2 pi {key}", key)
         mode = self.mode()
         if mode is not None and not mode.is_high_q:
             raise ParameterError(
@@ -321,9 +324,10 @@ class SpectrumTable:
 
     columns maps each name in COLUMNS to a read-only view of a finite 1-D
     float64 array, all of one length; a column may share its memory with
-    another table's (limits' rho), with the array it was evaluated in, or
-    with one value (a zero-stride constant).  rows is a read-only view that
-    materialises one Row per index.
+    another table's (limits' rho) or with the array it was evaluated in.  A
+    column whose values all share one bit pattern is held as a zero-stride
+    view of that value, which emit_table formats once.  rows is a read-only view
+    that materialises one Row per index.
     """
 
     metadata: dict
@@ -331,13 +335,15 @@ class SpectrumTable:
 
     def __post_init__(self):
         self.columns = {c: np.asarray(self.columns[c], dtype=float).view() for c in COLUMNS}
-        for values in self.columns.values():
-            values.flags.writeable = False
-        if {col.shape for col in self.columns.values()} != {self.columns["rho"].shape[:1]}:
+        if {col.shape for col in self.columns.values()} != {(self.columns["rho"].size,)}:
             raise ParameterError("table columns must be 1-D arrays of one length")
         for name, values in self.columns.items():
             if not np.isfinite(values).all():
                 raise DivergenceError(f"column {name} overflows float64 for this config")
+            bits = values.view(np.uint64)
+            if values.size and (bits == bits[0]).all():
+                self.columns[name] = values = np.broadcast_to(values[0], values.shape)
+            values.flags.writeable = False
 
     @property
     def rows(self) -> List[Row]:
@@ -345,24 +351,23 @@ class SpectrumTable:
         return list(map(Row._make, values))
 
 
-def spectrum_columns(rho, phi_used, p, comps: SpectrumComponents) -> dict:
-    """Table columns from arrays that broadcast together, flattened in C
-    order; total and total_over_sql are derived from the five terms.  A
-    value that already holds one float64 per row in C order becomes its
-    column as a view: a scalar as a zero-stride view, a contiguous array of
-    the table's length on its own memory.  Only broadcast values are copied out."""
-    values = [np.asarray(v, dtype=float) for v in (rho, phi_used, p, *comps.terms)]
+def spectrum_columns(rho, phi_used, p, comps: SpectrumComponents, sql=None) -> dict:
+    """Table columns from arrays that broadcast together, flattened in C order;
+    total is comps.total and total_over_sql total / sql (sql_psd(rho) unless
+    handed in), both taken before broadcasting.  A value that already holds one
+    float64 per row in C order is its column's memory: a scalar as a zero-stride
+    view, a contiguous array of the table's length (a total that is one of its
+    terms too) as it is.  Only broadcast values are copied out."""
+    total = comps.total
+    ratio = total / (sql_psd(rho) if sql is None else sql)
+    values = [np.asarray(v, dtype=float) for v in (rho, phi_used, p, *comps.terms, total, ratio)]
     shape = np.broadcast_shapes(*(v.shape for v in values))
     n = math.prod(shape)
-    columns = {
+    return {
         name: np.broadcast_to(v, (n,)) if v.ndim == 0
         else np.broadcast_to(v, shape).ravel()
         for name, v in zip(COLUMNS, values)
     }
-    total = SpectrumComponents(*(columns[c] for c in COLUMNS[3:8])).total
-    columns["total"] = total
-    columns["total_over_sql"] = total / sql_psd(columns["rho"])
-    return columns
 
 
 @np.errstate(all="ignore")
@@ -393,7 +398,7 @@ def curve_columns(kind, rho, p, phi_deg, epsilon, n_th, beta=None, s_ln=None) ->
     Float64 warnings are off: a value that overflows on the way is a
     DivergenceError from SpectrumTable's finite check.
     """
-    det = Detection(epsilon)
+    det, sql = Detection(epsilon), None
     if kind in ("homodyne", "variational", "stitched"):
         if kind == "stitched":  # candidates in the order np.argmin searches them
             phi_deg = np.asarray(phi_deg, dtype=float)
@@ -408,11 +413,7 @@ def curve_columns(kind, rho, p, phi_deg, epsilon, n_th, beta=None, s_ln=None) ->
         if s_ln is None:  # 0.0 itself, not the broadcast zeros: a zero-stride column
             comps = SpectrumComponents(*comps.terms[:4])
         if kind == "stitched":
-            totals = comps.s_m + comps.s_ii  # one buffer, added in comps.total's order
-            for term in comps.terms[2:]:
-                totals += term
-            pick = np.argmin(totals, axis=-1)[..., None]
-            del totals
+            pick = np.argmin(comps.total, axis=-1)[..., None]
             # only the angle-dependent terms are gathered; without noise s_ln stays 0.0
             s_ii, s_corr = (np.take_along_axis(t, pick, -1) for t in (comps.s_ii, comps.s_corr))
             ln = 0.0 if s_ln is None else np.take_along_axis(comps.s_ln, pick, -1)
@@ -424,16 +425,17 @@ def curve_columns(kind, rho, p, phi_deg, epsilon, n_th, beta=None, s_ln=None) ->
     elif kind == "light":
         comps = light_terms(rho, np.radians(phi_deg), p, epsilon, n_th)
     elif kind in ("sql", "sql_zpm", "ql", "synodyne_variational"):
+        sql = sql_psd(rho)
         added = (
             ql_added_noise(rho, det) if kind == "ql"
             else synodyne_added_noise(rho, p, det) if kind == "synodyne_variational"
-            else sql_psd(rho)
+            else sql
         )
         thermal = 0.0 if kind == "sql" else thermal_term(rho, n_th)
         comps = SpectrumComponents(thermal, added, 0.0, 0.0)
     else:
         raise ParameterError(f"unknown curve kind {kind!r}")
-    return spectrum_columns(rho, phi_deg, p, comps)
+    return spectrum_columns(rho, phi_deg, p, comps, sql)
 
 
 def run_sweep(spec: SweepSpec) -> SpectrumTable:
@@ -468,9 +470,9 @@ def emit_table(table: SpectrumTable, fmt: str, destination, rows: Optional[range
     the metadata and header only if it starts at row 0: the contiguous
     ranges of a table, written one after another, give the table's bytes.
 
-    A column whose values all share one bit pattern is formatted once, into
-    the row template; the other columns are formatted BLOCK_ROWS rows at a
-    time, so the writer's memory does not grow with the table's length.
+    A zero-stride column (as SpectrumTable holds any column of one bit
+    pattern) is formatted once, into the row template; the others BLOCK_ROWS
+    rows at a time, so the writer's memory does not grow with the table's length.
     """
     if fmt not in ("csv", "jsonl"):
         raise ParameterError(f"format must be csv or jsonl, got {fmt!r}")
@@ -481,7 +483,7 @@ def emit_table(table: SpectrumTable, fmt: str, destination, rows: Optional[range
     spec = "%.17g" if fmt == "csv" else "%r"
     cols = [table.columns[c][rows.start:rows.stop] for c in keys]
     n = len(cols[0])
-    same = [n > 0 and (c.view(np.uint64) == c.view(np.uint64)[0]).all() for c in cols]
+    same = [n > 0 and c.strides == (0,) for c in cols]
     cells = [spec % c[0].item() if k else spec for c, k in zip(cols, same)]
     varying = [c for c, k in zip(cols, same) if not k]
     try:

@@ -149,6 +149,10 @@ BAD_VALUES = {
     ),
     "kappa_hz": (NEGATIVE, lambda v: f"kappa_hz must be > 0 and finite, got {v}"),
     "omega_m_hz": (st.just(math.inf), lambda v: f"omega_m_hz must be finite, got {v}"),
+    "gamma_hz": (
+        st.floats(1e308, np.finfo(float).max),
+        lambda v: f"gamma_hz = {v} overflows float64 as 2 pi gamma_hz",
+    ),
 }
 
 
@@ -213,6 +217,32 @@ def test_non_positive_frequency_is_rejected(tmp_path, capsys, key, value):
     code, err = _exit_and_stderr(tmp_path, capsys, text)
     assert code == 2
     assert f"{key} must be > 0" in err
+
+
+# per key: a config tail in which 2 pi times the key's 1e308 overflows float64
+HZ_OVERFLOW = {
+    "omega_m_hz": "omega_m_hz = 1e308\ngamma_hz = 1e300\n",
+    "gamma_hz": "omega_m_hz = 1e300\ngamma_hz = 1e308\n",
+    "kappa_hz": "c_aa = 0.1\n" + CAVITY.replace("kappa_hz = 2.5e6", "kappa_hz = 1e308"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(HZ_OVERFLOW))
+def test_frequency_whose_angular_value_overflows_names_its_line(tmp_path, capsys, key):
+    # these once surfaced from MechanicalMode or OpticalCavity as "omega_m
+    # must be finite, got inf", naming no config key and so no line
+    text = MINIMAL + HZ_OVERFLOW[key]
+    lineno = text.splitlines().index(f"{key} = 1e308") + 1
+    message = f"{key} = 1e+308 overflows float64 as 2 pi {key}"
+    assert _exit_and_stderr(tmp_path, capsys, text) == (2, f"error: line {lineno}: {message}\n")
+    with pytest.raises(ParameterError) as info:
+        SweepSpec(-10.0, 10.0, 21, (14.0,), angles_deg=(90.0,), **{key: 1e308})
+    assert (str(info.value), info.value.key) == (message, key)
+    # the largest value whose angular value is finite is accepted
+    largest = float(np.nextafter(np.finfo(float).max / (2 * math.pi), 0.0))
+    assert math.isfinite(2 * math.pi * largest)
+    spec = SweepSpec(-10.0, 10.0, 21, (14.0,), angles_deg=(90.0,), **{key: largest})
+    assert getattr(spec, key) == largest
 
 
 @pytest.mark.parametrize(

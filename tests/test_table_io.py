@@ -22,7 +22,7 @@ from noisebudget.cli import _cmd_limits, main as cli_main
 from noisebudget.figures import FIGURE_IDS, reproduce_figure
 from noisebudget.limits import sql_psd
 from noisebudget.sweep import (
-    BLOCK_ROWS, COLUMNS, SpectrumTable, emit_table, parse_config, run_sweep,
+    BLOCK_ROWS, COLUMNS, SpectrumTable, curve_columns, emit_table, parse_config, run_sweep,
 )
 
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-5, 1e-4, 14.0, -3.0, 1.0)
@@ -124,7 +124,10 @@ STITCHED_WORKLOAD = (
 
 def test_stitched_sweep_memory_stays_near_its_table():
     # it peaked at 1.85 times the table when the candidate totals were copied
-    # into search order and every full-length term was copied into its column
+    # into search order and every full-length term was copied into its column,
+    # and at 1.20 times while total summed the flattened columns through fresh
+    # arrays and total_over_sql evaluated the SQL over the flattened rho (1.00
+    # now, the total and the SQL taken before broadcasting)
     spec = parse_config(STITCHED_WORKLOAD)
     run_sweep(spec)  # one-time allocations stay out of the peak
     tracemalloc.start()
@@ -135,7 +138,36 @@ def test_stitched_sweep_memory_stays_near_its_table():
         tracemalloc.stop()
     nbytes = sum(col.nbytes for col in table.columns.values())
     assert nbytes == len(COLUMNS) * 40_002 * 8
-    assert peak < 1.3 * nbytes, f"{peak / 1e6:.2f} MB for a {nbytes / 1e6:.2f} MB table"
+    assert peak < 1.1 * nbytes, f"{peak / 1e6:.2f} MB for a {nbytes / 1e6:.2f} MB table"
+
+
+# the benchmark's limits workload: two tables of 50,001 rows
+LIMITS_WORKLOAD = (
+    "rho_min = -50\nrho_max = 50\nrho_count = 50001\npowers = 14\nangles_deg = 90\n"
+    "epsilon = 0.35\nn_th = 1.29\n"
+)
+
+
+def test_limits_memory_holds_each_distinct_column_once(tmp_path):
+    # sql's total is its s_ii column and its total_over_sql a zero-stride 1.0;
+    # they were two more arrays of the grid's length, and the traced peak was
+    # 10.0 arrays of it (7.1 now)
+    cfg = tmp_path / "limits.cfg"
+    cfg.write_text(LIMITS_WORKLOAD)
+    args = argparse.Namespace(config=cfg)
+    _cmd_limits(args)  # one-time allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        tables = _cmd_limits(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column = 50_001 * 8
+    held = [c for t in tables.values() for c in t.columns.values() if c.strides != (0,)]
+    distinct = [c for i, c in enumerate(held) if not any(np.shares_memory(c, d) for d in held[:i])]
+    # rho, shared; sql's s_ii; ql's s_m, s_ii, total and total_over_sql
+    assert sum(c.nbytes for c in distinct) == 6 * column
+    assert peak < 8.5 * column, f"{peak / 1e6:.2f} MB for {column / 1e6:.2f} MB columns"
 
 
 def test_read_spectrum_csv_memory_stays_near_the_array(tmp_path):
@@ -191,9 +223,10 @@ def test_limits_output_golden_sha256(tmp_path, capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == LIMITS_SHA256[fmt]
 
 
-# columns that come from a scalar in each limits table
+# columns of one bit pattern in each limits table: those that come from a
+# scalar, and sql's total_over_sql, its total (its s_ii) over the SQL
 LIMITS_CONSTANT = {
-    "sql": {"phi_used", "p", "s_m", "s_ff", "s_corr", "s_ln"},
+    "sql": {"phi_used", "p", "s_m", "s_ff", "s_corr", "s_ln", "total_over_sql"},
     "ql": {"phi_used", "p", "s_ff", "s_corr", "s_ln"},
 }
 
@@ -208,8 +241,7 @@ def test_limits_constant_columns_are_zero_stride_views(tmp_path, fmt):
         constant = {c for c, col in table.columns.items() if col.strides == (0,)}
         assert constant == LIMITS_CONSTANT[name]
         assert not any(table.columns[c].flags.writeable for c in constant)
-        copied = SpectrumTable(table.metadata, {c: col.copy() for c, col in table.columns.items()})
-        assert table_text(table, fmt) == table_text(copied, fmt)
+        assert table_text(table, fmt) == _reference_text(table, fmt)
 
 
 def test_limits_tables_share_one_rho_column(tmp_path):
@@ -234,6 +266,60 @@ def test_every_table_column_is_read_only(tmp_path):
             assert not values.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
+
+
+CURVE_KINDS = (
+    "homodyne", "variational", "stitched", "synodyne", "light",
+    "sql", "sql_zpm", "ql", "synodyne_variational",
+)
+
+
+@st.composite
+def curves(draw):
+    """curve_columns arguments: a kind and its inputs in one of the layouts
+    the package hands in (run_sweep's (rho, power, angle) grid, a figure's
+    rho or power grid, limits' rho grid with the scalar p = 0 and phi = 0),
+    with rho = 0.0 and -0.0 among the draws."""
+    kind = draw(st.sampled_from(CURVE_KINDS))
+    rho = np.array(draw(st.lists(
+        st.sampled_from((0.0, -0.0)) | st.floats(-1e3, 1e3), min_size=1, max_size=5
+    )))
+    p = np.array(draw(st.lists(st.floats(0.1, 100.0), min_size=1, max_size=3)))
+    phi = np.array(draw(st.lists(st.floats(1.0, 179.0), min_size=1, max_size=3, unique=True)))
+    layouts = {
+        "sweep": (rho[:, None, None], p[None, :, None], phi),
+        "rho": (rho[:, None], float(p[0]), phi) if kind == "stitched"
+        else (rho, float(p[0]), float(phi[0])),
+        "power": (float(rho[0]), p[:, None], phi) if kind == "stitched"
+        else (float(rho[0]), p, float(phi[0])),
+        "limits": (rho, 0.0, 0.0),
+    }
+    if kind not in ("sql", "sql_zpm", "ql"):  # the others evaluate p and phi
+        del layouts["limits"]
+    if kind == "synodyne":  # the LO phase is one value
+        layouts["sweep"] = (rho[:, None], p, float(phi[0]))
+    args = draw(st.sampled_from(sorted(layouts.items())))[1]
+    epsilon = draw(st.just(1.0) | st.floats(0.01, 1.0))
+    n_th = draw(st.floats(0.0, 1e4))
+    beta = draw(st.floats(1.05, 3.0)) if kind == "synodyne" else None
+    return kind, args, epsilon, n_th, beta
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(curves())
+def test_every_curve_total_is_the_plain_sum_and_survives_a_round_trip(tmp_path, curve):
+    kind, (rho, p, phi), epsilon, n_th, beta = curve
+    table = SpectrumTable({"kind": kind}, curve_columns(kind, rho, p, phi, epsilon, n_th, beta))
+    col = table.columns
+    plain = col["s_m"] + col["s_ii"] + col["s_ff"] + col["s_corr"] + col["s_ln"]
+    assert col["total"].tobytes() == plain.tobytes()  # bit for bit, the sign of 0 too
+    assert col["total_over_sql"].tobytes() == (plain / sql_psd(col["rho"])).tobytes()
+    emit_table(table, "csv", tmp_path / "curve.csv")
+    loaded = load_table_csv(tmp_path / "curve.csv")
+    for name in COLUMNS:
+        assert loaded.columns[name].tobytes() == col[name].tobytes(), name
 
 
 STITCHED_CONFIG = (
@@ -295,6 +381,13 @@ def test_stitched_s_ln_is_a_constant_column_only_without_noise(noise):
             assert s_ln.strides == (8,) and (s_ln > 0).all(), config
         else:
             assert s_ln.strides == (0,) and s_ln[0] == 0.0, config
+
+
+@pytest.mark.parametrize("shape", ((), (3, 1)), ids=("0-d", "2-d"))
+def test_table_rejects_columns_that_are_not_1d(shape):
+    # a 0-d table was accepted when a 0-d rho set the expected shape
+    with pytest.raises(ParameterError, match="1-D arrays of one length"):
+        SpectrumTable({}, {c: np.ones(shape) for c in COLUMNS})
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
