@@ -136,20 +136,17 @@ def budget_terms(rho, p, epsilon, n_th, imprecision, correlation, s_ln=0.0):
 
     correlation already carries its other chi_m_parts factor: cot(phi)
     rho |chi_m| in homodyne readout, a constant times |chi_m| in synodyne.
-    Every argument broadcasts; the five terms come back as arrays of the
-    common shape.  Nothing is checked here: the public evaluators check
-    their arguments on entry.
+    Every argument broadcasts; the four quantum terms come back as arrays of
+    their common shape, and s_ln as given, so a float 0.0 stays one value.
+    Nothing is checked here: the public evaluators check their arguments on
+    entry.
     """
     chi = chi_m_parts(rho)[0]
-    return SpectrumComponents(
-        *np.broadcast_arrays(
-            thermal_term(rho, n_th),
-            imprecision / (2.0 * epsilon * p),
-            chi * (0.5 * p) * chi,
-            -correlation * chi,
-            s_ln,
-        )
+    quantum = np.broadcast_arrays(
+        thermal_term(rho, n_th), imprecision / (2.0 * epsilon * p), chi * (0.5 * p) * chi,
+        -correlation * chi,
     )
+    return SpectrumComponents(*quantum, s_ln)
 
 
 def homodyne_terms(rho, p, phi, epsilon: float, n_th: float, s_ln=0.0):

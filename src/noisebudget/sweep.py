@@ -15,7 +15,7 @@ them, the key it needs and the key of its candidate angles (in degrees).
     epsilon, n_th         quantum efficiency (1), thermal occupation (0)
     readout               homodyne (default) | synodyne | variational | stitched
     angles_deg, stitch_angles_deg   comma-separated angles in degrees
-    beta, synodyne_phi_deg   synodyne LO ratio and phase
+    beta, synodyne_phi_deg   synodyne LO ratio (beta > 0) and phase
     c_aa, c_pp            fractional classical noise (default 0)
     kappa_hz, omega_m_hz, gamma_hz   cavity/mode frequencies in Hz (> 0, and
                           2 pi times each finite), needed for nonzero classical
@@ -162,6 +162,8 @@ class SweepSpec:
         if not self.powers:
             raise ParameterError("powers must list at least one value", "powers")
         check_positive("powers", self.powers)
+        if self.beta is not None:
+            check_positive("beta", self.beta)
         Detection(self.epsilon)  # checks 0 < epsilon <= 1, naming the key
         if self.n_th < 0:
             raise ParameterError(f"n_th must be >= 0, got {self.n_th}", "n_th")
@@ -315,9 +317,6 @@ def parse_config(text: str, readout: Optional[str] = None) -> SweepSpec:
     return spec
 
 
-Row = namedtuple("Row", COLUMNS)
-
-
 @dataclass(eq=False)
 class SpectrumTable:
     """Evaluated spectrum, stored by column.
@@ -326,8 +325,8 @@ class SpectrumTable:
     float64 array, all of one length; a column may share its memory with
     another table's (limits' rho) or with the array it was evaluated in.  A
     column whose values all share one bit pattern is held as a zero-stride
-    view of that value, which emit_table formats once.  rows is a read-only view
-    that materialises one Row per index.
+    view of that value, which emit_table formats once.  rows builds a list of
+    plain tuples, one per index, in COLUMNS order.
     """
 
     metadata: dict
@@ -346,28 +345,23 @@ class SpectrumTable:
             values.flags.writeable = False
 
     @property
-    def rows(self) -> List[Row]:
-        values = zip(*(col.tolist() for col in self.columns.values()))
-        return list(map(Row._make, values))
+    def rows(self) -> List[tuple]:
+        return list(zip(*(col.tolist() for col in self.columns.values())))
 
 
 def spectrum_columns(rho, phi_used, p, comps: SpectrumComponents, sql=None) -> dict:
     """Table columns from arrays that broadcast together, flattened in C order;
     total is comps.total and total_over_sql total / sql (sql_psd(rho) unless
-    handed in), both taken before broadcasting.  A value that already holds one
-    float64 per row in C order is its column's memory: a scalar as a zero-stride
-    view, a contiguous array of the table's length (a total that is one of its
-    terms too) as it is.  Only broadcast values are copied out."""
+    handed in), both taken before broadcasting.  Each column is its value
+    broadcast to the common shape and reshaped to one axis, which copies only
+    what it must: a scalar or a zero-stride view stays a zero-stride view, and
+    a contiguous array of the table's length (a total that is one of its terms
+    too) is the column's memory as it is."""
     total = comps.total
     ratio = total / (sql_psd(rho) if sql is None else sql)
     values = [np.asarray(v, dtype=float) for v in (rho, phi_used, p, *comps.terms, total, ratio)]
     shape = np.broadcast_shapes(*(v.shape for v in values))
-    n = math.prod(shape)
-    return {
-        name: np.broadcast_to(v, (n,)) if v.ndim == 0
-        else np.broadcast_to(v, shape).ravel()
-        for name, v in zip(COLUMNS, values)
-    }
+    return {name: np.broadcast_to(v, shape).reshape(-1) for name, v in zip(COLUMNS, values)}
 
 
 @np.errstate(all="ignore")
@@ -410,8 +404,6 @@ def curve_columns(kind, rho, p, phi_deg, epsilon, n_th, beta=None, s_ln=None) ->
             phi = np.radians(phi_deg)
         check_angle(phi)
         comps = homodyne_terms(rho, p, phi, epsilon, n_th, 0.0 if s_ln is None else s_ln(phi))
-        if s_ln is None:  # 0.0 itself, not the broadcast zeros: a zero-stride column
-            comps = SpectrumComponents(*comps.terms[:4])
         if kind == "stitched":
             pick = np.argmin(comps.total, axis=-1)[..., None]
             # only the angle-dependent terms are gathered; without noise s_ln stays 0.0

@@ -1,5 +1,5 @@
 """Shared fixtures: the experimental parameter set used across the tests,
-and two small writers for test inputs."""
+two small writers for test inputs and a reader of table columns."""
 
 import io
 import math
@@ -53,6 +53,11 @@ def write_spectrum_csv(path, samples):
         path, np.asarray(samples, dtype=float), fmt="%.17g", delimiter=",",
         header="frequency_hz,psd_shotnoise_units", comments="",
     )
+
+
+def column_lists(table) -> dict:
+    """The table's columns by name, each a list of Python floats."""
+    return {name: col.tolist() for name, col in table.columns.items()}
 
 
 def table_text(table, fmt: str) -> str:

@@ -140,6 +140,7 @@ BAD_VALUES = {
         lambda v: f"epsilon must be in (0, 1], got {v}",
     ),
     "n_th": (st.floats(-1e3, -1e-300), lambda v: f"n_th must be >= 0, got {v}"),
+    "beta": (NEGATIVE, lambda v: f"beta must be > 0 and finite, got {v}"),
     "angles_deg": (
         st.tuples(NEGATIVE | st.floats(180.0, 1e3)),
         lambda v: f"angles_deg must lie strictly between 0 and 180 degrees, got {v[0]}",

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import column_lists
 from noisebudget import ParameterError, chi_m_dimensionless, reproduce_figure
 from noisebudget.cli import main as cli_main
 from noisebudget.figures import FIGURE_IDS
@@ -15,8 +16,17 @@ from noisebudget.limits import sql_psd
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _at(rows, rho):
-    return min(rows, key=lambda r: abs(r.rho - rho))
+def _at(table, rho):
+    """The columns of the table's row nearest rho, by name."""
+    c = column_lists(table)
+    i = min(range(len(c["rho"])), key=lambda i: abs(c["rho"][i] - rho))
+    return {name: values[i] for name, values in c.items()}
+
+
+def _by_rho(table):
+    """rho -> total, over the table's rows."""
+    c = column_lists(table)
+    return dict(zip(c["rho"], c["total"]))
 
 
 def test_unknown_id_rejected():
@@ -37,11 +47,12 @@ def test_all_ids_produce_tables():
 def test_rows_satisfy_additivity_everywhere():
     for fig_id in FIGURE_IDS:
         for name, table in reproduce_figure(fig_id).items():
-            for r in table.rows:
-                parts = r.s_m + r.s_ii + r.s_ff + r.s_corr + r.s_ln
-                assert r.total == pytest.approx(parts, rel=1e-12), (fig_id, name)
-                assert r.total_over_sql == pytest.approx(
-                    r.total / float(sql_psd(r.rho)), rel=1e-12
+            c = column_lists(table)
+            for i, rho in enumerate(c["rho"]):
+                parts = c["s_m"][i] + c["s_ii"][i] + c["s_ff"][i] + c["s_corr"][i] + c["s_ln"][i]
+                assert c["total"][i] == pytest.approx(parts, rel=1e-12), (fig_id, name)
+                assert c["total_over_sql"][i] == pytest.approx(
+                    c["total"][i] / float(sql_psd(rho)), rel=1e-12
                 )
 
 
@@ -49,24 +60,23 @@ def test_broadband_ql_column_identity():
     # ideal detector, ground state: the QL added noise is |chi_m|^2 and the
     # total carries exactly one more zero-point unit
     tables = reproduce_figure("1a")
-    ql = tables["ql"]
-    for r in ql.rows:
-        chim2 = abs(chi_m_dimensionless(r.rho)) ** 2
-        assert r.s_ii == pytest.approx(chim2, rel=1e-12)
-        assert r.total == pytest.approx(2.0 * chim2, rel=1e-12)
+    ql = column_lists(tables["ql"])
+    for rho, s_ii, total in zip(ql["rho"], ql["s_ii"], ql["total"]):
+        chim2 = abs(chi_m_dimensionless(rho)) ** 2
+        assert s_ii == pytest.approx(chim2, rel=1e-12)
+        assert total == pytest.approx(2.0 * chim2, rel=1e-12)
 
 
 def test_sql_curve_envelope():
     tables = reproduce_figure("1a")
-    sql_rows = {r.rho: r for r in tables["sql"].rows}
+    sql = _by_rho(tables["sql"])
     # fixed-power phase-quadrature readout never beats SQL + zpm
-    for r in tables["phi90"].rows:
-        assert r.total >= sql_rows[r.rho].total - 1e-12
+    phi90 = column_lists(tables["phi90"])
+    for rho, total in zip(phi90["rho"], phi90["total"]):
+        assert total >= sql[rho] - 1e-12
     # the variational curve dips below the SQL + zpm total off resonance
-    var = {r.rho: r for r in tables["variational"].rows}
-    assert any(
-        var[rho].total < sql_rows[rho].total for rho in var if abs(rho) > 3
-    )
+    var = _by_rho(tables["variational"])
+    assert any(var[rho] < sql[rho] for rho in var if abs(rho) > 3)
 
 
 def test_two_tone_comparison_curves_present():
@@ -74,41 +84,40 @@ def test_two_tone_comparison_curves_present():
     assert "synodyne_beta1.02" in tables
     assert "homodyne_phi5.8" in tables
     assert "homodyne_phi90" in tables
-    syn = _at(tables["synodyne_beta1.02"].rows, 0.0)
-    phase = _at(tables["homodyne_phi90"].rows, 0.0)
+    syn = _at(tables["synodyne_beta1.02"], 0.0)
+    phase = _at(tables["homodyne_phi90"], 0.0)
     # near resonance the slightly imbalanced two-tone readout wins big
-    assert syn.total < 0.05 * phase.total
-    assert syn.total == pytest.approx(1.01, rel=1e-6)
+    assert syn["total"] < 0.05 * phase["total"]
+    assert syn["total"] == pytest.approx(1.01, rel=1e-6)
 
 
 def test_stitched_envelope_and_inset():
     tables = reproduce_figure("3b-model")
-    stitched = {r.rho: r for r in tables["stitched"].rows}
-    phase = {r.rho: r for r in tables["phi90"].rows}
-    for rho, r in stitched.items():
-        assert r.total <= phase[rho].total + 1e-12
-    r45 = _at(tables["inset_phi45"].rows, 12.0)
-    r90 = _at(tables["inset_phi90"].rows, 12.0)
-    assert r45.total < r90.total
-    assert 1.3 < r45.total_over_sql < 1.9
-    assert r90.total_over_sql == pytest.approx(2.07, abs=0.01)
+    stitched = _by_rho(tables["stitched"])
+    phase = _by_rho(tables["phi90"])
+    for rho, total in stitched.items():
+        assert total <= phase[rho] + 1e-12
+    r45 = _at(tables["inset_phi45"], 12.0)
+    r90 = _at(tables["inset_phi90"], 12.0)
+    assert r45["total"] < r90["total"]
+    assert 1.3 < r45["total_over_sql"] < 1.9
+    assert r90["total_over_sql"] == pytest.approx(2.07, abs=0.01)
 
 
 def test_light_psd_figure_dips_below_shot_noise():
-    rows = reproduce_figure("1d")["light_psd"].rows
-    totals = np.array([r.total for r in rows])
+    c = reproduce_figure("1d")["light_psd"].columns
+    totals = c["total"]
     assert totals.min() < 1.0
     # at the phase quadrature the light PSD sits above shot noise
-    at_90 = [r for r in rows if r.phi_used == 90.0][0]
-    assert at_90.total > 1.0
+    at_90 = totals[c["phi_used"] == 90.0][0]
+    assert at_90 > 1.0
 
 
 def test_power_axis_figures_have_power_minimum():
     tables = reproduce_figure("2a-model")
-    rows = tables["rho0"].rows
-    totals = [r.total for r in rows]
+    totals = tables["rho0"].columns["total"].tolist()
     i_min = int(np.argmin(totals))
-    assert 0 < i_min < len(rows) - 1  # interior optimum in power
+    assert 0 < i_min < len(totals) - 1  # interior optimum in power
     assert min(totals) == pytest.approx(2.0 * 1.79 + 1.0 / np.sqrt(0.35), rel=0.01)
 
 

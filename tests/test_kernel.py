@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import GAMMA, OMEGA_M
+from conftest import GAMMA, OMEGA_M, column_lists
 from noisebudget import (
     Detection,
     DivergenceError,
@@ -59,11 +59,11 @@ NOISE = ("", CAVITY + "c_aa = 0.5\nc_pp = 2\n")
 BASE = "powers = 0.7,14,28\nepsilon = 0.35\nn_th = 1.29\n"
 
 
-def _assert_row_matches(row, comps, scale: float):
+def _assert_row_matches(cols, i, comps, scale: float):
     tol = ULPS * EPS64 * scale
     for name in TERMS:
-        assert abs(getattr(row, name) - getattr(comps, name)) <= tol, (name, row)
-    assert abs(row.total - comps.total) <= tol, row
+        assert abs(cols[name][i] - getattr(comps, name)) <= tol, (name, i, cols["rho"][i])
+    assert abs(cols["total"][i] - comps.total) <= tol, (i, cols["rho"][i])
 
 
 def _oracle(spec: SweepSpec):
@@ -95,16 +95,16 @@ def check_stitched(spec: SweepSpec, table) -> int:
     number of rows whose angle was decided by a tie within tolerance."""
     point = _oracle(spec)
     angles = sorted(spec.stitch_angles_deg, key=lambda a: abs(math.radians(a) - math.pi / 2))
-    ties = 0
-    for row in table.rows:
-        candidates = {a: point(row.rho, math.radians(a), row.p) for a in angles}
+    ties, cols = 0, column_lists(table)
+    for i, (rho, phi_used, p) in enumerate(zip(*(cols[c] for c in COLUMNS[:3]))):
+        candidates = {a: point(rho, math.radians(a), p) for a in angles}
         best_deg = min(angles, key=lambda a: candidates[a][0].total)
         best = candidates[best_deg][0].total
         tol = ULPS * EPS64 * max(scale for _, scale in candidates.values())
         near = [a for a in angles if candidates[a][0].total - best <= tol]
-        assert row.phi_used in near, (row, best_deg)
-        ties += row.phi_used != best_deg
-        _assert_row_matches(row, *candidates[row.phi_used])
+        assert phi_used in near, (rho, p, phi_used, best_deg)
+        ties += phi_used != best_deg
+        _assert_row_matches(cols, i, *candidates[phi_used])
     return ties
 
 
@@ -113,7 +113,9 @@ def test_homodyne_terms_broadcast_shapes_and_checks():
     p = np.array([1.0, 2.0])[None, :, None]
     phi = np.radians([30.0, 90.0, 150.0])
     comps = homodyne_terms(rho, p, phi, 0.5, 2.0)
-    assert all(t.shape == (7, 2, 3) for t in comps.terms)
+    assert all(t.shape == (7, 2, 3) for t in comps.terms[:4])
+    # s_ln comes back as given: the default 0.0, not an array of zeros
+    assert type(comps.s_ln) is float and comps.s_ln == 0.0
 
 
 @pytest.mark.parametrize("noise", NOISE, ids=("clean", "noise"))
@@ -121,10 +123,10 @@ def test_homodyne_terms_broadcast_shapes_and_checks():
 def test_homodyne_sweep_matches_scalar(grid, noise):
     spec = parse_config(grid + BASE + noise + "angles_deg = 20,45,90,135\n")
     point = _oracle(spec)
-    rows = run_sweep(spec).rows
-    assert len(rows) == spec.rho_count * 3 * 4
-    for row in rows:
-        _assert_row_matches(row, *point(row.rho, math.radians(row.phi_used), row.p))
+    cols = column_lists(run_sweep(spec))
+    assert len(cols["rho"]) == spec.rho_count * 3 * 4
+    for i, (rho, phi_used, p) in enumerate(zip(*(cols[c] for c in COLUMNS[:3]))):
+        _assert_row_matches(cols, i, *point(rho, math.radians(phi_used), p))
 
 
 @pytest.mark.parametrize("noise", NOISE, ids=("clean", "noise"))
@@ -132,25 +134,25 @@ def test_homodyne_sweep_matches_scalar(grid, noise):
 def test_variational_sweep_matches_scalar(grid, noise):
     spec = parse_config(grid + BASE + noise + "readout = variational\n")
     point, det = _oracle(spec), Detection(spec.epsilon)
-    for row in run_sweep(spec).rows:
+    cols = column_lists(run_sweep(spec))
+    for i, (rho, phi_used, p) in enumerate(zip(*(cols[c] for c in COLUMNS[:3]))):
         # the kernel's angle comes from np.arctan2 of an array-computed
         # cotangent; it stays within ULPS ulp of the scalar math.atan2 one
-        phi = float(phi_opt(row.rho, row.p, det))
-        c = det.epsilon * row.p * row.rho * abs(chi_m_dimensionless(row.rho)) ** 2
+        phi = float(phi_opt(rho, p, det))
+        c = det.epsilon * p * rho * abs(chi_m_dimensionless(rho)) ** 2
         assert abs(phi - math.atan2(1.0, c)) <= ULPS * math.ulp(phi)
-        assert row.phi_used == math.degrees(phi)
-        _assert_row_matches(row, *point(row.rho, phi, row.p))
+        assert phi_used == math.degrees(phi)
+        _assert_row_matches(cols, i, *point(rho, phi, p))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=("linear", "log"))
 def test_synodyne_sweep_matches_scalar(grid):
     spec = parse_config(grid + BASE + "readout = synodyne\nbeta = 1.02\nsynodyne_phi_deg = 5.8\n")
-    for row in run_sweep(spec).rows:
-        assert row.phi_used == 5.8
-        terms = oracles.synodyne_terms(
-            row.rho, row.p, 1.02, math.radians(5.8), spec.epsilon, spec.n_th
-        )
-        _assert_row_matches(row, SpectrumComponents(*terms), sum(map(abs, terms)))
+    cols = column_lists(run_sweep(spec))
+    for i, (rho, phi_used, p) in enumerate(zip(*(cols[c] for c in COLUMNS[:3]))):
+        assert phi_used == 5.8
+        terms = oracles.synodyne_terms(rho, p, 1.02, math.radians(5.8), spec.epsilon, spec.n_th)
+        _assert_row_matches(cols, i, SpectrumComponents(*terms), sum(map(abs, terms)))
     with pytest.raises(DivergenceError, match="alpha_p = 0"):
         synodyne_terms(np.zeros(3), 1.0, SynodyneLO(1.0, 0.0), 1.0, 0.0)
 
@@ -164,9 +166,9 @@ def test_stitched_sweep_matches_scalar(grid, noise):
     table = run_sweep(spec)
     assert check_stitched(spec, table) == 0
     # rho-major, then powers in config order
-    rows = table.rows
-    assert [r.p for r in rows[:3]] == [0.7, 14.0, 28.0]
-    assert [r.rho for r in rows] == sorted(r.rho for r in rows)
+    rho, p = table.columns["rho"].tolist(), table.columns["p"].tolist()
+    assert p[:3] == [0.7, 14.0, 28.0]
+    assert rho == sorted(rho)
 
 
 def test_stitched_classical_noise_picks_pointwise_minimum():
@@ -194,8 +196,8 @@ def test_stitched_ties_go_toward_phase_quadrature():
     totals = {sum(oracles.homodyne_terms(0.0, 1e9, math.radians(a), 1.0, 0.0))
               for a in angles}
     assert len(totals) == 1
-    on_res = [r for r in run_sweep(spec).rows if r.rho == 0.0][0]
-    assert on_res.phi_used == 90.0
+    cols = run_sweep(spec).columns
+    assert cols["phi_used"][cols["rho"] == 0.0][0] == 90.0
     det, mode = Detection(1.0), MechanicalMode(1.0, 1e-6)
     curves = [fixed_angle_spectrum(spec.rho_grid(), 1e9, math.radians(a), det, mode)
               for a in angles]
@@ -269,7 +271,7 @@ def _mode(n_th):
 def _light_total(rho, p, phi, eps, n_th):
     """The total of a one-point light curve, as figure 1d evaluates it."""
     columns = curve_columns("light", rho, p, math.degrees(phi), eps, n_th)
-    return SpectrumTable({}, columns).rows[0].total
+    return SpectrumTable({}, columns).columns["total"].tolist()[0]
 
 
 VIEWS = {

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import table_text, write_spectrum_csv
+from conftest import column_lists, table_text, write_spectrum_csv
 from noisebudget import (
     ParameterError,
     SweepSpec,
@@ -116,36 +116,36 @@ def test_sweep_correlation_sign_structure():
     )
     table = run_sweep(spec)
     assert len(table.rows) == 21 * 2
-    by_key = {(r.rho, r.phi_used): r for r in table.rows}
+    c = column_lists(table)
+    by_key = {key: i for i, key in enumerate(zip(c["rho"], c["phi_used"]))}
     for rho in spec.rho_grid():
-        r45 = by_key[(float(rho), 45.0)]
-        r90 = by_key[(float(rho), 90.0)]
+        i45 = by_key[(float(rho), 45.0)]
+        i90 = by_key[(float(rho), 90.0)]
         if rho > 0:
-            assert r45.s_corr < 0
+            assert c["s_corr"][i45] < 0
         elif rho < 0:
-            assert r45.s_corr > 0
+            assert c["s_corr"][i45] > 0
         else:
-            assert r45.s_corr == 0.0
+            assert c["s_corr"][i45] == 0.0
         # mid-band the favorable correlation outweighs the extra imprecision
         # of the rotated quadrature; on the negative side it always hurts
         if 1.0 <= rho <= 9.0:
-            assert r45.total < r90.total
+            assert c["total"][i45] < c["total"][i90]
         elif rho < 0:
-            assert r45.total > r90.total
+            assert c["total"][i45] > c["total"][i90]
 
 
 def test_sweep_row_invariants():
     spec = parse_config(MINIMAL + "epsilon = 0.35\nn_th = 1.29\n")
-    table = run_sweep(spec)
-    for r in table.rows:
-        parts = r.s_m + r.s_ii + r.s_ff + r.s_corr + r.s_ln
-        assert r.total == pytest.approx(parts, rel=1e-12)
-        assert r.total_over_sql == pytest.approx(
-            r.total / float(sql_psd(r.rho)), rel=1e-12
+    c = column_lists(run_sweep(spec))
+    for i, rho in enumerate(c["rho"]):
+        parts = c["s_m"][i] + c["s_ii"][i] + c["s_ff"][i] + c["s_corr"][i] + c["s_ln"][i]
+        assert c["total"][i] == pytest.approx(parts, rel=1e-12)
+        assert c["total_over_sql"][i] == pytest.approx(
+            c["total"][i] / float(sql_psd(rho)), rel=1e-12
         )
     # deterministic rho-major ordering
-    rhos = [r.rho for r in table.rows]
-    assert rhos == sorted(rhos)
+    assert c["rho"] == sorted(c["rho"])
 
 
 def test_sweep_variational_delegates():
@@ -156,10 +156,9 @@ def test_sweep_variational_delegates():
     table = run_sweep(spec)
     det = Detection(1.0)
     mode = MechanicalMode(1.0, 1e-6, n_th=0.0)
-    for r in table.rows:
-        assert r.total == pytest.approx(
-            psd_at_phi_opt(r.rho, 50.0, det, mode), rel=1e-12
-        )
+    c = column_lists(table)
+    for rho, total in zip(c["rho"], c["total"]):
+        assert total == pytest.approx(psd_at_phi_opt(rho, 50.0, det, mode), rel=1e-12)
 
 
 def test_sweep_synodyne_and_stitched():
@@ -167,19 +166,18 @@ def test_sweep_synodyne_and_stitched():
         "rho_min = -5\nrho_max = 5\nrho_count = 11\npowers = 100\n"
         "readout = synodyne\nbeta = 1.02\n"
     )
-    table = run_sweep(syn)
-    on_res = [r for r in table.rows if r.rho == 0.0][0]
-    assert on_res.total == pytest.approx(1.01, rel=1e-9)
+    c = run_sweep(syn).columns
+    assert c["total"][c["rho"] == 0.0][0] == pytest.approx(1.01, rel=1e-9)
     stitched = parse_config(
         "rho_min = -5\nrho_max = 5\nrho_count = 11\npowers = 14\n"
         "readout = stitched\nstitch_angles_deg = 45,90\n"
         "epsilon = 0.35\nn_th = 1.29\n"
     )
-    table = run_sweep(stitched)
-    for r in table.rows:
-        assert min(abs(r.phi_used - 45.0), abs(r.phi_used - 90.0)) < 1e-9
-        if r.rho > 0:
-            assert r.phi_used == pytest.approx(45.0)
+    c = column_lists(run_sweep(stitched))
+    for rho, phi_used in zip(c["rho"], c["phi_used"]):
+        assert min(abs(phi_used - 45.0), abs(phi_used - 90.0)) < 1e-9
+        if rho > 0:
+            assert phi_used == pytest.approx(45.0)
 
 
 def test_sweep_evaluates_what_its_readout_reads():
@@ -198,12 +196,12 @@ def test_sweep_classical_noise_column():
         "angles_deg = 45\nepsilon = 0.35\nn_th = 1.29\n"
         "kappa_hz = 2.5e6\nomega_m_hz = 1.596e6\ngamma_hz = 340\n"
     )
-    clean = run_sweep(parse_config(base))
-    noisy = run_sweep(parse_config(base + "c_aa = 0.004\nc_pp = 0.04\n"))
-    for rc, rn in zip(clean.rows, noisy.rows):
-        assert rc.s_ln == 0.0
-        assert rn.s_ln > 0.0
-        assert rn.total == pytest.approx(rc.total + rn.s_ln, rel=1e-12)
+    clean = column_lists(run_sweep(parse_config(base)))
+    noisy = column_lists(run_sweep(parse_config(base + "c_aa = 0.004\nc_pp = 0.04\n")))
+    for i, (ln_clean, ln_noisy) in enumerate(zip(clean["s_ln"], noisy["s_ln"])):
+        assert ln_clean == 0.0
+        assert ln_noisy > 0.0
+        assert noisy["total"][i] == pytest.approx(clean["total"][i] + ln_noisy, rel=1e-12)
 
 
 def test_emit_round_trip_csv(tmp_path):
@@ -312,12 +310,12 @@ def test_cli_limits(tmp_path):
     assert cli_main(["--config", str(cfg), "--out", str(out), "limits"]) == 0
     sql = load_table_csv(tmp_path / "lim.sql.csv")
     ql = load_table_csv(tmp_path / "lim.ql.csv")
-    for r in sql.rows:
-        assert r.total == pytest.approx(float(sql_psd(r.rho)), rel=1e-12)
-    for r in ql.rows:
-        assert r.total == pytest.approx(
-            r.s_m + r.s_ii, rel=1e-12
-        )
+    c = column_lists(sql)
+    for rho, total in zip(c["rho"], c["total"]):
+        assert total == pytest.approx(float(sql_psd(rho)), rel=1e-12)
+    c = column_lists(ql)
+    for s_m, s_ii, total in zip(c["s_m"], c["s_ii"], c["total"]):
+        assert total == pytest.approx(s_m + s_ii, rel=1e-12)
 
 
 def test_cli_calibrate(tmp_path, capsys):
